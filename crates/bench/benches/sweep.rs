@@ -8,7 +8,7 @@
 //!   points, the best case for work stealing.
 //!
 //! Both shapes run the real node simulator through the real executor
-//! (`haswell_survey::survey::sweep`) with per-point derived seeds; only
+//! (`RunCtx::sweep`) with per-point derived seeds; only
 //! the simulated spans are trimmed so one iteration stays in seconds, not
 //! minutes. The headline ratio (serial wall time / pooled wall time,
 //! bit-identical results) is printed once before the criterion timings.
@@ -19,9 +19,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use haswell_survey::survey::sweep;
+use haswell_survey::{Fidelity, RunCtx};
 use hsw_exec::WorkloadProfile;
-use hsw_node::{Platform, Resolution};
+use hsw_node::{EngineMode, Platform, Resolution};
 use rayon::ThreadPool;
 
 /// Figure 2-class point: one short measurement run of `profile` on
@@ -79,12 +79,17 @@ fn digest(values: &[f64]) -> f64 {
         .sum()
 }
 
+/// A sweep context whose points derive their seeds from `seed`.
+fn ctx(seed: u64) -> RunCtx {
+    RunCtx::new(Fidelity::Quick, seed, EngineMode::default())
+}
+
 fn run_fig2_class(pool: &ThreadPool, points: &[(WorkloadProfile, usize)]) -> f64 {
-    pool.install(|| digest(&sweep(7, points, fig2_class_point)))
+    pool.install(|| digest(&ctx(7).sweep(points, fig2_class_point)))
 }
 
 fn run_table5_class(pool: &ThreadPool, points: &[WorkloadProfile]) -> f64 {
-    pool.install(|| digest(&sweep(11, points, table5_class_point)))
+    pool.install(|| digest(&ctx(11).sweep(points, table5_class_point)))
 }
 
 fn wall_s(f: impl FnOnce() -> f64) -> (f64, f64) {

@@ -12,6 +12,9 @@
 //! - Fork cost: cold (node build + full restore) vs. full restore vs.
 //!   dirty-plane restore on both firmware platforms, with an advancing
 //!   identity pass proving all three strategies produce the same bits.
+//!   The sweep executor forks cold: its points advance time, which dirties
+//!   nearly every plane, so the dirty-plane `Node::fork_from` measured
+//!   here is a node-level API the executor does not use.
 //!
 //! Both sweep shapes run the real node simulator through the real warm
 //! executor (`RunCtx::sweep_warm`) under both modes and assert the digests
@@ -138,14 +141,14 @@ struct ForkCost {
 /// Measure what one warm-start fork costs under each strategy:
 ///
 /// - `cold`: construct a fresh node and restore the snapshot into it
-///   (what the executor did before scratch-node reuse),
+///   (what the sweep executor does for every point),
 /// - `full`: re-seed a scratch node and restore every plane,
 /// - `dirty`: `Node::fork_from` — restore only the planes the scratch
 ///   node's previous point dirtied.
 ///
 /// The timed point touches only the WORK plane (a thread assignment and a
-/// power read, no time advance), the sweep-point shape the dirty fast
-/// path exists for. A separate identity pass runs advancing points — which
+/// power read, no time advance), the shape the dirty fast path exists
+/// for. A separate identity pass runs advancing points — which
 /// dirty essentially every plane — through all three strategies and
 /// asserts the digests match bit-for-bit, so the fast path never trades
 /// correctness for speed.

@@ -118,10 +118,10 @@ pub struct RunCtx {
     /// Simulated-time ledger: every session built through [`RunCtx::session`]
     /// credits its total simulated nanoseconds here on drop.
     sim_ns: Arc<AtomicU64>,
-    /// Sweep points executed through [`RunCtx::sweep`]/[`RunCtx::sweep_salted`]
-    /// (the scoreboard's `pts` column).
+    /// Sweep points executed through any sweep entry point (the
+    /// scoreboard's `pts` column).
     points: Arc<AtomicU64>,
-    /// Warm-start mode: `true` runs each warm sweep's warmup once and forks
+    /// Warm-start mode: `true` runs each sweep's warmup once and forks
     /// every point from the converged snapshot; `false` re-runs the warmup
     /// per point. Both paths execute the identical fork code under the
     /// identical seed schedule, so results are byte-identical — only wall
@@ -167,8 +167,8 @@ impl RunCtx {
         self
     }
 
-    /// Select cold (`false`) or warm (`true`, the default) execution of the
-    /// warm-sweep executors. Results are identical either way.
+    /// Select cold (`false`) or warm (`true`, the default) settles in the
+    /// sweep executor. Results are identical either way.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
@@ -217,34 +217,6 @@ impl RunCtx {
         self.points.load(Ordering::Relaxed)
     }
 
-    /// Fan `points` through the worker pool with this experiment's seed as
-    /// the derivation base: point `k` runs as `f(&points[k],
-    /// mix_seed(self.seed, k))`. See [`sweep`] for the determinism
-    /// contract.
-    pub fn sweep<P, R, F>(&self, points: &[P], f: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        sweep(self.seed, points, f)
-    }
-
-    /// Like [`RunCtx::sweep`] for experiments that run several sweeps:
-    /// `salt` separates the seed streams (panel index, campaign id, …).
-    pub fn sweep_salted<P, R, F>(&self, salt: u64, points: &[P], f: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        sweep(mix_seed(self.seed, salt), points, f)
-    }
-
     /// Sweep points served from a shared warm-start snapshot so far.
     pub fn snapshot_reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
@@ -268,6 +240,32 @@ impl RunCtx {
         self.spot_checks.fetch_add(checks, Ordering::Relaxed);
     }
 
+    /// Fan `points` through the worker pool with this experiment's seed as
+    /// the derivation base: point `k` runs as `f(&points[k],
+    /// mix_seed(self.seed, k))` and results come back in point order.
+    ///
+    /// The seed is the same order-free derivation as
+    /// [`SessionBuilder::derive_seed`], so it depends on the sweep geometry
+    /// only, never on scheduling. Combined with the pool's index-ordered
+    /// collection this keeps results byte-identical for any pool size
+    /// (`RAYON_NUM_THREADS`) and any `--jobs` value; only wall clock
+    /// changes.
+    pub fn sweep<P, R, F>(&self, points: &[P], f: F) -> Vec<R>
+    where
+        P: Sync,
+        R: Send,
+        F: Fn(&P, u64) -> R + Send + Sync,
+    {
+        simulated(self.execute(
+            self.seed,
+            points.len(),
+            Source::Points,
+            Prep::Given(()),
+            |_, d| f(&points[d.k], d.seed),
+            None,
+        ))
+    }
+
     /// Warm-start sweep: amortize a shared settle phase across all points.
     ///
     /// `warmup` receives a session builder (already seeded from the warmup
@@ -277,16 +275,11 @@ impl RunCtx {
     /// the point itself and the point seed.
     ///
     /// With warm start on, `warmup` runs once and every point forks the one
-    /// snapshot; with it off, `warmup` re-runs per point and each fork is a
-    /// fresh `Node` fully restored from its image. The warm path goes
-    /// further: each worker thread keeps one *scratch node* synced with the
-    /// current warm image and re-arms it between points with
-    /// [`Node::fork_from`], which copies back only the snapshot planes the
-    /// previous point dirtied. All three constructions are bit-identical —
-    /// the dirty mask guarantees untouched planes already equal the image,
-    /// and [`hsw_node`]'s noise is keyed by (seed, domain, sim-time) rather
-    /// than step count — so results are byte-identical by construction;
-    /// only wall clock differs.
+    /// snapshot; with it off, `warmup` re-runs per point. Either way each
+    /// fork is a fresh `Node` built under the point seed and fully restored
+    /// from the image. [`hsw_node`]'s noise is keyed by (seed, domain,
+    /// sim-time) rather than step count, so results are byte-identical by
+    /// construction; only wall clock differs.
     ///
     /// Contract for `warmup`: configure the builder freely (spec,
     /// resolution, EET, …) but never call [`SessionBuilder::seed`] /
@@ -299,7 +292,14 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
-        self.sweep_warm_inner(self.seed, points, warmup, point)
+        simulated(self.node_sweep(
+            self.seed,
+            points.len(),
+            Source::Points,
+            warmup,
+            |node, d| point(node, &points[d.k], d.seed),
+            None,
+        ))
     }
 
     /// Like [`RunCtx::sweep_warm`] for experiments that run several warm
@@ -318,81 +318,14 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
-        self.sweep_warm_inner(mix_seed(self.seed, salt), points, warmup, point)
-    }
-
-    fn sweep_warm_inner<P, R, W, F>(&self, base: u64, points: &[P], warmup: W, point: F) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
-    {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        // The warmup session is deliberately unledgered: warm mode runs it
-        // once, cold mode N times, and `sim_time_s` must not depend on the
-        // mode. Each point instead credits its node's final clock — which
-        // starts at the warmup's end time — so every point accounts for
-        // warmup + point time and the totals agree across modes. (Explicit
-        // crediting rather than a drop-ledger: the warm path's scratch
-        // nodes outlive the sweep.)
-        let warm = |_: &P| {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            WarmImage {
-                id: IMAGE_IDS.fetch_add(1, Ordering::Relaxed),
-                snap: node.snapshot(),
-                cfg: node.config().clone(),
-            }
-        };
-        if self.warm_start {
-            self.reuses
-                .fetch_add(points.len() as u64, Ordering::Relaxed);
-            let img = match points.first() {
-                Some(p) => warm(p),
-                None => return Vec::new(),
-            };
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    let seed = mix_seed(base, k as u64);
-                    // Dirty-plane fork fast path: re-arm this worker's
-                    // scratch node if it is synced with this image, else
-                    // build one (full restore clears the dirty mask).
-                    let mut node = match take_scratch(img.id) {
-                        Some(mut node) => {
-                            node.fork_from(&img.snap, seed);
-                            node
-                        }
-                        None => {
-                            let mut node = Node::new(img.cfg.clone().with_seed(seed));
-                            node.restore(&img.snap);
-                            node
-                        }
-                    };
-                    let r = point(&mut node, p, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    put_scratch(img.id, node);
-                    r
-                })
-                .collect()
-        } else {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| {
-                    let img = warm(p);
-                    let seed = mix_seed(base, k as u64);
-                    let mut node = Node::new(img.cfg.clone().with_seed(seed));
-                    node.restore(&img.snap);
-                    let r = point(&mut node, p, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
-        }
+        simulated(self.node_sweep(
+            mix_seed(self.seed, salt),
+            points.len(),
+            Source::Points,
+            warmup,
+            |node, d| point(node, &points[d.k], d.seed),
+            None,
+        ))
     }
 
     /// Warm-start sweep for analytic experiments: amortize a deterministic
@@ -408,27 +341,14 @@ impl RunCtx {
         W: Fn() -> S + Send + Sync,
         F: Fn(S, &P, u64) -> R + Send + Sync,
     {
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        if self.warm_start {
-            if points.is_empty() {
-                return Vec::new();
-            }
-            self.reuses
-                .fetch_add(points.len() as u64, Ordering::Relaxed);
-            let shared = prep();
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| point(shared.clone(), p, mix_seed(self.seed, k as u64)))
-                .collect()
-        } else {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(k, p)| point(prep(), p, mix_seed(self.seed, k as u64)))
-                .collect()
-        }
+        simulated(self.execute(
+            self.seed,
+            points.len(),
+            Source::Points,
+            Prep::Settle(&prep),
+            |shared: &S, d| point(shared.clone(), &points[d.k], d.seed),
+            None,
+        ))
     }
 
     /// Surrogate sweep: answer every point from the closed form, then
@@ -441,8 +361,7 @@ impl RunCtx {
     /// point seed. The spot-checked points run under the *original* point
     /// seeds `mix_seed(base, k)` and the index-independent warmup seed, so
     /// each checked answer is byte-identical to point `k` of a full
-    /// `sweep_warm` sweep — at any `--jobs`/pool width, warm or cold (the
-    /// fork construction is bit-identical either way).
+    /// `sweep_warm` sweep — at any `--jobs`/pool width, warm or cold.
     pub fn sweep_surrogate<P, R, W, F, S>(
         &self,
         points: &[P],
@@ -457,79 +376,14 @@ impl RunCtx {
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
         S: Fn(&P, u64) -> R + Send + Sync,
     {
-        let base = self.seed;
-        self.points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        self.surrogate_hits
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        let checked = spotcheck_ids(base, points.len(), SPOTCHECK_K);
-        self.spot_checks
-            .fetch_add(checked.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Surrogate<R>> = points
-            .par_iter()
-            .enumerate()
-            .map(|(k, p)| Surrogate {
-                value: surrogate(p, mix_seed(base, k as u64)),
-                checked: None,
-            })
-            .collect();
-        for (k, full) in self.sweep_warm_subset(base, points, &checked, &warmup, &point) {
-            out[k].checked = Some(full);
-        }
-        out
-    }
-
-    /// The full-simulator warm path over a subset of a sweep's points,
-    /// under the original point seeds — the spot-check engine behind
-    /// [`RunCtx::sweep_surrogate`]. Scratch-node reuse is skipped (the
-    /// subset is tiny); a full restore is bit-identical to a re-arm.
-    fn sweep_warm_subset<P, R, W, F>(
-        &self,
-        base: u64,
-        points: &[P],
-        indices: &[usize],
-        warmup: &W,
-        point: &F,
-    ) -> Vec<(usize, R)>
-    where
-        P: Sync,
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
-    {
-        let warm = || {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            (node.snapshot(), node.config().clone())
-        };
-        let run_one = |snap: &NodeSnapshot, cfg: &hsw_node::NodeConfig, k: usize| {
-            let seed = mix_seed(base, k as u64);
-            let mut node = Node::new(cfg.clone().with_seed(seed));
-            node.restore(snap);
-            let r = point(&mut node, &points[k], seed);
-            self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-            (k, r)
-        };
-        if self.warm_start {
-            if indices.is_empty() {
-                return Vec::new();
-            }
-            self.reuses
-                .fetch_add(indices.len() as u64, Ordering::Relaxed);
-            let (snap, cfg) = warm();
-            indices
-                .par_iter()
-                .map(|&k| run_one(&snap, &cfg, k))
-                .collect()
-        } else {
-            indices
-                .par_iter()
-                .map(|&k| {
-                    let (snap, cfg) = warm();
-                    run_one(&snap, &cfg, k)
-                })
-                .collect()
-        }
+        self.node_sweep(
+            self.seed,
+            points.len(),
+            Source::Points,
+            warmup,
+            |node, d| point(node, &points[d.k], d.seed),
+            Some(&|d: &Draw| surrogate(&points[d.k], d.seed)),
+        )
     }
 
     /// Fleet surrogate sweep: answer every manufactured member from the
@@ -559,64 +413,14 @@ impl RunCtx {
         F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
         S: Fn(&ChipVariation, usize, u64) -> R + Send + Sync,
     {
-        let base = self.seed;
-        self.points.fetch_add(fleet_size as u64, Ordering::Relaxed);
-        self.surrogate_hits
-            .fetch_add(fleet_size as u64, Ordering::Relaxed);
-        let checked = spotcheck_ids(base, fleet_size, SPOTCHECK_K);
-        self.spot_checks
-            .fetch_add(checked.len() as u64, Ordering::Relaxed);
-        // The rayon shim parallelizes slices, not ranges.
-        let ids: Vec<usize> = (0..fleet_size).collect();
-        let mut out: Vec<Surrogate<R>> = ids
-            .par_iter()
-            .map(|&id| {
-                let seed = node_seed(base, id as u64);
-                let var = ChipVariation::sample(model, seed);
-                Surrogate {
-                    value: surrogate(&var, id, seed),
-                    checked: None,
-                }
-            })
-            .collect();
-        if checked.is_empty() {
-            return out;
-        }
-        let warm = || {
-            let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
-            (node.snapshot(), node.config().clone())
-        };
-        let run_one = |snap: &NodeSnapshot, cfg: &hsw_node::NodeConfig, id: usize| {
-            let seed = node_seed(base, id as u64);
-            let var = ChipVariation::sample(model, seed);
-            let mut node = Node::new(cfg.clone().with_seed(seed).with_spec(var.apply(&cfg.spec)));
-            node.restore(snap);
-            let r = member(&mut node, &var, id, seed);
-            self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-            (id, r)
-        };
-        let full: Vec<(usize, R)> = if self.warm_start {
-            self.reuses
-                .fetch_add(checked.len() as u64, Ordering::Relaxed);
-            let (snap, cfg) = warm();
-            checked
-                .par_iter()
-                .map(|&id| run_one(&snap, &cfg, id))
-                .collect()
-        } else {
-            checked
-                .par_iter()
-                .map(|&id| {
-                    let (snap, cfg) = warm();
-                    run_one(&snap, &cfg, id)
-                })
-                .collect()
-        };
-        for (id, r) in full {
-            out[id].checked = Some(r);
-        }
-        out
+        self.node_sweep(
+            self.seed,
+            fleet_size,
+            Source::Fleet(model),
+            warmup,
+            |node, d| member(node, d.chip(), d.k, d.seed),
+            Some(&|d: &Draw| surrogate(d.chip(), d.k, d.seed)),
+        )
     }
 
     /// Fleet sweep: warm one *golden* node, then fork it into `fleet_size`
@@ -649,151 +453,193 @@ impl RunCtx {
         W: Fn(SessionBuilder) -> Session + Send + Sync,
         F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
     {
-        self.sweep_fleet_inner(self.seed, fleet_size, model, warmup, member)
+        simulated(self.node_sweep(
+            self.seed,
+            fleet_size,
+            Source::Fleet(model),
+            warmup,
+            |node, d| member(node, d.chip(), d.k, d.seed),
+            None,
+        ))
     }
 
-    /// Like [`RunCtx::sweep_fleet`] for experiments that run several fleets
-    /// (one per power cap, say): `salt` separates the sweep bases, so every
-    /// fleet manufactures the *same* chips only when it runs under the same
-    /// salt.
-    pub fn sweep_fleet_salted<R, W, F>(
-        &self,
-        salt: u64,
-        fleet_size: usize,
-        model: &VariationModel,
-        warmup: W,
-        member: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
-    {
-        self.sweep_fleet_inner(mix_seed(self.seed, salt), fleet_size, model, warmup, member)
-    }
-
-    fn sweep_fleet_inner<R, W, F>(
+    /// The sweep executor every entry point runs through. Index `k` of
+    /// `0..n` draws its seed (and, in a fleet, its chip) from `source`
+    /// under `base`. Without a `closed_form`, every index runs `full` and
+    /// that is its `value`. With one, every index is answered from the
+    /// closed form and only the [`spotcheck_ids`] sample also runs `full`,
+    /// as `checked`. `full` gets the value `prep` shares. This is the one
+    /// place that branches on warm start and counts `pts`/`reuse`/`sur`/
+    /// `chk`; a sweep that simulates nothing never runs its settle.
+    fn execute<S, R>(
         &self,
         base: u64,
-        fleet_size: usize,
-        model: &VariationModel,
+        n: usize,
+        source: Source<'_>,
+        prep: Prep<'_, S>,
+        full: impl Fn(&S, &Draw) -> R + Send + Sync,
+        closed_form: Option<&(dyn Fn(&Draw) -> R + Sync)>,
+    ) -> Vec<Surrogate<R>>
+    where
+        S: Sync,
+        R: Send,
+    {
+        let surrogate = closed_form.map(|answer| (answer, spotcheck_ids(base, n, SPOTCHECK_K)));
+        let full_runs = surrogate.as_ref().map_or(n, |(_, checked)| checked.len());
+        self.points.fetch_add(n as u64, Ordering::Relaxed);
+        if surrogate.is_some() {
+            self.surrogate_hits.fetch_add(n as u64, Ordering::Relaxed);
+            self.spot_checks
+                .fetch_add(full_runs as u64, Ordering::Relaxed);
+        }
+        if full_runs == 0 {
+            return Vec::new();
+        }
+        // Warm start settles once and shares the result, every simulated
+        // point counting as a reuse; cold start settles once per point.
+        let prep = match prep {
+            Prep::Settle(settle) if self.warm_start => {
+                self.reuses.fetch_add(full_runs as u64, Ordering::Relaxed);
+                Prep::Given(settle())
+            }
+            prep => prep,
+        };
+        let run = |d: &Draw| match &prep {
+            Prep::Given(shared) => full(shared, d),
+            Prep::Settle(settle) => full(&settle(), d),
+        };
+        // The rayon shim parallelizes slices, not ranges.
+        let ids: Vec<usize> = (0..n).collect();
+        ids.par_iter()
+            .map(|&k| {
+                let d = source.draw(base, k);
+                match &surrogate {
+                    None => Surrogate {
+                        value: run(&d),
+                        checked: None,
+                    },
+                    Some((answer, checked)) => Surrogate {
+                        value: answer(&d),
+                        checked: checked.contains(&k).then(|| run(&d)),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// [`RunCtx::execute`] with every simulated point on its own node.
+    /// `warmup` settles the shared image under the warmup seed. Each point
+    /// then runs `point` on a fresh node built under its own seed (and a
+    /// fleet member's varied spec) and fully restored from the image, and
+    /// credits that node's final clock to the time ledger.
+    fn node_sweep<R, W, F>(
+        &self,
+        base: u64,
+        n: usize,
+        source: Source<'_>,
         warmup: W,
-        member: F,
-    ) -> Vec<R>
+        point: F,
+        closed_form: Option<&(dyn Fn(&Draw) -> R + Sync)>,
+    ) -> Vec<Surrogate<R>>
     where
         R: Send,
         W: Fn(SessionBuilder) -> Session + Send + Sync,
-        F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
+        F: Fn(&mut Node, &Draw) -> R + Send + Sync,
     {
-        self.points.fetch_add(fleet_size as u64, Ordering::Relaxed);
-        let warm = || {
+        // The warmup session is deliberately unledgered: warm mode runs it
+        // once, cold mode once per point, and `sim_time_s` must not depend
+        // on the mode. Each point's node clock starts at the warmup's end,
+        // so crediting it accounts for warmup + point time in both modes.
+        let settle = || {
             let builder = self.platform().session().seed(warmup_seed(base));
             let node = warmup(builder).into_node();
             WarmImage {
-                id: IMAGE_IDS.fetch_add(1, Ordering::Relaxed),
                 snap: node.snapshot(),
                 cfg: node.config().clone(),
             }
         };
-        // Every member is its own manufactured chip (its own spec), so the
-        // scratch-node fast path does not apply here: each fork builds a
-        // fresh node around the member's varied spec and restores in full.
-        let fork = |img: &WarmImage, id: usize| {
-            let seed = node_seed(base, id as u64);
-            let var = ChipVariation::sample(model, seed);
-            let mut node = Node::new(
-                img.cfg
-                    .clone()
-                    .with_seed(seed)
-                    .with_spec(var.apply(&img.cfg.spec)),
-            );
-            node.restore(&img.snap);
-            (node, var, seed)
-        };
-        // The rayon shim parallelizes slices, not ranges.
-        let ids: Vec<usize> = (0..fleet_size).collect();
-        if self.warm_start {
-            if fleet_size == 0 {
-                return Vec::new();
+        let fork = |img: &WarmImage, d: &Draw| {
+            let mut cfg = img.cfg.clone().with_seed(d.seed);
+            if let Some(chip) = &d.chip {
+                cfg = cfg.with_spec(chip.apply(&img.cfg.spec));
             }
-            self.reuses.fetch_add(fleet_size as u64, Ordering::Relaxed);
-            let img = warm();
-            ids.par_iter()
-                .map(|&id| {
-                    let (mut node, var, seed) = fork(&img, id);
-                    let r = member(&mut node, &var, id, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
-        } else {
-            ids.par_iter()
-                .map(|&id| {
-                    let img = warm();
-                    let (mut node, var, seed) = fork(&img, id);
-                    let r = member(&mut node, &var, id, seed);
-                    self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
-                    r
-                })
-                .collect()
+            let mut node = Node::new(cfg);
+            node.restore(&img.snap);
+            let r = point(&mut node, d);
+            self.sim_ns.fetch_add(node.now_ns(), Ordering::Relaxed);
+            r
+        };
+        self.execute(base, n, source, Prep::Settle(&settle), fork, closed_form)
+    }
+}
+
+/// Where index `k` of a sweep draws its seed: point `k` of a sweep, or
+/// member `k` of a fleet manufactured from a variation model.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Points,
+    Fleet(&'a VariationModel),
+}
+
+impl Source<'_> {
+    /// Point `k` runs under `mix_seed(base, k)`; fleet member `k` under
+    /// `node_seed(base, k)`, as the chip that seed samples from the model.
+    fn draw(self, base: u64, k: usize) -> Draw {
+        match self {
+            Source::Points => Draw {
+                k,
+                seed: mix_seed(base, k as u64),
+                chip: None,
+            },
+            Source::Fleet(model) => {
+                let seed = node_seed(base, k as u64);
+                Draw {
+                    k,
+                    seed,
+                    chip: Some(ChipVariation::sample(model, seed)),
+                }
+            }
         }
     }
 }
 
+/// One index of a sweep as the executor hands it to its callbacks.
+struct Draw {
+    k: usize,
+    seed: u64,
+    /// The manufactured chip of a fleet member; `None` for a sweep point.
+    chip: Option<ChipVariation>,
+}
+
+impl Draw {
+    /// A fleet member's chip. Only fleet callbacks call this, and every
+    /// [`Source::Fleet`] draw carries one.
+    fn chip(&self) -> &ChipVariation {
+        self.chip
+            .as_ref()
+            .expect("every fleet draw carries its chip")
+    }
+}
+
+/// What the simulated points of one sweep share.
+enum Prep<'a, S> {
+    /// A value that needs no settle: nothing is rebuilt or counted as a
+    /// reuse.
+    Given(S),
+    /// A settle built once under warm start, once per point under cold.
+    Settle(&'a (dyn Fn() -> S + Sync)),
+}
+
 /// The converged pre-point state one warm sweep forks from: the warmup
 /// node's snapshot plus the config to rebuild an identical node around it.
-/// The process-unique `id` keys the per-thread scratch nodes: a scratch is
-/// only re-armed with a dirty-plane fork against the image it was last
-/// synced with.
 struct WarmImage {
-    id: u64,
     snap: NodeSnapshot,
     cfg: hsw_node::NodeConfig,
 }
 
-/// Process-wide warm-image id allocator (0 is never issued, so a scratch
-/// slot can use it as "none").
-static IMAGE_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// One reusable scratch node per worker thread, tagged with the warm
-    /// image it is currently synced with. Taken *out* of the slot while a
-    /// point runs so re-entrant sweeps can never alias it.
-    static SCRATCH: std::cell::RefCell<Option<(u64, Node)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-fn take_scratch(img_id: u64) -> Option<Node> {
-    SCRATCH.with(|slot| {
-        let taken = slot.borrow_mut().take();
-        taken.and_then(|(id, node)| (id == img_id).then_some(node))
-    })
-}
-
-fn put_scratch(img_id: u64, node: Node) {
-    SCRATCH.with(|slot| *slot.borrow_mut() = Some((img_id, node)));
-}
-
-/// The deterministic intra-experiment sweep executor: run `f` over every
-/// point on the worker pool and return the results in point order.
-///
-/// Point `k`'s seed is `mix_seed(base_seed, k)` — the same order-free
-/// derivation as [`SessionBuilder::derive_seed`] — so it depends on the
-/// sweep geometry only, never on scheduling. Combined with the pool's
-/// index-ordered collection this keeps results byte-identical for any
-/// pool size (`RAYON_NUM_THREADS`) and any `--jobs` value; only wall
-/// clock changes.
-pub fn sweep<P, R, F>(base_seed: u64, points: &[P], f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> R + Send + Sync,
-{
-    points
-        .par_iter()
-        .enumerate()
-        .map(|(k, p)| f(p, mix_seed(base_seed, k as u64)))
-        .collect()
+/// The answers of a sweep without a closed form: each point's full run.
+fn simulated<R>(answers: Vec<Surrogate<R>>) -> Vec<R> {
+    answers.into_iter().map(|a| a.value).collect()
 }
 
 /// Worker threads in the pool the sweep executor fans points across.
@@ -974,9 +820,10 @@ pub struct SurveyConfig {
     /// Time-advance engine for every experiment session. Both modes are
     /// bit-identical; `Fixed` is the escape hatch for validating `Event`.
     pub engine: EngineMode,
-    /// Warm-start snapshot forking for sweep settle phases. Both settings
-    /// are bit-identical; `false` is the escape hatch for validating the
-    /// snapshot fork path.
+    /// Warm-start snapshot forking for sweep settle phases: `true` settles
+    /// once per sweep, `false` once per point. Both settings are
+    /// bit-identical; `false` is the reference the warm path is validated
+    /// against.
     pub warm_start: bool,
     /// Nodes per fleet experiment (`--fleet-size`); `None` uses the
     /// fidelity preset.
@@ -1388,6 +1235,126 @@ mod tests {
         assert_eq!(experiment_seed(1, "fig3"), experiment_seed(1, "fig3"));
         assert_ne!(experiment_seed(1, "fig3"), experiment_seed(2, "fig3"));
         assert_ne!(experiment_seed(1, "fig3"), experiment_seed(1, "fig56"));
+    }
+
+    /// One entry point on a fresh context: its results, its simulated time
+    /// (as bits), the scoreboard counters `[pts, reuse, sur, chk]` and how
+    /// many times its warmup (or shared prep) ran.
+    fn probe_entry(entry: &str, warm: bool, n: usize) -> (String, u64, [u64; 4], usize) {
+        let ctx = RunCtx::new(Fidelity::Quick, 7, EngineMode::default()).with_warm_start(warm);
+        let warmups = AtomicUsize::new(0);
+        let warmup = |builder: SessionBuilder| {
+            warmups.fetch_add(1, Ordering::Relaxed);
+            let mut session = builder.build();
+            session.advance_s(0.002);
+            session
+        };
+        let measure = |node: &mut Node| {
+            node.advance_s(0.001);
+            node.true_pkg_power_w(0).to_bits()
+        };
+        let points: Vec<u64> = (10..10 + n as u64).collect();
+        let model = VariationModel::paper_fleet();
+        let out = match entry {
+            "sweep" => format!("{:?}", ctx.sweep(&points, |p, seed| (*p, seed))),
+            "sweep_warm" => format!(
+                "{:?}",
+                ctx.sweep_warm(&points, warmup, |node, p, seed| (*p, seed, measure(node)))
+            ),
+            "sweep_warm_salted" => format!(
+                "{:?}",
+                ctx.sweep_warm_salted(5, &points, warmup, |node, p, seed| {
+                    (*p, seed, measure(node))
+                })
+            ),
+            "sweep_warm_shared" => format!(
+                "{:?}",
+                ctx.sweep_warm_shared(
+                    &points,
+                    || {
+                        warmups.fetch_add(1, Ordering::Relaxed);
+                        100u64
+                    },
+                    |shared, p, seed| (shared + p, seed)
+                )
+            ),
+            "sweep_surrogate" => format!(
+                "{:?}",
+                ctx.sweep_surrogate(
+                    &points,
+                    warmup,
+                    |node, p, seed| (*p, seed, measure(node)),
+                    |p, seed| (*p, seed, 0)
+                )
+            ),
+            "sweep_fleet" => format!(
+                "{:?}",
+                ctx.sweep_fleet(n, &model, warmup, |node, var, id, seed| {
+                    (id, seed, var.leak_scale.to_bits(), measure(node))
+                })
+            ),
+            "sweep_fleet_surrogate" => format!(
+                "{:?}",
+                ctx.sweep_fleet_surrogate(
+                    n,
+                    &model,
+                    warmup,
+                    |node, var, id, seed| (id, seed, var.leak_scale.to_bits(), measure(node)),
+                    |var, id, seed| (id, seed, var.leak_scale.to_bits(), 0)
+                )
+            ),
+            other => panic!("unknown entry point {other}"),
+        };
+        let counters = [
+            ctx.sweep_points(),
+            ctx.snapshot_reuses(),
+            ctx.surrogate_hits(),
+            ctx.spot_checks(),
+        ];
+        (
+            out,
+            ctx.sim_time_s().to_bits(),
+            counters,
+            warmups.into_inner(),
+        )
+    }
+
+    /// Every sweep entry point, warm and cold, over three points (or fleet
+    /// members) and over none: results and simulated time agree across the
+    /// two modes, the scoreboard counters take exact values, and the warmup
+    /// runs once warm, once per simulated point cold, and never for an
+    /// empty sweep.
+    #[test]
+    fn entry_points_pin_counters_and_agree_warm_and_cold() {
+        // (entry, [pts, reuse, sur, chk] warm, the same cold, settles a
+        // cold run makes, whether its points run on a node).
+        let table = [
+            ("sweep", [3, 0, 0, 0], [3, 0, 0, 0], 0, false),
+            ("sweep_warm", [3, 3, 0, 0], [3, 0, 0, 0], 3, true),
+            ("sweep_warm_salted", [3, 3, 0, 0], [3, 0, 0, 0], 3, true),
+            ("sweep_warm_shared", [3, 3, 0, 0], [3, 0, 0, 0], 3, false),
+            ("sweep_surrogate", [3, 2, 3, 2], [3, 0, 3, 2], 2, true),
+            ("sweep_fleet", [3, 3, 0, 0], [3, 0, 0, 0], 3, true),
+            ("sweep_fleet_surrogate", [3, 2, 3, 2], [3, 0, 3, 2], 2, true),
+        ];
+        for (entry, warm_counters, cold_counters, settles, on_node) in table {
+            let warm = probe_entry(entry, true, 3);
+            let cold = probe_entry(entry, false, 3);
+            assert_eq!(warm.0, cold.0, "{entry}: results differ warm vs cold");
+            assert_eq!(warm.1, cold.1, "{entry}: sim time differs warm vs cold");
+            assert_eq!(f64::from_bits(warm.1) > 0.0, on_node, "{entry}: sim time");
+            assert_eq!(warm.2, warm_counters, "{entry}: warm counters");
+            assert_eq!(cold.2, cold_counters, "{entry}: cold counters");
+            assert_eq!(warm.3, usize::from(settles > 0), "{entry}: warm warmups");
+            assert_eq!(cold.3, settles, "{entry}: cold warmups");
+            for mode in [true, false] {
+                let (out, sim_bits, counters, warmups) = probe_entry(entry, mode, 0);
+                assert_eq!(out, "[]", "{entry}: empty sweep results");
+                assert_eq!(sim_bits, 0f64.to_bits(), "{entry}: empty sweep sim time");
+                assert_eq!(counters, [0; 4], "{entry}: empty sweep counters");
+                assert_eq!(warmups, 0, "{entry}: empty sweep ran its warmup");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! derived metrics; measuring a group programs/reads the counters over a
 //! window and renders the familiar metric table.
 
-use hsw_hwspec::calib;
 use hsw_msr::addresses as msra;
 use hsw_node::{CpuId, Node};
 
@@ -84,8 +83,11 @@ pub fn measure_group(
     let mut metrics = Vec::new();
     match group {
         EventGroup::Energy => {
-            let pkg_j = d(IDX_PKG) * calib::PKG_ENERGY_UNIT_UJ * 1e-6;
-            let dram_j = d(IDX_DRAM) * calib::DRAM_ENERGY_UNIT_UJ * 1e-6;
+            // The platform's own RAPL units: Skylake-SP's DRAM domain uses
+            // the package unit, Haswell's a fixed 15.3 µJ.
+            let rapl = node.config().spec.sku.generation.policy().rapl();
+            let pkg_j = d(IDX_PKG) * rapl.pkg_energy_unit_uj * 1e-6;
+            let dram_j = d(IDX_DRAM) * rapl.dram_energy_unit_uj * 1e-6;
             metrics.push(("Energy PKG".to_string(), pkg_j, "J"));
             metrics.push(("Power PKG".to_string(), pkg_j / dt, "W"));
             metrics.push(("Energy DRAM".to_string(), dram_j, "J"));

@@ -8,7 +8,6 @@
 //! frequency from the U-box fixed counter, instructions per second, RAPL
 //! power).
 
-use hsw_hwspec::calib;
 use hsw_msr::addresses as msra;
 use hsw_node::{CpuId, Node};
 
@@ -47,13 +46,21 @@ pub struct Derived {
 pub struct PerfCtr {
     pub cpu: CpuId,
     nominal_ghz: f64,
+    /// The node's RAPL package and DRAM energy units (µJ per count), as
+    /// LIKWID takes them from its per-platform RAPL table.
+    pkg_unit_uj: f64,
+    dram_unit_uj: f64,
 }
 
 impl PerfCtr {
     pub fn new(node: &Node, cpu: CpuId) -> Self {
+        let sku = &node.config().spec.sku;
+        let rapl = sku.generation.policy().rapl();
         PerfCtr {
             cpu,
-            nominal_ghz: node.config().spec.sku.freq.base_mhz as f64 / 1000.0,
+            nominal_ghz: sku.freq.base_mhz as f64 / 1000.0,
+            pkg_unit_uj: rapl.pkg_energy_unit_uj,
+            dram_unit_uj: rapl.dram_energy_unit_uj,
         }
     }
 
@@ -84,12 +91,10 @@ impl PerfCtr {
             core_ghz: d(a.aperf, b.aperf) / mperf * self.nominal_ghz,
             uncore_ghz: d(a.uclk, b.uclk) / (dt_s * 1e9),
             gips: d(a.instr, b.instr) / (dt_s * 1e9),
-            pkg_w: b.pkg_energy_raw.wrapping_sub(a.pkg_energy_raw) as f64
-                * calib::PKG_ENERGY_UNIT_UJ
-                * 1e-6
+            pkg_w: b.pkg_energy_raw.wrapping_sub(a.pkg_energy_raw) as f64 * self.pkg_unit_uj * 1e-6
                 / dt_s,
             dram_w: b.dram_energy_raw.wrapping_sub(a.dram_energy_raw) as f64
-                * calib::DRAM_ENERGY_UNIT_UJ
+                * self.dram_unit_uj
                 * 1e-6
                 / dt_s,
         }
@@ -129,9 +134,10 @@ pub fn median_of(samples: &[Derived], f: impl Fn(&Derived) -> f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groups::{measure_group, EventGroup};
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::freq::FreqSetting;
-    use hsw_node::Platform;
+    use hsw_node::{Platform, PlatformKind};
 
     fn loaded_node() -> Node {
         let mut node = Platform::paper().session().build().into_node();
@@ -173,6 +179,39 @@ mod tests {
         let samples = pc.monitor(&mut node, 5, 0.5);
         let pkg = median_of(&samples, |d| d.pkg_w);
         assert!((pkg - 120.0).abs() < 4.0, "pkg = {pkg:.1} W");
+    }
+
+    /// RAPL counts decode with the platform's own energy units: under a
+    /// memory-bound load on both surveyed platforms, the PKG and DRAM power
+    /// that `PerfCtr` and the likwid `ENERGY` group derive track the node's
+    /// true power. Skylake-SP's DRAM unit is its 61 µJ package unit, not
+    /// Haswell's fixed 15.3 µJ one.
+    #[test]
+    fn rapl_power_tracks_truth_on_both_platforms() {
+        for kind in PlatformKind::ALL {
+            let mut node = kind.platform().session().build().into_node();
+            node.run_on_socket(0, &WorkloadProfile::memory_bound(), 8, 1);
+            node.advance_s(0.5);
+            let cpu = CpuId::new(0, 0, 0);
+            let pc = PerfCtr::new(&node, cpu);
+            let before = pc.sample(&node);
+            node.advance_s(1.0);
+            let ctr = pc.derive(&before, &pc.sample(&node));
+            let group = measure_group(&mut node, cpu, EventGroup::Energy, 1.0);
+            let (pkg, dram) = (node.true_pkg_power_w(0), node.true_dram_power_w(0));
+            for (what, got, truth) in [
+                ("PerfCtr pkg", ctr.pkg_w, pkg),
+                ("PerfCtr dram", ctr.dram_w, dram),
+                ("ENERGY pkg", group.metric("Power PKG").unwrap(), pkg),
+                ("ENERGY dram", group.metric("Power DRAM").unwrap(), dram),
+            ] {
+                assert!(
+                    (got - truth).abs() < 0.05 * truth,
+                    "{}: {what} reads {got:.2} W, true {truth:.2} W",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]
