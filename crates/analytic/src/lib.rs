@@ -23,15 +23,14 @@
 //! ```
 //!
 //! and the runtime side is the workload's IPC law `ipc(f_c, f_u)` times the
-//! granted core clock and mean duty factor. The *grant* comes from a scalar
-//! replica of the PCU equilibrium solver ([`hsw_pcu::PcuController`]): the
-//! same ceiling logic (turbo bins, AVX license, EET, EPB turbo-at-base),
-//! the same damped core/uncore fixed-point iteration against the RAPL
-//! budget, and the same stall-driven uncore boost — evaluated without the
-//! per-core state array, so one point costs microseconds instead of a
-//! simulated settle. The replica is *bit-exact* against
-//! `PcuController::solve` (asserted in this crate's tests): every floating
-//! point operation happens in the same order on the same values.
+//! granted core clock and mean duty factor. The *grant* comes from the PCU
+//! equilibrium solver itself ([`hsw_pcu::PcuController::solve`]): the
+//! ceiling logic (turbo bins, AVX license, EET, EPB turbo-at-base), the
+//! damped core/uncore fixed-point iteration against the RAPL budget, and the
+//! stall-driven uncore boost. The solver prices cores as runs of identical
+//! cores and memoizes its bisections within a solve, so one point costs
+//! microseconds instead of a simulated settle, and the surrogate's grant is
+//! the simulator's grant for the same inputs by construction.
 //!
 //! What the closed form adds over the solver is the steady limiter state.
 //! The two-level RAPL limiter grants `e · clamp(2·TDP − avg, 0.9·TDP,

@@ -1,20 +1,17 @@
-//! The closed-form steady-state model: a scalar, bit-exact replica of the
-//! PCU equilibrium solve fed with the RAPL limiter's analytic fixed point.
+//! The closed-form steady-state model: the PCU equilibrium solve itself,
+//! fed with the RAPL limiter's analytic fixed point.
 //!
-//! See the crate docs for the model equations and the error model. The
-//! mirroring contract with [`hsw_pcu::controller`] is load-bearing: every
-//! arithmetic expression in [`SteadySolve`] evaluates the same floating
-//! point operations in the same order as `PcuController::solve`, with the
-//! per-core electrical array collapsed to scalar accumulation (active cores
-//! are electrically identical, so the running sums visit the same values in
-//! the same order). Tests assert bit-equality against the real solver
-//! across both platforms' operating envelopes.
+//! See the crate docs for the model equations and the error model. A
+//! prediction builds the same [`PcuInputs`] the simulated socket would at
+//! steady state and calls [`PcuController::solve`]; what this module adds is
+//! only what the controller lacks: the limiter's steady running average
+//! ([`steady_avg_pkg_w`]), EET's steady limit, and the assembly of grants
+//! into per-socket predictions.
 
 use hsw_exec::workloads::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_hwspec::{calib, EpbClass, NodeSpec, PState, SkuSpec};
-use hsw_pcu::ufs::{self, UfsInputs};
-use hsw_pcu::{EetController, PcuController, PcuInputs};
+use hsw_hwspec::{calib, EpbClass, NodeSpec, SkuSpec};
+use hsw_pcu::{epb_budget_factor, EetController, PcuController, PcuInputs};
 
 use hsw_fleet::ChipVariation;
 
@@ -79,16 +76,6 @@ impl NodePrediction {
     }
 }
 
-/// EPB budget bias, mirroring `PcuController::solve` (Table V's sub-1 %
-/// frequency differences across EPB settings).
-fn epb_budget_factor(epb: EpbClass) -> f64 {
-    match epb {
-        EpbClass::Performance => 1.005,
-        EpbClass::Balanced => 1.0,
-        EpbClass::EnergySaving => 0.995,
-    }
-}
-
 /// The RAPL limiter's steady running average for a socket granting `P*`:
 /// the closed-form fixed point of
 /// `P* = e · clamp(2·TDP − g·(P* + H), 0.9·TDP, PL2·TDP)`,
@@ -115,227 +102,6 @@ pub fn steady_avg_pkg_w(spec: &SkuSpec, epb: EpbClass, housekeeping_w: f64) -> f
         p_unclamped
     };
     g * (p_star + h)
-}
-
-/// The grant of one steady-state solve (field-for-field the PCU's grant).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SteadyGrant {
-    core_mhz: f64,
-    uncore_mhz: f64,
-    power_w: f64,
-    power_limited: bool,
-}
-
-/// All inputs of one socket solve, in the PCU controller's own terms.
-struct SteadySolve<'a> {
-    spec: &'a SkuSpec,
-    socket_power_mult: f64,
-    setting: FreqSetting,
-    epb: EpbClass,
-    turbo_enabled: bool,
-    active_cores: usize,
-    gated_idle_cores: usize,
-    activity: f64,
-    avx_level: u8,
-    stall_fraction: f64,
-    eet_limit_mhz: u32,
-    avg_pkg_w: f64,
-}
-
-impl<'a> SteadySolve<'a> {
-    /// The same inputs as a [`PcuInputs`] — used for the ceiling (shared
-    /// with the real controller) and by the bit-equality tests.
-    fn to_pcu_inputs(&self) -> PcuInputs<'a> {
-        PcuInputs {
-            spec: self.spec,
-            socket_power_mult: self.socket_power_mult,
-            setting: self.setting,
-            epb: self.epb,
-            turbo_enabled: self.turbo_enabled,
-            active_cores: self.active_cores,
-            gated_idle_cores: self.gated_idle_cores,
-            activity: self.activity,
-            avx_level: self.avx_level,
-            stall_fraction: self.stall_fraction,
-            eet_limit_mhz: self.eet_limit_mhz,
-            avg_pkg_w: self.avg_pkg_w,
-        }
-    }
-
-    /// Scalar mirror of the controller's `power_at`: the same electrical
-    /// sums without the stack array. Active cores are identical, so adding
-    /// one core's term `active` times reproduces the array loop's running
-    /// sums bit-for-bit (idle ungated cores contribute leakage at the
-    /// minimum p-state and an exactly-zero dynamic term, also in order).
-    fn power_at(&self, core_mhz: f64, uncore_mhz: f64) -> f64 {
-        let spec = self.spec;
-        let c = &spec.power;
-        let active = self.active_cores.min(spec.cores);
-        let idle = spec.cores.saturating_sub(self.active_cores);
-        let gated = self.gated_idle_cores.min(idle);
-        let mut leak = 0.0;
-        let mut dyn_w = 0.0;
-        if active > 0 {
-            let mhz = core_mhz.round() as u32;
-            let v = spec.core_vf.voltage_at(mhz.max(spec.freq.min_mhz));
-            let leak_term = c.core_leak_w_per_v2 * v * v;
-            let avx = match self.avx_level {
-                0 => 1.0,
-                1 => c.avx_power_mult,
-                _ => c.avx512_power_mult,
-            };
-            let dyn_term =
-                c.core_dyn_w_per_v2ghz * v * v * (mhz as f64 / 1000.0) * self.activity * avx;
-            for _ in 0..active {
-                leak += leak_term;
-                dyn_w += dyn_term;
-            }
-        }
-        let idle_ungated = spec.cores.saturating_sub(active + gated);
-        if idle_ungated > 0 {
-            let v = spec.core_vf.voltage_at(spec.freq.min_mhz);
-            let leak_term = c.core_leak_w_per_v2 * v * v;
-            // The array loop also adds each idle core's dynamic term, which
-            // is exactly 0.0 (activity 0) — a bit-level no-op.
-            for _ in 0..idle_ungated {
-                leak += leak_term;
-            }
-        }
-        let umhz = uncore_mhz.round() as u32;
-        let vu = spec.uncore_vf.voltage_at(umhz);
-        let uncore_w = c.uncore_dyn_w_per_v2ghz * vu * vu * (umhz as f64 / 1000.0);
-        let mult = self.socket_power_mult;
-        c.pkg_base_w + leak * mult + dyn_w * mult + uncore_w * mult
-    }
-
-    /// Mirror of the controller's `ufs_target_for`: UFS target keyed by the
-    /// actual core frequency mapped onto the Table III schedule bins.
-    fn ufs_target_for(&self, core_mhz: f64, epb: EpbClass) -> f64 {
-        let spec = self.spec;
-        let setting = if core_mhz > spec.freq.base_mhz as f64 + 50.0 {
-            FreqSetting::Turbo
-        } else {
-            let bin = ((core_mhz / 100.0).round() as u32 * 100)
-                .clamp(spec.freq.min_mhz, spec.freq.base_mhz);
-            FreqSetting::Fixed(PState::from_mhz(bin))
-        };
-        ufs::ufs_target_mhz(
-            spec,
-            &UfsInputs {
-                fastest_setting: setting,
-                socket_active: self.active_cores > 0,
-                epb,
-                stall_fraction: self.stall_fraction,
-                package_sleep: false,
-            },
-        ) as f64
-    }
-
-    /// Mirror of the controller's `max_core_within` bisection.
-    fn max_core_within(&self, ceiling_mhz: f64, uncore_mhz: f64, budget_w: f64) -> f64 {
-        let floor = self.spec.freq.min_mhz as f64;
-        if self.power_at(ceiling_mhz, uncore_mhz) <= budget_w {
-            return ceiling_mhz;
-        }
-        let (mut lo, mut hi) = (floor, ceiling_mhz);
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            if self.power_at(mid, uncore_mhz) <= budget_w {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Mirror of the controller's `max_uncore_within` bisection.
-    fn max_uncore_within(&self, core_mhz: f64, lo_mhz: f64, hi_mhz: f64, budget_w: f64) -> f64 {
-        if self.power_at(core_mhz, hi_mhz) <= budget_w {
-            return hi_mhz;
-        }
-        let (mut lo, mut hi) = (lo_mhz, hi_mhz);
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            if self.power_at(core_mhz, mid) <= budget_w {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Mirror of `PcuController::solve` over the scalar power model.
-    fn solve(&self) -> SteadyGrant {
-        let spec = self.spec;
-        if self.active_cores == 0 {
-            let fu = ufs::ufs_target_mhz(
-                spec,
-                &UfsInputs {
-                    fastest_setting: self.setting,
-                    socket_active: false,
-                    epb: self.epb,
-                    stall_fraction: 0.0,
-                    package_sleep: false,
-                },
-            ) as f64;
-            let fc = spec.freq.min_mhz as f64;
-            return SteadyGrant {
-                core_mhz: fc,
-                uncore_mhz: fu,
-                power_w: self.power_at(fc, fu),
-                power_limited: false,
-            };
-        }
-
-        let ceiling = PcuController::core_ceiling_mhz(&self.to_pcu_inputs()) as f64;
-        let pl_base = (2.0 * spec.tdp_w - self.avg_pkg_w)
-            .clamp(spec.tdp_w * 0.9, spec.tdp_w * calib::PL2_TDP_MULT);
-        let budget = pl_base * epb_budget_factor(self.epb);
-
-        let solve_with_epb = |ufs_epb: EpbClass| {
-            let mut fc = ceiling;
-            let mut fu = self.ufs_target_for(fc, ufs_epb);
-            for _ in 0..24 {
-                let fc_new = self.max_core_within(ceiling, fu, budget);
-                fc = 0.5 * (fc + fc_new);
-                fu = self.ufs_target_for(fc, ufs_epb);
-            }
-            (fc, fu)
-        };
-        let (mut fc, mut fu) = solve_with_epb(self.epb);
-        let mut power_limited = fc < ceiling - 5.0;
-        if power_limited && self.epb == EpbClass::Performance {
-            let (fc2, fu2) = solve_with_epb(EpbClass::Balanced);
-            fc = fc2;
-            fu = fu2;
-            power_limited = fc < ceiling - 5.0;
-        }
-
-        if !power_limited && ufs::stall_boost_allowed(spec, self.stall_fraction) {
-            fc = ceiling;
-            let fu_max = spec.freq.uncore_max_mhz as f64;
-            let boosted = self.max_uncore_within(fc, fu, fu_max, budget);
-            if boosted > fu {
-                fu = boosted;
-                power_limited = fu < fu_max - 5.0;
-            }
-        } else if power_limited {
-            fc = self.max_core_within(ceiling, fu, budget);
-        }
-
-        let fu = fu.clamp(
-            spec.freq.uncore_min_mhz as f64,
-            spec.freq.uncore_max_mhz as f64,
-        );
-        SteadyGrant {
-            core_mhz: fc,
-            uncore_mhz: fu,
-            power_w: self.power_at(fc, fu),
-            power_limited,
-        }
-    }
 }
 
 /// The closed-form surrogate for one concrete node (nominal or one
@@ -411,7 +177,7 @@ impl AnalyticModel {
 
         let sockets = (0..self.node.sockets)
             .map(|s| {
-                let solve = SteadySolve {
+                let grant = PcuController::solve(&PcuInputs {
                     spec,
                     socket_power_mult: self.node.socket_power_mult[s],
                     setting: pt.setting,
@@ -424,8 +190,7 @@ impl AnalyticModel {
                     stall_fraction: stall,
                     eet_limit_mhz,
                     avg_pkg_w,
-                };
-                let grant = solve.solve();
+                });
                 let core_ghz = grant.core_mhz / 1000.0;
                 let uncore_ghz = grant.uncore_mhz / 1000.0;
                 let gips = if active > 0 {
@@ -454,7 +219,6 @@ impl AnalyticModel {
 mod tests {
     use super::*;
     use hsw_fleet::VariationModel;
-    use hsw_power::{package_power_w, CoreElecState};
 
     fn haswell() -> NodeSpec {
         NodeSpec::paper_test_node()
@@ -462,158 +226,6 @@ mod tests {
 
     fn skylake() -> NodeSpec {
         NodeSpec::skylake_sp_node()
-    }
-
-    /// The controller's own `power_at`, reconstructed verbatim over the
-    /// real electrical model — the oracle for the scalar mirror.
-    fn array_power_at(s: &SteadySolve<'_>, core_mhz: f64, uncore_mhz: f64) -> f64 {
-        const MAX_CORES: usize = 64;
-        let spec = s.spec;
-        let mut cores = [CoreElecState::gated(); MAX_CORES];
-        let active = s.active_cores.min(spec.cores);
-        let idle = spec.cores.saturating_sub(s.active_cores);
-        let gated = s.gated_idle_cores.min(idle);
-        for c in cores.iter_mut().take(active) {
-            *c = CoreElecState {
-                mhz: core_mhz.round() as u32,
-                activity: s.activity,
-                license_level: s.avx_level,
-                power_gated: false,
-            };
-        }
-        for c in cores.iter_mut().take(spec.cores).skip(active + gated) {
-            *c = CoreElecState {
-                mhz: spec.freq.min_mhz,
-                activity: 0.0,
-                license_level: 0,
-                power_gated: false,
-            };
-        }
-        package_power_w(
-            spec,
-            s.socket_power_mult,
-            &cores[..spec.cores],
-            uncore_mhz.round() as u32,
-        )
-        .total_w()
-    }
-
-    fn envelope(spec: &SkuSpec) -> Vec<SteadySolve<'_>> {
-        let mut points = Vec::new();
-        let profiles = [
-            WorkloadProfile::firestarter(),
-            WorkloadProfile::compute(),
-            WorkloadProfile::memory_bound(),
-            WorkloadProfile::busy_wait(),
-        ];
-        for profile in &profiles {
-            for setting in [
-                FreqSetting::Turbo,
-                FreqSetting::from_mhz(spec.freq.base_mhz),
-                FreqSetting::from_mhz(spec.freq.base_mhz - 400),
-                FreqSetting::from_mhz(spec.freq.min_mhz),
-            ] {
-                for active in [1, spec.cores / 2, spec.cores] {
-                    for epb in [
-                        EpbClass::Performance,
-                        EpbClass::Balanced,
-                        EpbClass::EnergySaving,
-                    ] {
-                        for cap in [None, Some(spec.tdp_w * 0.6)] {
-                            let duty = profile.duty.mean_factor();
-                            let stall = profile.stall_fraction;
-                            let mut eet = EetController::new(true);
-                            eet.tick(0, stall * duty.min(1.0));
-                            let eet_limit =
-                                eet.limit_mhz(spec, epb, spec.freq.turbo_mhz(active.max(1)));
-                            let h = calib::IDLE_PKG_HOUSEKEEPING_W
-                                * ((spec.cores - active) as f64 / spec.cores as f64);
-                            let mut capped = spec.clone();
-                            if let Some(c) = cap {
-                                capped.tdp_w = c;
-                            }
-                            let avg = steady_avg_pkg_w(&capped, epb, h);
-                            points.push(SteadySolve {
-                                spec: Box::leak(Box::new(capped)),
-                                socket_power_mult: 1.012,
-                                setting,
-                                epb,
-                                turbo_enabled: true,
-                                active_cores: active,
-                                gated_idle_cores: spec.cores - active,
-                                activity: profile.activity(true) * duty,
-                                avx_level: u8::from(profile.avx_heavy),
-                                stall_fraction: stall,
-                                eet_limit_mhz: eet_limit,
-                                avg_pkg_w: avg,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Idle socket.
-        points.push(SteadySolve {
-            spec: Box::leak(Box::new(spec.clone())),
-            socket_power_mult: 1.0,
-            setting: FreqSetting::Turbo,
-            epb: EpbClass::Balanced,
-            turbo_enabled: true,
-            active_cores: 0,
-            gated_idle_cores: spec.cores,
-            activity: 0.0,
-            avx_level: 0,
-            stall_fraction: 0.0,
-            eet_limit_mhz: u32::MAX,
-            avg_pkg_w: 12.0,
-        });
-        points
-    }
-
-    #[test]
-    fn scalar_power_is_bit_exact_vs_the_electrical_array() {
-        for node in [haswell(), skylake()] {
-            for s in envelope(&node.sku) {
-                for (fc, fu) in [
-                    (s.spec.freq.min_mhz as f64, 1200.0),
-                    (2147.3, 2433.9),
-                    (s.spec.freq.base_mhz as f64, 2999.6),
-                    (3300.0, s.spec.freq.uncore_max_mhz as f64),
-                ] {
-                    let scalar = s.power_at(fc, fu);
-                    let array = array_power_at(&s, fc, fu);
-                    assert_eq!(
-                        scalar.to_bits(),
-                        array.to_bits(),
-                        "{} fc={fc} fu={fu}: scalar {scalar} vs array {array}",
-                        s.spec.model
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn steady_solve_is_bit_exact_vs_pcu_controller() {
-        for node in [haswell(), skylake()] {
-            for s in envelope(&node.sku) {
-                let mine = s.solve();
-                let real = PcuController::solve(&s.to_pcu_inputs());
-                assert_eq!(
-                    mine.core_mhz.to_bits(),
-                    real.core_mhz.to_bits(),
-                    "{} {:?} active={}: core {} vs {}",
-                    s.spec.model,
-                    s.setting,
-                    s.active_cores,
-                    mine.core_mhz,
-                    real.core_mhz
-                );
-                assert_eq!(mine.uncore_mhz.to_bits(), real.uncore_mhz.to_bits());
-                assert_eq!(mine.power_w.to_bits(), real.power_w.to_bits());
-                assert_eq!(mine.power_limited, real.power_limited);
-            }
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
-use hsw_power::{package_power_w, CoreElecState};
+use hsw_power::{package_power_of_runs, CoreElecState};
 
 use crate::ufs::{self, UfsInputs};
 
@@ -65,6 +65,42 @@ pub struct PcuGrant {
     pub power_limited: bool,
 }
 
+/// The EPB bias on the RAPL budget: under a percent either way (Table V
+/// shows sub-1 % frequency differences across EPB settings).
+pub fn epb_budget_factor(epb: EpbClass) -> f64 {
+    match epb {
+        EpbClass::Performance => 1.005,
+        EpbClass::Balanced => 1.0,
+        EpbClass::EnergySaving => 0.995,
+    }
+}
+
+/// [`PcuController::max_core_within`] answers of one solve, keyed by the
+/// uncore target's bits. Both fixed-point passes and the final re-bisection
+/// keep asking about the same few UFS bins; a full table computes the
+/// answer without storing it.
+#[derive(Default)]
+struct CoreMemo {
+    entries: [(u64, f64); 8],
+    len: usize,
+}
+
+impl CoreMemo {
+    fn get_or(&mut self, uncore_mhz: f64, compute: impl FnOnce() -> f64) -> f64 {
+        let key = uncore_mhz.to_bits();
+        let known = self.entries.iter().take(self.len).find(|e| e.0 == key);
+        if let Some(&(_, core_mhz)) = known {
+            return core_mhz;
+        }
+        let core_mhz = compute();
+        if let Some(slot) = self.entries.get_mut(self.len) {
+            *slot = (key, core_mhz);
+            self.len += 1;
+        }
+        core_mhz
+    }
+}
+
 /// Stateless equilibrium solver (the node simulator slews toward this
 /// point at the 500 µs PCU cadence).
 #[derive(Debug, Clone, Default)]
@@ -104,38 +140,37 @@ impl PcuController {
     }
 
     /// Package power at a candidate operating point. Hot: the bisections
-    /// call this dozens of times per solve and the event engine's
-    /// quiescence proof once per full tick — the candidate core set lives
-    /// on the stack so the solver never touches the allocator.
+    /// call this dozens of times per solve and the event engine's quiescence
+    /// proof once per full tick, so the cores are priced as two runs of
+    /// identical cores (active, then idle ungated; gated cores add nothing)
+    /// instead of a per-core array. The tests hold this bit-exact against
+    /// [`package_power_w`] over the explicit core array.
+    ///
+    /// [`package_power_w`]: hsw_power::package_power_w
     fn power_at(inputs: &PcuInputs<'_>, core_mhz: f64, uncore_mhz: f64) -> f64 {
-        const MAX_CORES: usize = 64;
         let spec = inputs.spec;
-        assert!(spec.cores <= MAX_CORES, "SKU exceeds solver core bound");
-        let mut cores = [CoreElecState::gated(); MAX_CORES];
         let active = inputs.active_cores.min(spec.cores);
         let idle = spec.cores.saturating_sub(inputs.active_cores);
         let gated = inputs.gated_idle_cores.min(idle);
-        for c in cores.iter_mut().take(active) {
-            *c = CoreElecState {
-                mhz: core_mhz.round() as u32,
-                activity: inputs.activity,
-                license_level: inputs.avx_level,
-                power_gated: false,
-            };
-        }
-        // [active, active + gated) stays gated; the rest idles ungated.
-        for c in cores.iter_mut().take(spec.cores).skip(active + gated) {
-            *c = CoreElecState {
-                mhz: spec.freq.min_mhz,
-                activity: 0.0,
-                license_level: 0,
-                power_gated: false,
-            };
-        }
-        package_power_w(
+        let busy = CoreElecState {
+            mhz: core_mhz.round() as u32,
+            activity: inputs.activity,
+            license_level: inputs.avx_level,
+            power_gated: false,
+        };
+        let halted = CoreElecState {
+            mhz: spec.freq.min_mhz,
+            activity: 0.0,
+            license_level: 0,
+            power_gated: false,
+        };
+        package_power_of_runs(
             spec,
             inputs.socket_power_mult,
-            &cores[..spec.cores],
+            [
+                (busy, active),
+                (halted, spec.cores.saturating_sub(active + gated)),
+            ],
             uncore_mhz.round() as u32,
         )
         .total_w()
@@ -231,7 +266,7 @@ impl PcuController {
         let spec = inputs.spec;
         // Smallest possible budget: pl_base clamped at 0.9·TDP, scaled by
         // the most frugal EPB factor.
-        let min_budget = spec.tdp_w * 0.9 * 0.995;
+        let min_budget = spec.tdp_w * 0.9 * epb_budget_factor(EpbClass::EnergySaving);
         let ceiling = Self::core_ceiling_mhz(inputs) as f64;
         Self::power_at(inputs, ceiling, spec.freq.uncore_max_mhz as f64) <= min_budget
     }
@@ -267,27 +302,28 @@ impl PcuController {
         // granting instantaneous power of up to `2·PL1 − avg` (so bursts ride
         // at PL2 while the average is low, and steady state converges to
         // exactly PL1), capped by the short-term PL2 limit. EPB further
-        // biases the budget by under a percent (Table V shows sub-1 %
-        // frequency differences across EPB settings).
+        // biases the budget ([`epb_budget_factor`]).
         let pl_base = (2.0 * spec.tdp_w - inputs.avg_pkg_w).clamp(
             spec.tdp_w * 0.9,
             spec.tdp_w * hsw_hwspec::calib::PL2_TDP_MULT,
         );
-        let budget = pl_base
-            * match inputs.epb {
-                EpbClass::Performance => 1.005,
-                EpbClass::Balanced => 1.0,
-                EpbClass::EnergySaving => 0.995,
-            };
+        let budget = pl_base * epb_budget_factor(inputs.epb);
+
+        // Ceiling and budget are fixed from here on, so the core bisection
+        // depends only on the uncore target, which takes a few whole-MHz
+        // values per solve.
+        let mut memo = CoreMemo::default();
+        let mut max_core =
+            |fu: f64| memo.get_or(fu, || Self::max_core_within(inputs, ceiling, fu, budget));
 
         // Self-consistent iteration: the UFS target follows the actual core
         // frequency, which follows the power left by the uncore. Damped to
         // suppress bin oscillation.
-        let solve_with_epb = |ufs_epb: EpbClass| {
+        let mut solve_with_epb = |ufs_epb: EpbClass| {
             let mut fc = ceiling;
             let mut fu = Self::ufs_target_for(inputs, fc, ufs_epb);
             for _ in 0..24 {
-                let fc_new = Self::max_core_within(inputs, ceiling, fu, budget);
+                let fc_new = max_core(fu);
                 fc = 0.5 * (fc + fc_new);
                 fu = Self::ufs_target_for(inputs, fc, ufs_epb);
             }
@@ -319,7 +355,7 @@ impl PcuController {
                 power_limited = fu < fu_max - 5.0;
             }
         } else if power_limited {
-            fc = Self::max_core_within(inputs, ceiling, fu, budget);
+            fc = max_core(fu);
         }
 
         let fu = fu.clamp(
@@ -338,6 +374,7 @@ impl PcuController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EetController;
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::calib;
 
@@ -580,5 +617,194 @@ mod tests {
             g.uncore_mhz
         );
         assert!(g.power_w < 26.0, "idle pkg = {:.1} W", g.power_w);
+    }
+
+    /// The scalar `power_at` (two runs of identical cores) against
+    /// [`package_power_w`] over the explicit per-core array (active, then
+    /// gated, then idle halted cores) on both platforms, across every core
+    /// split, AVX level, activity and socket multiplier, at frequencies
+    /// below the V/f knee, on it, inside the curve and above its maximum.
+    #[test]
+    fn scalar_power_is_bit_exact_vs_the_electrical_array() {
+        use hsw_power::package_power_w;
+        for spec in [SkuSpec::xeon_e5_2680_v3(), SkuSpec::xeon_platinum_8170()] {
+            let probes = |vf: &hsw_hwspec::vf::VfCurveSpec| {
+                let (knee, max) = (vf.knee_mhz as f64, vf.max_mhz as f64);
+                [
+                    knee - 347.6,
+                    knee,
+                    knee + 0.4,
+                    2147.3,
+                    max - 0.5,
+                    max + 211.7,
+                ]
+            };
+            let core_mhz = probes(&spec.core_vf);
+            let uncore_mhz = probes(&spec.uncore_vf);
+            let halted = CoreElecState {
+                mhz: spec.freq.min_mhz,
+                activity: 0.0,
+                license_level: 0,
+                power_gated: false,
+            };
+            for active in 0..=spec.cores {
+                for gated in 0..=spec.cores - active {
+                    for avx_level in 0..=2 {
+                        for activity in [0.0, 0.618_034] {
+                            for mult in [1.0, 1.012, 0.93] {
+                                let inputs = PcuInputs {
+                                    spec: &spec,
+                                    socket_power_mult: mult,
+                                    setting: FreqSetting::Turbo,
+                                    epb: EpbClass::Balanced,
+                                    turbo_enabled: true,
+                                    active_cores: active,
+                                    gated_idle_cores: gated,
+                                    activity,
+                                    avx_level,
+                                    stall_fraction: 0.0,
+                                    eet_limit_mhz: u32::MAX,
+                                    avg_pkg_w: spec.tdp_w,
+                                };
+                                for fc in core_mhz {
+                                    let busy = CoreElecState {
+                                        mhz: fc.round() as u32,
+                                        activity,
+                                        license_level: avx_level,
+                                        power_gated: false,
+                                    };
+                                    let mut cores = vec![busy; active];
+                                    cores.resize(active + gated, CoreElecState::gated());
+                                    cores.resize(spec.cores, halted);
+                                    for fu in uncore_mhz {
+                                        let grouped = PcuController::power_at(&inputs, fc, fu);
+                                        let array =
+                                            package_power_w(&spec, mult, &cores, fu.round() as u32)
+                                                .total_w();
+                                        assert_eq!(
+                                            grouped.to_bits(),
+                                            array.to_bits(),
+                                            "{} active={active} gated={gated} avx={avx_level} \
+                                             activity={activity} mult={mult} fc={fc} fu={fu}: \
+                                             {grouped} vs {array}",
+                                            spec.model
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of one 64-bit word.
+    fn fnv1a(h: u64, word: u64) -> u64 {
+        word.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Every grant over both platforms' operating envelopes: uncapped and at
+    /// 0.6×TDP, every EPB, four workload profiles, four settings, three
+    /// widths with the idle cores gated or halted, the limiter average at
+    /// PL1 (steady state), above it and below it (the burst budget), plus
+    /// the idle socket.
+    fn envelope_digest() -> (u64, usize) {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut n = 0;
+        let mut fold = |g: PcuGrant| {
+            for w in [
+                g.core_mhz.to_bits(),
+                g.uncore_mhz.to_bits(),
+                g.power_w.to_bits(),
+                u64::from(g.power_limited),
+            ] {
+                h = fnv1a(h, w);
+            }
+            n += 1;
+        };
+        let profiles = [
+            WorkloadProfile::firestarter(),
+            WorkloadProfile::compute(),
+            WorkloadProfile::memory_bound(),
+            WorkloadProfile::busy_wait(),
+        ];
+        for nominal in [SkuSpec::xeon_e5_2680_v3(), SkuSpec::xeon_platinum_8170()] {
+            for cap in [None, Some(nominal.tdp_w * 0.6)] {
+                let mut spec = nominal.clone();
+                if let Some(c) = cap {
+                    spec.tdp_w = c;
+                }
+                let spec = &spec;
+                for profile in &profiles {
+                    let duty = profile.duty.mean_factor();
+                    let stall = profile.stall_fraction;
+                    for setting in [
+                        FreqSetting::Turbo,
+                        FreqSetting::from_mhz(spec.freq.base_mhz),
+                        FreqSetting::from_mhz(spec.freq.base_mhz - 400),
+                        FreqSetting::from_mhz(spec.freq.min_mhz),
+                    ] {
+                        for active in [1, spec.cores / 2, spec.cores] {
+                            for gated in [spec.cores - active, 0] {
+                                for epb in [
+                                    EpbClass::Performance,
+                                    EpbClass::Balanced,
+                                    EpbClass::EnergySaving,
+                                ] {
+                                    let mut eet = EetController::new(true);
+                                    eet.tick(0, stall * duty.min(1.0));
+                                    let eet_limit_mhz =
+                                        eet.limit_mhz(spec, epb, spec.freq.turbo_mhz(active));
+                                    for avg in [1.1, 1.0, 0.97, 0.9, 0.5] {
+                                        let inputs = PcuInputs {
+                                            spec,
+                                            socket_power_mult: 1.012,
+                                            setting,
+                                            epb,
+                                            turbo_enabled: true,
+                                            active_cores: active,
+                                            gated_idle_cores: gated,
+                                            activity: profile.activity(true) * duty,
+                                            avx_level: u8::from(profile.avx_heavy),
+                                            stall_fraction: stall,
+                                            eet_limit_mhz,
+                                            avg_pkg_w: spec.tdp_w * avg,
+                                        };
+                                        fold(PcuController::solve(&inputs));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let idle = PcuInputs {
+                spec: &nominal,
+                socket_power_mult: 1.0,
+                setting: FreqSetting::Turbo,
+                epb: EpbClass::Balanced,
+                turbo_enabled: true,
+                active_cores: 0,
+                gated_idle_cores: nominal.cores,
+                activity: 0.0,
+                avx_level: 0,
+                stall_fraction: 0.0,
+                eet_limit_mhz: u32::MAX,
+                avg_pkg_w: 12.0,
+            };
+            fold(PcuController::solve(&idle));
+        }
+        (h, n)
+    }
+
+    #[test]
+    fn grants_match_the_pinned_envelope_digest() {
+        // Pinned from the solver that priced every candidate over a per-core
+        // array and re-ran every bisection: the run-grouped sum and the
+        // per-solve memo must not move a single bit of any grant.
+        assert_eq!(envelope_digest(), (0x205e_8906_c6b9_0ba2, 5762));
     }
 }

@@ -27,7 +27,7 @@ pub mod pstate;
 pub mod ufs;
 
 pub use avx::AvxLicense;
-pub use controller::{PcuController, PcuGrant, PcuInputs};
+pub use controller::{epb_budget_factor, PcuController, PcuGrant, PcuInputs};
 pub use eet::EetController;
 pub use pstate::{
     PStateEngine, PStateEngineSnapshot, TransitionEvent, TransitionLog, TRANSITION_LOG_CAP,

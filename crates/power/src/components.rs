@@ -61,21 +61,39 @@ pub fn package_power_w(
     cores: &[CoreElecState],
     uncore_mhz: u32,
 ) -> PackagePower {
+    package_power_of_runs(spec, socket_mult, cores.iter().map(|&c| (c, 1)), uncore_mhz)
+}
+
+/// [`package_power_w`] over runs of identical cores, given in core order as
+/// `(state, count)` pairs. A run adds its core's terms `count` times, which
+/// visits exactly the partial sums of listing every core, so the result is
+/// bit-identical without a per-core array.
+pub fn package_power_of_runs(
+    spec: &SkuSpec,
+    socket_mult: f64,
+    runs: impl IntoIterator<Item = (CoreElecState, usize)>,
+    uncore_mhz: u32,
+) -> PackagePower {
     let c = &spec.power;
     let mut leak = 0.0;
     let mut dyn_w = 0.0;
-    for core in cores {
-        if core.power_gated {
+    for (core, count) in runs {
+        if core.power_gated || count == 0 {
             continue;
         }
         let v = spec.core_vf.voltage_at(core.mhz.max(spec.freq.min_mhz));
-        leak += c.core_leak_w_per_v2 * v * v;
+        let leak_term = c.core_leak_w_per_v2 * v * v;
         let avx = match core.license_level {
             0 => 1.0,
             1 => c.avx_power_mult,
             _ => c.avx512_power_mult,
         };
-        dyn_w += c.core_dyn_w_per_v2ghz * v * v * (core.mhz as f64 / 1000.0) * core.activity * avx;
+        let dyn_term =
+            c.core_dyn_w_per_v2ghz * v * v * (core.mhz as f64 / 1000.0) * core.activity * avx;
+        for _ in 0..count {
+            leak += leak_term;
+            dyn_w += dyn_term;
+        }
     }
     let vu = spec.uncore_vf.voltage_at(uncore_mhz);
     let uncore_w = c.uncore_dyn_w_per_v2ghz * vu * vu * (uncore_mhz as f64 / 1000.0);

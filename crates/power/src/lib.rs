@@ -36,7 +36,9 @@ pub mod psu;
 pub mod rapl;
 pub mod temperature;
 
-pub use components::{dram_power_w, package_power_w, CoreElecState, PackagePower};
+pub use components::{
+    dram_power_w, package_power_of_runs, package_power_w, CoreElecState, PackagePower,
+};
 pub use fivr::Fivr;
 pub use mbvr::{Mbvr, MbvrPowerState, SupplyLane};
 pub use meter::Lmg450;
