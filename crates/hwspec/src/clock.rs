@@ -1,16 +1,15 @@
-//! Clock-domain vocabulary shared by every subsystem the simulation engine
-//! steps: nanosecond time, the [`ClockDomain`] trait, and the deterministic
-//! keyed noise streams that decouple RNG draws from the stepping policy.
+//! Simulation-time vocabulary shared by every subsystem the node steps:
+//! nanosecond time and the deterministic keyed noise streams that decouple
+//! RNG draws from the stepping policy.
 //!
 //! The paper's experiments span five orders of magnitude in time resolution
-//! — microsecond c-state wake-ups next to multi-second power averages — so
-//! the simulator cannot afford one global tick. Instead, each subsystem
-//! (p-state engine, EET poller, RAPL accumulation, thermal RC, meter) is a
-//! *clock domain*: it declares its native period and its next pending
-//! event, and the engine advances to event horizons instead of marching
-//! fixed ticks. For that to be deterministic, every random draw must be a
-//! pure function of *(seed, domain, event time)* — never of how many steps
-//! the engine happened to take — which is what [`DomainNoise`] provides.
+//! — microsecond c-state wake-ups next to multi-second power averages. The
+//! node steps every run on one fixed tick, and its event engine replaces
+//! the full model with a cheap replay over spans in which no discrete event
+//! can fire (see `hsw-node`'s engine module). For both engines to agree bit
+//! for bit, every random draw must be a pure function of *(seed, domain,
+//! event time)* — never of how many steps the engine happened to take or
+//! which body it ran — which is what [`DomainNoise`] provides.
 
 /// Simulation time in nanoseconds (the engine-wide clock unit).
 pub type Ns = u64;
@@ -20,32 +19,6 @@ pub const US: Ns = 1_000;
 
 /// One millisecond in [`Ns`].
 pub const MS: Ns = 1_000_000;
-
-/// A subsystem with its own native time base, as seen by the simulation
-/// engine. Implementations are descriptive: they let the engine (and
-/// diagnostics) reason about how finely a subsystem needs to be stepped
-/// and whether it currently has latent events.
-pub trait ClockDomain {
-    /// Short stable name for diagnostics ("pstate", "eet", "rapl", …).
-    fn name(&self) -> &'static str;
-
-    /// The domain's native update period in ns (0 = continuous: the domain
-    /// integrates over whatever step it is given).
-    fn native_period_ns(&self) -> Ns;
-
-    /// The next instant at which this domain changes state on its own,
-    /// if one is scheduled (e.g. an in-flight p-state switch completing).
-    /// `None` means no latent event: the domain only reacts to inputs.
-    fn next_event_ns(&self, now: Ns) -> Option<Ns>;
-
-    /// Whether the domain is quiescent: no latent event pending and its
-    /// observable state is constant while its inputs are constant. The
-    /// engine may only coalesce steps across an interval in which every
-    /// domain is quiescent.
-    fn quiescent(&self) -> bool {
-        true
-    }
-}
 
 /// Stable domain tags for keyed noise streams. The values are part of the
 /// determinism contract (they feed the hash): renumbering them changes

@@ -26,7 +26,7 @@ pub mod sku;
 pub mod vf;
 
 pub use acpi::{AcpiCState, AcpiLatencyTable};
-pub use clock::{mix_seed, ClockDomain, DomainNoise, Ns};
+pub use clock::{mix_seed, DomainNoise, Ns};
 pub use die::{DieLayout, RingPartition};
 pub use epb::EpbClass;
 pub use freq::{FrequencyTable, PState, MHZ_PER_RATIO};

@@ -21,7 +21,7 @@ pub struct NodeConfig {
     /// fully determines a run in either engine mode).
     pub seed: u64,
     /// Time-advance engine (see [`EngineMode`]); both modes produce
-    /// bit-identical results, `Event` skips provably quiescent model work.
+    /// bit-identical results, `Event` skips model work no event needs.
     pub engine: EngineMode,
 }
 

@@ -8,11 +8,14 @@
 //! * [`EngineMode::Fixed`] runs the full model every step — the original
 //!   lockstep semantics, kept as an escape hatch and as the reference for
 //!   the equivalence tests.
-//! * [`EngineMode::Event`] asks each socket's clock domains whether they
-//!   are provably quiescent; steady spans then run a cheap light-tick body
-//!   that replays only the continuous integrators (bit-identically), and
-//!   the engine drops back to full ticks around transitions, mutator
-//!   calls, and limiter-bucket crossings.
+//! * [`EngineMode::Event`] runs the full body only where a discrete event
+//!   can fire. Each full tick of a steady socket records a wake horizon:
+//!   the next p-state latch or switch completion, and the next periodic
+//!   PCU re-solve while the grant reads the limiter average (or was
+//!   restored rather than solved). Steps ending before it run a cheap
+//!   light body that replays the continuous integrators bit-identically.
+//!   Mutator calls, restores and limiter-bucket crossings also force a
+//!   full step.
 
 use std::str::FromStr;
 
@@ -21,7 +24,7 @@ use std::str::FromStr;
 pub enum EngineMode {
     /// Full model every step (the pre-engine lockstep behavior).
     Fixed,
-    /// Light-tick quiescent spans; provably identical results.
+    /// Light-step up to each wake horizon; provably identical results.
     #[default]
     Event,
 }

@@ -6,11 +6,11 @@
 //! governor with cross-socket package-state coupling, the DRAM/bandwidth
 //! model, and the node-level electrical path (PSU, fans, LMG450 meter).
 //!
-//! Time advances through a clock-domain engine (see [`engine`]): both
-//! engine modes subdivide time into identical micro-steps, but the default
+//! Time advances through a two-body engine (see [`engine`]): both engine
+//! modes subdivide time into identical micro-steps, but the default
 //! [`EngineMode::Event`] replaces the full model evaluation with a cheap
-//! replay of the continuous integrators whenever every clock domain is
-//! provably quiescent — bit-identical to [`EngineMode::Fixed`], typically
+//! replay of the continuous integrators on every step that ends before the
+//! next discrete event — bit-identical to [`EngineMode::Fixed`], typically
 //! several times faster on steady-state experiments.
 //!
 //! Experiments wire nodes through the [`session`] layer: a [`Platform`]

@@ -26,9 +26,6 @@ pub struct Node {
     // snap:skip(seed-derived, samples are keyed by instant — rebuilt by Node::new)
     meter: Lmg450,
     last: Vec<SocketTick>,
-    /// Event engine: whether the last full step proved every socket
-    /// quiescent. Any mutator call clears it.
-    all_quiet: bool,
     stats: EngineStats,
     /// Optional shared ledger credited with this node's simulated time on
     /// drop (the survey's simulated-time accounting).
@@ -43,7 +40,9 @@ pub struct Node {
 /// Plain-data image of an entire [`Node`]'s mutable simulator state —
 /// sockets (PCU, FIVR/MBVR, MSR bank, RAPL accumulators, c-state and
 /// counter planes, thermal), the per-socket tick outputs, the engine's
-/// quiescence flag and step statistics, and the simulation clock itself.
+/// step statistics, and the simulation clock itself. The event engine's
+/// replay cache is not captured: the first step after a restore is always
+/// a full one, which rebuilds it for the restoring node's own spec.
 ///
 /// Restoring a snapshot into a freshly constructed node continues
 /// bit-identically to the uninterrupted run because every noise stream is
@@ -56,7 +55,6 @@ pub struct NodeSnapshot {
     time_ns: Ns,
     sockets: Vec<SocketSnapshot>,
     last: Vec<SocketTick>,
-    all_quiet: bool,
     stats: EngineStats,
 }
 
@@ -86,7 +84,6 @@ impl Node {
             power_model,
             meter,
             last,
-            all_quiet: false,
             stats: EngineStats::default(),
             time_ledger: None,
             actives: Vec::new(),
@@ -100,7 +97,6 @@ impl Node {
             time_ns: self.time_ns,
             sockets: self.sockets.iter().map(Socket::snapshot).collect(),
             last: self.last.clone(),
-            all_quiet: self.all_quiet,
             stats: self.stats,
         }
     }
@@ -120,7 +116,6 @@ impl Node {
             socket.restore(s);
         }
         self.last.clone_from(&snap.last);
-        self.all_quiet = snap.all_quiet;
         self.stats = snap.stats;
     }
 
@@ -154,7 +149,6 @@ impl Node {
         self.reseed(seed);
         self.time_ns = snap.time_ns;
         self.last.clone_from(&snap.last);
-        self.all_quiet = snap.all_quiet;
         self.stats = snap.stats;
         for (socket, s) in self.sockets.iter_mut().zip(&snap.sockets) {
             let dirty = socket.dirty_planes();
@@ -189,7 +183,6 @@ impl Node {
     /// for what the caller actually touched instead of a full restore. The
     /// caller owns the declaration — see [`Socket::planes_mut`].
     pub fn socket_planes_mut(&mut self, s: usize, planes: PlaneMask) -> &mut Socket {
-        self.all_quiet = false;
         self.sockets[s].planes_mut(planes)
     }
 
@@ -207,7 +200,6 @@ impl Node {
 
     /// Assign a workload to one hardware thread (`None` idles it).
     pub fn assign(&mut self, cpu: CpuId, w: Option<WorkloadProfile>) {
-        self.all_quiet = false;
         self.sockets[cpu.socket].set_thread(cpu.core, cpu.thread, w);
     }
 
@@ -220,7 +212,6 @@ impl Node {
         cores: usize,
         threads_per_core: usize,
     ) {
-        self.all_quiet = false;
         let tpc = self.cfg.spec.sku.threads_per_core;
         for c in 0..self.cfg.spec.sku.cores {
             for t in 0..tpc {
@@ -240,7 +231,6 @@ impl Node {
     /// Set the frequency setting on every core of every socket (the
     /// cpufreq/userspace-governor equivalent).
     pub fn set_setting_all(&mut self, setting: FreqSetting) {
-        self.all_quiet = false;
         let now = self.time_ns;
         for s in &mut self.sockets {
             for c in 0..s.spec().cores {
@@ -251,14 +241,12 @@ impl Node {
 
     /// Set the frequency setting of one core.
     pub fn set_setting(&mut self, socket: usize, core: usize, setting: FreqSetting) {
-        self.all_quiet = false;
         let now = self.time_ns;
         self.sockets[socket].set_core_setting(core, setting, now);
     }
 
     /// Program the EPB on all hardware threads (paper Section II-C).
     pub fn set_epb_all(&mut self, epb: EpbClass) {
-        self.all_quiet = false;
         for s in &mut self.sockets {
             for t in 0..s.spec().hw_threads() {
                 s.msr_mut()
@@ -269,7 +257,6 @@ impl Node {
 
     /// Enable/disable turbo via `IA32_MISC_ENABLE\[38\]`.
     pub fn set_turbo(&mut self, enabled: bool) {
-        self.all_quiet = false;
         for s in &mut self.sockets {
             let mut v = s.msr().read_package(msra::IA32_MISC_ENABLE).unwrap_or(0);
             if enabled {
@@ -295,11 +282,9 @@ impl Node {
         let thread = cpu.core * tpc + cpu.thread;
         let now = self.time_ns;
         let socket = &mut self.sockets[cpu.socket];
+        // A write may steer the model (EPB, turbo disengage, uncore
+        // limits, p-state requests): `msr_mut` forces a full next step.
         socket.msr_mut().write(thread, addr, value)?;
-        // Any successful write may steer the model (EPB, turbo disengage,
-        // uncore limits, p-state requests) — drop back to full stepping
-        // until the next full tick re-proves quiescence.
-        self.all_quiet = false;
         if addr == msra::IA32_PERF_CTL {
             socket.perf_ctl_written(thread, value, now);
         }
@@ -331,19 +316,18 @@ impl Node {
 
     fn step(&mut self, dt: Ns) {
         let event = self.cfg.engine == EngineMode::Event;
-        if event && self.all_quiet && !self.sockets.iter().any(|s| s.light_wake()) {
-            // Every domain is provably steady: replay only the continuous
-            // integrators. State evolves bit-identically to a full step.
-            self.time_ns += dt;
-            let now = self.time_ns;
+        self.time_ns += dt;
+        let now = self.time_ns;
+        if event && !self.sockets.iter().any(|s| s.light_wake(now)) {
+            // No discrete event fires before this step's end: replay only
+            // the continuous integrators. State evolves bit-identically to
+            // a full step.
             for (i, socket) in self.sockets.iter_mut().enumerate() {
                 self.last[i] = socket.light_tick(now, dt);
             }
             self.stats.light_steps += 1;
             return;
         }
-        self.time_ns += dt;
-        let now = self.time_ns;
         let t_s = self.now_s();
         self.actives.clear();
         self.actives
@@ -377,7 +361,6 @@ impl Node {
             self.last[i] = socket.tick(now, dt, t_s, other_active, fastest, event);
         }
         self.stats.full_steps += 1;
-        self.all_quiet = event && self.sockets.iter().all(|s| s.quiescent_now());
     }
 
     // --- Power ground truth and metering ---
@@ -634,7 +617,9 @@ mod tests {
 #[cfg(test)]
 mod engine_tests {
     use super::*;
+    use crate::session::Resolution;
     use hsw_exec::WorkloadProfile;
+    use hsw_msr::fields;
 
     /// Drive one node through a representative scenario: settle idle, run a
     /// fixed-frequency load, poke an MSR, then idle again.
@@ -683,19 +668,128 @@ mod engine_tests {
         out
     }
 
+    /// FIRESTARTER on both sockets at turbo: the grant reads the limiter
+    /// average, so only the periodic re-solves are on the wake horizon.
+    fn firestarter_at_tdp(mut node: Node) -> Node {
+        let fs = WorkloadProfile::firestarter();
+        for s in 0..2 {
+            node.run_on_socket(s, &fs, 12, 2);
+        }
+        node.set_setting_all(FreqSetting::Turbo);
+        node.advance_s(0.6);
+        node
+    }
+
+    /// FTaLaT-style `PERF_CTL` request windows: each request waits for the
+    /// next opportunity, then for its switch to complete.
+    fn perf_ctl_windows(mut node: Node) -> Node {
+        node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+        node.set_setting_all(FreqSetting::from_mhz(1200));
+        node.advance_s(0.01);
+        let cpu = CpuId::new(0, 0, 0);
+        for k in 0..12u32 {
+            let mhz = if k % 2 == 0 { 1300 } else { 1200 };
+            let ctl = fields::encode_perf_ctl(hsw_hwspec::PState::from_mhz(mhz));
+            node.wrmsr(cpu, msra::IA32_PERF_CTL, ctl).unwrap();
+            node.advance_us(700 + 90 * u64::from(k));
+        }
+        node
+    }
+
+    /// A request issued exactly on an opportunity instant that a light
+    /// step has just passed: it must wait for the next opportunity, as
+    /// under the fixed engine. A fixed-engine twin locates the instant.
+    fn request_on_a_passed_opportunity(mut node: Node) -> Node {
+        let settle = |n: &mut Node| {
+            n.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+            n.set_setting_all(FreqSetting::from_mhz(1200));
+            n.advance_s(0.02);
+        };
+        let mut twin = Node::new(node.config().clone().with_engine(EngineMode::Fixed));
+        settle(&mut twin);
+        settle(&mut node);
+        let opp_us = twin.sockets[0].next_opportunity() / 1_000;
+        node.advance_us(opp_us - 1 - node.now_ns() / 1_000);
+        let light = node.engine_stats().light_steps;
+        node.advance_us(1);
+        if node.config().engine == EngineMode::Event {
+            assert_eq!(
+                node.engine_stats().light_steps,
+                light + 1,
+                "last step is light"
+            );
+        }
+        let ctl = fields::encode_perf_ctl(hsw_hwspec::PState::from_mhz(1500));
+        node.wrmsr(CpuId::new(0, 0, 0), msra::IA32_PERF_CTL, ctl)
+            .unwrap();
+        node.advance_us(1_500);
+        node
+    }
+
+    /// A settled snapshot restored into a chip with another spec: the
+    /// restored grant and step outputs are the golden chip's, not its own.
+    fn restore_into_a_varied_chip(node: Node) -> Node {
+        let cfg = node.config().clone();
+        let mut golden = Node::new(cfg.clone());
+        golden.run_on_socket(0, &WorkloadProfile::compute(), 6, 1);
+        golden.set_setting_all(FreqSetting::Turbo);
+        golden.advance_s(0.3);
+        let varied = hsw_fleet::ChipVariation {
+            leak_scale: 1.3,
+            vcorner_v: 0.02,
+            turbo_offset_mhz: -100,
+            rapl_gain: 1.01,
+        };
+        let mut member = Node::new(cfg.with_spec(varied.apply(&node.config().spec)));
+        member.restore(&golden.snapshot());
+        member.advance_s(0.3);
+        member
+    }
+
+    /// A named scenario, its node configuration and its driver.
+    type Scenario = (&'static str, NodeConfig, fn(Node) -> Node);
+
     #[test]
     fn fixed_and_event_engines_are_bit_identical() {
-        let mut fixed = scenario(Node::new(
-            NodeConfig::paper_default().with_engine(EngineMode::Fixed),
-        ));
-        let mut event = scenario(Node::new(
-            NodeConfig::paper_default().with_engine(EngineMode::Event),
-        ));
-        assert!(
-            event.engine_stats().light_steps > 0,
-            "event engine never took the light path"
-        );
-        assert_eq!(fingerprint(&mut fixed), fingerprint(&mut event));
+        let scenarios: [Scenario; 5] = [
+            ("mixed", NodeConfig::paper_default(), scenario),
+            (
+                "firestarter at TDP",
+                NodeConfig::paper_default().with_tick_us(Resolution::Coarse.tick_us()),
+                firestarter_at_tdp,
+            ),
+            (
+                "PERF_CTL windows",
+                NodeConfig::paper_default().with_tick_us(Resolution::Latency.tick_us()),
+                perf_ctl_windows,
+            ),
+            (
+                "request on a passed opportunity",
+                NodeConfig::paper_default().with_tick_us(1),
+                request_on_a_passed_opportunity,
+            ),
+            (
+                "restore into a varied chip",
+                NodeConfig::paper_default(),
+                restore_into_a_varied_chip,
+            ),
+        ];
+        for (name, cfg, drive) in scenarios {
+            let mut fixed = drive(Node::new(cfg.clone().with_engine(EngineMode::Fixed)));
+            let mut event = drive(Node::new(cfg.with_engine(EngineMode::Event)));
+            assert!(
+                event.engine_stats().light_steps > 0,
+                "{name}: event engine never took the light path"
+            );
+            for s in 0..2 {
+                assert_eq!(
+                    fixed.drain_transitions(s),
+                    event.drain_transitions(s),
+                    "{name}: socket {s} transitions"
+                );
+            }
+            assert_eq!(fingerprint(&mut fixed), fingerprint(&mut event), "{name}");
+        }
     }
 
     #[test]
@@ -825,7 +919,6 @@ mod engine_tests {
 
     mod snapshot_props {
         use super::*;
-        use hsw_msr::fields;
         use proptest::prelude::*;
 
         /// One random software-visible MSR write, kept within the encodings
@@ -887,7 +980,6 @@ mod engine_tests {
 
     mod dirty_fork_props {
         use super::*;
-        use hsw_msr::fields;
         use proptest::prelude::*;
 
         fn warm_image() -> (NodeSnapshot, NodeConfig) {

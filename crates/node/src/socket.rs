@@ -3,14 +3,18 @@
 //! The socket exposes two step paths. The **full tick** runs every model
 //! stage — p-state engine, workload aggregation, AVX licenses, EET, the PCU
 //! equilibrium solve, c-states, DRAM, power, thermal, RAPL and the counter
-//! plane. The **light tick** is the event engine's fast path over a
-//! provably quiescent interval: it replays only the continuous integrators
-//! (RAPL, thermal, MBVR) and the periodic controllers whose outcome cannot
-//! change (EET polls, AVX relax checks, the PCU timer), using cached
-//! inputs. Because the light tick performs the *identical* floating-point
-//! operations in the identical order, a quiet span stepped lightly ends in
-//! bit-identical state to the same span stepped fully — the property the
-//! `--engine fixed|event` equivalence tests pin down.
+//! plane. The **light tick** is the event engine's fast path: it replays
+//! only the continuous integrators (RAPL, thermal, MBVR), the periodic
+//! controllers whose outcome cannot change (EET polls, AVX relax checks,
+//! the p-state opportunity clock, the PCU timer) and the cached outputs of
+//! the last full tick. It is valid up to the **wake horizon** that full
+//! tick recorded: the next p-state latch or switch completion, plus the
+//! next periodic PCU re-solve while the grant reads the limiter average
+//! (or was restored rather than solved here). The light tick performs the
+//! *identical* floating-point operations in the identical order, so a span
+//! stepped lightly ends in bit-identical state to the same span stepped
+//! fully — the property the `--engine fixed|event` equivalence tests pin
+//! down.
 //!
 //! ## Dirty planes and the SoA core plane
 //!
@@ -32,7 +36,6 @@ use hsw_cstates::{fill_core_states, resolve_package_state, CoreCState, PkgCState
 use hsw_exec::{DutyCycle, WorkloadProfile};
 use hsw_hwspec::clock::{domain, DomainNoise};
 use hsw_hwspec::freq::FreqSetting;
-use hsw_hwspec::ClockDomain;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
 use hsw_msr::{addresses as msra, fields, MsrBank, MsrBankSnapshot, MsrError};
 use hsw_pcu::{
@@ -71,7 +74,7 @@ impl PlaneMask {
     pub const THERMAL: PlaneMask = PlaneMask(1 << 5);
     /// The bounded p-state transition log.
     pub const LOG: PlaneMask = PlaneMask(1 << 6);
-    /// Workload assignments and the quiescence cache.
+    /// Workload assignments.
     pub const WORK: PlaneMask = PlaneMask(1 << 7);
     pub const ALL: PlaneMask = PlaneMask(0xFF);
 
@@ -180,6 +183,11 @@ struct QuietCache {
     /// phase must end (wake) on the step where the live average leaves it.
     avg_bucket: u64,
     therm_readout: u64,
+    /// The wake horizon: the earliest instant at which a discrete event
+    /// can fire. A step ending at or after it runs the full tick. 0 (wake
+    /// at once) unless the last full tick found the socket steady under
+    /// the event engine; every mutator and restore resets it.
+    wake_at: Ns,
 }
 
 impl QuietCache {
@@ -190,6 +198,7 @@ impl QuietCache {
             bias: ModelBias::NONE,
             avg_bucket: 0,
             therm_readout: 0,
+            wake_at: 0,
         }
     }
 }
@@ -361,10 +370,15 @@ pub struct Socket {
     noise_pstate: DomainNoise,
     // snap:skip(seed-derived, keyed by instant not step count — rebuilt by Socket::new)
     noise_rapl: DomainNoise,
-    /// Whether the last full tick proved every domain steady (see
+    /// What light ticks replay, and up to which wake horizon (see
     /// [`Socket::light_tick`]).
-    quiet: bool,
+    // snap:skip(event-engine cache, rewritten by the full step that follows every restore)
     cached: QuietCache,
+    /// Whether the grant came from a restore instead of this chip's own
+    /// solve. A fleet chip restores a golden snapshot under a varied spec,
+    /// so its first periodic re-solve is on the wake horizon.
+    // snap:skip(provenance of the grant, not simulator state)
+    grant_restored: bool,
     rates: Option<CounterRates>,
     pending_ns: Ns,
     /// Planes mutated since the last (full or partial) restore — what a
@@ -380,9 +394,10 @@ pub struct Socket {
 /// restore planes of [`PlaneMask`]. Identity and configuration (`id`,
 /// `spec`, `power_mult`, `eet_enabled`) and the keyed noise streams are
 /// re-established by the constructor; everything a tick can change is
-/// captured here, including the event engine's quiescence bookkeeping and
-/// the counter plane's pending span, so a restored socket continues
-/// bit-identically under either engine mode.
+/// captured here, including the counter plane's pending span, so a
+/// restored socket continues bit-identically under either engine mode. The
+/// event engine's replay cache is not: the first step after a restore is
+/// always a full one.
 #[derive(Debug, Clone)]
 pub struct SocketSnapshot {
     msr: MsrBankSnapshot,
@@ -425,13 +440,10 @@ pub struct ThermalPlaneImage {
     mbvr: Mbvr,
 }
 
-/// The [`PlaneMask::WORK`] plane: workload assignments and the light
-/// tick's replay cache (plus the quiescence proof they invalidate).
+/// The [`PlaneMask::WORK`] plane: workload assignments.
 #[derive(Debug, Clone)]
 pub struct WorkPlaneImage {
     threads: Vec<Option<WorkloadProfile>>,
-    quiet: bool,
-    cached: QuietCache,
 }
 
 impl Socket {
@@ -484,8 +496,8 @@ impl Socket {
             msr,
             noise_pstate: DomainNoise::new(socket_seed, domain::PSTATE),
             noise_rapl: DomainNoise::new(socket_seed, domain::RAPL),
-            quiet: false,
             cached: QuietCache::new(),
+            grant_restored: false,
             rates: None,
             pending_ns: 0,
             spec: Arc::new(spec),
@@ -522,9 +534,11 @@ impl Socket {
     }
 
     /// Mutable MSR bank access — the *only* way to write the bank from
-    /// outside the socket, so every external store marks the MSR plane.
+    /// outside the socket, so every external store marks the MSR plane and
+    /// forces the next step to be a full one (a write may steer the model).
     pub(crate) fn msr_mut(&mut self) -> &mut MsrBank {
         self.dirty |= PlaneMask::MSR;
+        self.cached.wake_at = 0;
         &mut self.msr
     }
 
@@ -535,6 +549,13 @@ impl Socket {
     #[cfg(test)]
     pub(crate) fn msr_mut_unmarked(&mut self) -> &mut MsrBank {
         &mut self.msr
+    }
+
+    /// The p-state engine's next opportunity instant (lets a test issue a
+    /// request exactly on one).
+    #[cfg(test)]
+    pub(crate) fn next_opportunity(&self) -> Ns {
+        self.pstate.next_opportunity()
     }
 
     /// Planes mutated since the last restore.
@@ -556,6 +577,7 @@ impl Socket {
     /// would — declare generously when unsure.
     pub fn planes_mut(&mut self, planes: PlaneMask) -> &mut Socket {
         self.dirty |= planes;
+        self.cached.wake_at = 0;
         self
     }
 
@@ -600,8 +622,6 @@ impl Socket {
             transition_log: self.transition_log.clone(),
             work: WorkPlaneImage {
                 threads: self.threads.clone(),
-                quiet: self.quiet,
-                cached: self.cached.clone(),
             },
         }
     }
@@ -617,7 +637,8 @@ impl Socket {
     /// dirty bits. Sound exactly when every plane *not* selected is
     /// bit-identical between the socket and `snap` — the invariant the
     /// dirty mask maintains for a scratch node cycling against one warm
-    /// image (`Node::fork_from`).
+    /// image (`Node::fork_from`). Either way the grant is now `snap`'s,
+    /// and the next step must be a full one.
     pub fn restore_planes(&mut self, snap: &SocketSnapshot, planes: PlaneMask) {
         assert_eq!(
             self.cores.len(),
@@ -659,11 +680,11 @@ impl Socket {
         }
         if planes.intersects(PlaneMask::WORK) {
             self.threads.clone_from(&snap.work.threads);
-            self.quiet = snap.work.quiet;
-            self.cached = snap.work.cached.clone();
             let tpc = self.spec.threads_per_core;
             self.cores.sync_from_threads(&self.threads, tpc);
         }
+        self.cached.wake_at = 0;
+        self.grant_restored = true;
         self.dirty = PlaneMask(self.dirty.bits() & !planes.bits());
     }
 
@@ -673,13 +694,13 @@ impl Socket {
         let idx = core * tpc + thread;
         self.threads[idx] = w;
         self.cores.sync_core(core, &self.threads, tpc);
-        self.quiet = false;
+        self.cached.wake_at = 0;
         self.dirty |= PlaneMask::WORK;
     }
 
     /// OS request: set the frequency setting of one core.
     pub fn set_core_setting(&mut self, core: usize, setting: FreqSetting, now: Ns) {
-        self.quiet = false;
+        self.cached.wake_at = 0;
         self.dirty |= PlaneMask::CORES | PlaneMask::PSTATE | PlaneMask::MSR | PlaneMask::WORK;
         self.cores.requested[core] = setting;
         let target = match setting {
@@ -699,7 +720,7 @@ impl Socket {
     /// A `wrmsr` to `IA32_PERF_CTL` from a tool: translate into a p-state
     /// request (per-core domain on Haswell-EP).
     pub fn perf_ctl_written(&mut self, thread: usize, value: u64, now: Ns) {
-        self.quiet = false;
+        self.cached.wake_at = 0;
         self.dirty |= PlaneMask::CORES | PlaneMask::PSTATE | PlaneMask::WORK;
         let core = thread / self.spec.threads_per_core;
         let target = fields::decode_perf_ctl(value);
@@ -762,8 +783,9 @@ impl Socket {
     }
 
     /// Advance this socket by `dt` ending at `now` (the full model). With
-    /// `track_quiescence` (the event engine), the tick additionally proves
-    /// or refutes that subsequent steps may take the light path.
+    /// `track_quiescence` (the event engine), the tick additionally records
+    /// whether, and up to which wake horizon, subsequent steps may take the
+    /// light path.
     pub fn tick(
         &mut self,
         now: Ns,
@@ -910,6 +932,7 @@ impl Socket {
             self.last_pcu_key = key;
             self.next_pcu = now + self.pcu_period_ns();
             self.grant = PcuController::solve(&inputs);
+            self.grant_restored = false;
             // Software-imposed uncore bounds (paper Section II-D: "it can
             // be specified via the MSR UNCORE_RATIO_LIMIT"): clamp the UFS
             // grant to the programmed window.
@@ -1146,59 +1169,69 @@ impl Socket {
             dram_bw_gbs: dram_bw,
         };
 
-        // 13. Quiescence: the event engine may replace subsequent steps
-        //     with light ticks only when every discrete domain is provably
-        //     steady *and* the PCU solve is independent of the one input
-        //     that keeps moving (the limiter's running average).
+        // 13. Wake horizon: with a steady workload, AVX licences and EET
+        //     sample, this tick's outputs hold until a discrete event
+        //     fires — a p-state latch or switch completion, or the periodic
+        //     re-solve when it can move the grant (the grant reads the
+        //     limiter's running average, or is a restored one this chip
+        //     has not solved itself). Between those instants the full tick
+        //     would reproduce exactly what the light tick replays.
         self.cached.tick = out;
         self.cached.eet_input = eet_input;
         self.cached.bias = bias;
         self.cached.avg_bucket = avg_bucket;
-        self.quiet = track_quiescence
+        let steady = track_quiescence
             && all_const_duty
-            && self.pstate.quiescent()
             && (0..spec.cores).all(|c| self.cores.avx[c].stable_under(self.cores.avx_input[c]))
-            && self.eet.sampled_stall().to_bits() == eet_input.to_bits()
-            && PcuController::avg_insensitive(&inputs);
+            && self.eet.sampled_stall().to_bits() == eet_input.to_bits();
+        self.cached.wake_at = if !steady {
+            0
+        } else if self.grant_restored || !PcuController::avg_insensitive(&inputs) {
+            self.pstate
+                .next_event()
+                .unwrap_or(Ns::MAX)
+                .min(self.next_pcu)
+        } else {
+            self.pstate.next_event().unwrap_or(Ns::MAX)
+        };
 
         out
     }
 
-    /// Pre-step wake test: must the next step be a full tick even though
-    /// the socket is quiet? The limiter's running average is the one input
-    /// that keeps moving over a steady workload; the full tick re-solves
-    /// when it crosses a 2 W hash bucket, so the step where that happens
-    /// must run the full body (the fixed engine re-solves on exactly that
-    /// step — the grant is unchanged by `avg_insensitive`, but the key
-    /// bookkeeping must be replayed faithfully).
-    pub fn light_wake(&self) -> bool {
-        (self.rapl.running_avg_pkg_w() / 2.0) as u64 != self.cached.avg_bucket
+    /// Pre-step wake test for a step ending at `end`: must it be a full
+    /// tick? Yes once `end` reaches the wake horizon, or when the limiter's
+    /// running average has crossed the 2 W bucket hashed into the PCU key:
+    /// the full tick re-solves on exactly that step, so its body (and key
+    /// bookkeeping) must run.
+    pub fn light_wake(&self, end: Ns) -> bool {
+        end >= self.cached.wake_at
+            || (self.rapl.running_avg_pkg_w() / 2.0) as u64 != self.cached.avg_bucket
     }
 
-    /// Whether the last full tick proved this socket quiescent.
-    pub fn quiescent_now(&self) -> bool {
-        self.quiet
-    }
-
-    /// Quiescent step: replays only the continuous integrators (RAPL,
-    /// thermal, MBVR) and the periodic controllers whose outcome is
-    /// provably unchanged (EET poll, AVX relax, PCU timer), using the
-    /// inputs cached by the last full tick. Floating-point operations and
-    /// their order match the full tick exactly, so the state after a quiet
-    /// span is bit-identical no matter which path stepped it.
+    /// Light step, valid before the wake horizon: replays only the
+    /// continuous integrators (RAPL, thermal, MBVR) and the periodic
+    /// controllers whose outcome is provably unchanged (EET poll, AVX
+    /// relax, the p-state opportunity clock, PCU timer), using the inputs
+    /// cached by the last full tick. Floating-point operations and their
+    /// order match the full tick exactly, so the state after the span is
+    /// bit-identical no matter which path stepped it.
     pub fn light_tick(&mut self, now: Ns, dt: Ns) -> SocketTick {
-        debug_assert!(self.quiet, "light_tick on a non-quiescent socket");
+        debug_assert!(
+            now < self.cached.wake_at,
+            "light_tick past the wake horizon"
+        );
         let dt_s = dt as f64 * 1e-9;
         self.dirty |= LIGHT_TICK_PLANES;
+        self.pstate.pass_opportunities(now, &self.noise_pstate);
         for c in 0..self.spec.cores {
             let on = self.cores.avx_input[c];
             self.cores.avx[c].observe(on, now);
         }
         self.eet.tick(now, self.cached.eet_input);
         if self.next_pcu <= now {
-            // Inputs unchanged and the grant avg-independent: the periodic
-            // re-solve would reproduce the same grant, so only the schedule
-            // advances (mirroring the fixed engine's bookkeeping).
+            // Before the horizon, a due re-solve is one that reproduces
+            // this chip's own avg-independent grant from unchanged inputs:
+            // only the schedule advances (the fixed engine's bookkeeping).
             self.next_pcu = now + self.pcu_period_ns();
         }
         let out = self.cached.tick;

@@ -12,7 +12,7 @@
 //! shorter relax period. How many levels exist and how fast the machine
 //! moves comes from the generation's [`hsw_hwspec::LicensePolicy`].
 
-use hsw_hwspec::clock::{ClockDomain, US};
+use hsw_hwspec::clock::US;
 use hsw_hwspec::{CpuGeneration, SkuSpec};
 
 use crate::pstate::Ns;
@@ -176,28 +176,6 @@ impl AvxLicense {
     /// Binary-input variant of [`Self::stable_under_level`].
     pub fn stable_under(&self, avx_active: bool) -> bool {
         self.stable_under_level(if avx_active { 1 } else { 0 })
-    }
-}
-
-impl ClockDomain for AvxLicense {
-    fn name(&self) -> &'static str {
-        "avx"
-    }
-
-    fn native_period_ns(&self) -> Ns {
-        self.relax_us as Ns * US
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        match self.state {
-            LicenseState::Ramping { until } => Some(until),
-            LicenseState::Active => self.last_avx.map(|last| last + self.relax_us as Ns * US),
-            LicenseState::Normal => None,
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        matches!(self.state, LicenseState::Normal)
     }
 }
 

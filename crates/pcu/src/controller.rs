@@ -140,8 +140,8 @@ impl PcuController {
     }
 
     /// Package power at a candidate operating point. Hot: the bisections
-    /// call this dozens of times per solve and the event engine's quiescence
-    /// proof once per full tick, so the cores are priced as two runs of
+    /// call this dozens of times per solve and the event engine's wake
+    /// horizon once per full tick, so the cores are priced as two runs of
     /// identical cores (active, then idle ungated; gated cores add nothing)
     /// instead of a per-core array. The tests hold this bit-exact against
     /// [`package_power_w`] over the explicit core array.

@@ -7,7 +7,7 @@
 //! paper's caveat ("EET may impair performance and energy efficiency of
 //! workloads that change their characteristics at an unfavorable rate").
 
-use hsw_hwspec::clock::{ClockDomain, US};
+use hsw_hwspec::clock::US;
 use hsw_hwspec::{calib, EpbClass, SkuSpec};
 
 use crate::pstate::Ns;
@@ -75,20 +75,6 @@ impl EetController {
         let before = self.sampled_stall > EET_STALL_CAP_THRESHOLD;
         let after = instantaneous_stall > EET_STALL_CAP_THRESHOLD;
         before == after
-    }
-}
-
-impl ClockDomain for EetController {
-    fn name(&self) -> &'static str {
-        "eet"
-    }
-
-    fn native_period_ns(&self) -> Ns {
-        calib::EET_POLL_PERIOD_US as Ns * US
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        self.enabled.then_some(self.next_poll)
     }
 }
 

@@ -8,7 +8,7 @@
 //! independent. Earlier generations (and Haswell-HE) service requests
 //! immediately, paying only the switching time.
 
-use hsw_hwspec::clock::{ClockDomain, DomainNoise, US};
+use hsw_hwspec::clock::{DomainNoise, US};
 use hsw_hwspec::{CpuGeneration, PState, PStateTransitionMode};
 
 /// Simulation time in nanoseconds (re-exported engine-wide clock unit).
@@ -138,11 +138,13 @@ impl PStateEngine {
     pub fn new(generation: CpuGeneration, cores: usize, initial: PState, phase_ns: Ns) -> Self {
         let policy = generation.policy().pstate();
         let mode = policy.transition;
+        // Without an opportunity window there is no clock to walk: the
+        // instant never comes due.
         let next_opportunity = match mode {
             PStateTransitionMode::OpportunityWindow { period_us } => {
                 phase_ns % (period_us as Ns * US)
             }
-            PStateTransitionMode::Immediate | PStateTransitionMode::HwpAutonomous => 0,
+            PStateTransitionMode::Immediate | PStateTransitionMode::HwpAutonomous => Ns::MAX,
         };
         PStateEngine {
             mode,
@@ -200,28 +202,7 @@ impl PStateEngine {
     /// matter how sparsely the engine is ticked. Completed transitions are
     /// queued for [`Self::drain_events`].
     pub fn tick(&mut self, now: Ns, noise: &DomainNoise) {
-        // Latch pending requests at every opportunity boundary passed.
-        if let PStateTransitionMode::OpportunityWindow { period_us } = self.mode {
-            while self.next_opportunity <= now {
-                let opp = self.next_opportunity;
-                for c in 0..self.current.len() {
-                    // All cores of the socket latch at the same opportunity
-                    // (the paper's parallel-core measurement). An opportunity
-                    // can only latch requests that already existed then —
-                    // relevant when the engine is ticked sparsely.
-                    let eligible = self.pending[c]
-                        .map(|r| r.requested_at <= opp)
-                        .unwrap_or(false);
-                    if eligible && self.switching[c].is_none() {
-                        self.begin_switch(c, opp);
-                    }
-                }
-                let jitter_us = self.opportunity_jitter_us;
-                let jitter = noise.range_i64(opp, 0, -jitter_us, jitter_us);
-                let period = (period_us as i64 + jitter).max(1) as Ns * US;
-                self.next_opportunity = opp + period;
-            }
-        }
+        self.pass_opportunities(now, noise);
         // Complete in-flight switches.
         for c in 0..self.current.len() {
             if let Some((target, completes, requested_at)) = self.switching[c] {
@@ -238,6 +219,41 @@ impl PStateEngine {
                     });
                 }
             }
+        }
+    }
+
+    /// Latch waiting requests at every opportunity up to `now` and walk
+    /// the opportunity clock past it. Costs one compare until an
+    /// opportunity is due, so the event engine's light step calls it alone:
+    /// no request waits during a light step (the latch is on the wake
+    /// horizon), so it only keeps the clock where a full tick would have
+    /// it. A stale clock would let a request made exactly on a passed
+    /// opportunity instant latch there, one period early.
+    pub fn pass_opportunities(&mut self, now: Ns, noise: &DomainNoise) {
+        if self.next_opportunity > now {
+            return;
+        }
+        let PStateTransitionMode::OpportunityWindow { period_us } = self.mode else {
+            return;
+        };
+        while self.next_opportunity <= now {
+            let opp = self.next_opportunity;
+            for c in 0..self.current.len() {
+                // All cores of the socket latch at the same opportunity
+                // (the paper's parallel-core measurement). An opportunity
+                // can only latch requests that already existed then —
+                // relevant when the engine is ticked sparsely.
+                let eligible = self.pending[c]
+                    .map(|r| r.requested_at <= opp)
+                    .unwrap_or(false);
+                if eligible && self.switching[c].is_none() {
+                    self.begin_switch(c, opp);
+                }
+            }
+            let jitter_us = self.opportunity_jitter_us;
+            let jitter = noise.range_i64(opp, 0, -jitter_us, jitter_us);
+            let period = (period_us as i64 + jitter).max(1) as Ns * US;
+            self.next_opportunity = opp + period;
         }
     }
 
@@ -305,7 +321,8 @@ impl PStateEngine {
 
     /// Earliest instant at which the engine changes state on its own:
     /// the soonest in-flight completion, or — with requests waiting — the
-    /// next latch opportunity.
+    /// next latch opportunity. `None` when neither is outstanding (the
+    /// opportunity clock alone changes nothing observable).
     pub fn next_event(&self) -> Option<Ns> {
         let completion = self
             .switching
@@ -325,32 +342,6 @@ impl PStateEngine {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-}
-
-impl ClockDomain for PStateEngine {
-    fn name(&self) -> &'static str {
-        "pstate"
-    }
-
-    fn native_period_ns(&self) -> Ns {
-        match self.mode {
-            PStateTransitionMode::OpportunityWindow { period_us } => period_us as Ns * US,
-            PStateTransitionMode::Immediate | PStateTransitionMode::HwpAutonomous => {
-                self.switching_time_ns
-            }
-        }
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        self.next_event()
-    }
-
-    /// Quiescent iff no request is pending and no switch is in flight. The
-    /// opportunity clock itself keeps running, but with keyed jitter its
-    /// catch-up is path-independent, so it never forces fine stepping.
-    fn quiescent(&self) -> bool {
-        self.pending.iter().all(Option::is_none) && self.switching.iter().all(Option::is_none)
     }
 }
 

@@ -13,7 +13,6 @@
 //! per-state efficiency-curve shapes stay here (they are board, not
 //! firmware, properties).
 
-use hsw_hwspec::clock::{ClockDomain, Ns};
 use hsw_hwspec::CpuGeneration;
 use serde::{Deserialize, Serialize};
 
@@ -153,21 +152,6 @@ impl Mbvr {
     pub fn loss_w(&self, pkg_w: f64) -> f64 {
         let eta = self.efficiency(pkg_w);
         pkg_w / eta - pkg_w
-    }
-}
-
-impl ClockDomain for Mbvr {
-    fn name(&self) -> &'static str {
-        "mbvr"
-    }
-
-    /// Purely input-driven (no internal timers): continuous.
-    fn native_period_ns(&self) -> Ns {
-        0
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        None
     }
 }
 

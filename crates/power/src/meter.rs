@@ -9,7 +9,7 @@
 //! the engine subdivided the time in between samples.
 
 use hsw_hwspec::calib;
-use hsw_hwspec::clock::{ClockDomain, DomainNoise, Ns};
+use hsw_hwspec::clock::{DomainNoise, Ns};
 
 /// Salt distinguishing the per-instrument gain draw from sample noise.
 const GAIN_SALT: u64 = 0xCAFE;
@@ -72,21 +72,6 @@ impl Lmg450 {
             .map(|k| self.sample(true_w, t0_ns + k as Ns * period_ns))
             .sum();
         sum / n as f64
-    }
-}
-
-impl ClockDomain for Lmg450 {
-    fn name(&self) -> &'static str {
-        "meter"
-    }
-
-    fn native_period_ns(&self) -> Ns {
-        (self.sample_period_s * 1e9) as Ns
-    }
-
-    /// The meter is passive: it reads on demand, it never schedules work.
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        None
     }
 }
 

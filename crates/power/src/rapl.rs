@@ -1,7 +1,6 @@
 //! RAPL engines: measured (Haswell-EP) vs. modeled (Sandy Bridge-EP) energy
 //! accounting, and the DRAM mode 0 / mode 1 distinction (paper Section IV).
 
-use hsw_hwspec::clock::{ClockDomain, Ns};
 use hsw_hwspec::{calib, CpuGeneration, RaplMode};
 use hsw_msr::EnergyCounter;
 
@@ -198,27 +197,10 @@ impl RaplEngine {
     }
 }
 
-impl ClockDomain for RaplEngine {
-    fn name(&self) -> &'static str {
-        "rapl"
-    }
-
-    /// Continuous integrator: it accepts whatever step it is given (the
-    /// limiter average is an Euler EMA, so callers must keep the cadence
-    /// identical across engine modes).
-    fn native_period_ns(&self) -> Ns {
-        0
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsw_hwspec::clock::{domain, DomainNoise};
+    use hsw_hwspec::clock::{domain, DomainNoise, Ns};
 
     fn run_engine(
         generation: CpuGeneration,

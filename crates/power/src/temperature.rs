@@ -8,8 +8,6 @@
 //! temperature, closing the loop that separates otherwise identical parts
 //! with different heat-sink seating.
 
-use hsw_hwspec::clock::{ClockDomain, Ns};
-
 /// Package thermal parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalParams {
@@ -72,22 +70,6 @@ impl ThermalState {
     /// Whether the package is at its PROCHOT throttle point.
     pub fn prochot(&self) -> bool {
         self.t_die_c >= self.params.t_prochot_c
-    }
-}
-
-impl ClockDomain for ThermalState {
-    fn name(&self) -> &'static str {
-        "thermal"
-    }
-
-    /// Continuous RC integrator: exact exponential update over any step, but
-    /// fp summation still requires engine modes to share one cadence.
-    fn native_period_ns(&self) -> Ns {
-        0
-    }
-
-    fn next_event_ns(&self, _now: Ns) -> Option<Ns> {
-        None
     }
 }
 

@@ -9,22 +9,28 @@ use hsw_node::EngineMode;
 
 /// A fast subset that still exercises node construction, RAPL/meter noise,
 /// p-state transitions, and an analytic (node-free) experiment.
-fn subset() -> Vec<String> {
-    ["fig4", "fig7", "section6b_governor"]
-        .into_iter()
-        .map(String::from)
-        .collect()
-}
+const SUBSET: &[&str] = &["fig4", "fig7", "section6b_governor"];
 
-fn survey_json(engine: EngineMode, jobs: usize, seed: u64) -> String {
+/// The experiments whose steps cross discrete events inside light spans:
+/// fig3's `PERF_CTL` request windows, and fleet members restored from a
+/// golden snapshot under their own varied spec.
+const EVENTFUL: &[&str] = &["fig3", "fleet_cap_spread", "fleet_straggler"];
+
+fn survey_json(
+    engine: EngineMode,
+    jobs: usize,
+    seed: u64,
+    only: &[&str],
+    fleet_size: Option<usize>,
+) -> String {
     let cfg = SurveyConfig {
         fidelity: Fidelity::Quick,
         seed,
         jobs,
-        only: Some(subset()),
+        only: Some(only.iter().map(|s| s.to_string()).collect()),
         engine,
         warm_start: true,
-        fleet_size: None,
+        fleet_size,
         platform: Default::default(),
     };
     run_survey(&cfg).expect("survey subset runs").to_json()
@@ -32,8 +38,8 @@ fn survey_json(engine: EngineMode, jobs: usize, seed: u64) -> String {
 
 #[test]
 fn fixed_and_event_surveys_are_byte_identical() {
-    let fixed = survey_json(EngineMode::Fixed, 1, 7);
-    let event = survey_json(EngineMode::Event, 1, 7);
+    let fixed = survey_json(EngineMode::Fixed, 1, 7, SUBSET, None);
+    let event = survey_json(EngineMode::Event, 1, 7, SUBSET, None);
     assert_eq!(
         fixed, event,
         "fixed and event engines must serialize identically"
@@ -43,8 +49,17 @@ fn fixed_and_event_surveys_are_byte_identical() {
 #[test]
 fn engine_identity_holds_across_jobs_and_seeds() {
     for seed in [0, 42] {
-        let fixed = survey_json(EngineMode::Fixed, 1, seed);
-        let event = survey_json(EngineMode::Event, 4, seed);
+        let fixed = survey_json(EngineMode::Fixed, 1, seed, SUBSET, None);
+        let event = survey_json(EngineMode::Event, 4, seed, SUBSET, None);
+        assert_eq!(fixed, event, "divergence at seed {seed}");
+    }
+}
+
+#[test]
+fn request_windows_and_fleet_restores_are_byte_identical() {
+    for seed in [0, 7, 42] {
+        let fixed = survey_json(EngineMode::Fixed, 1, seed, EVENTFUL, Some(4));
+        let event = survey_json(EngineMode::Event, 2, seed, EVENTFUL, Some(4));
         assert_eq!(fixed, event, "divergence at seed {seed}");
     }
 }
@@ -54,7 +69,7 @@ fn survey_json_carries_no_engine_or_wall_time_fields() {
     // The byte-identity contract depends on the JSON staying free of
     // engine tags and wall-clock timings; only deterministic fields
     // (including simulated time) may appear.
-    let json = survey_json(EngineMode::Event, 1, 7);
+    let json = survey_json(EngineMode::Event, 1, 7, SUBSET, None);
     assert!(!json.contains("wall_time"), "wall time leaked into JSON");
     assert!(!json.contains("\"engine\""), "engine tag leaked into JSON");
     assert!(json.contains("sim_time_s"), "sim_time_s missing from JSON");
