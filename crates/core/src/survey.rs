@@ -765,39 +765,34 @@ pub fn mix_seed(seed: u64, salt: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// The Haswell registry: the paper's 16 experiments in paper order, then
-/// the fleet-scale follow-ups (Schuchart et al.). Equivalent to
-/// [`registry_for`]`(PlatformKind::Haswell)`.
-pub fn registry() -> Vec<Box<dyn SurveyExperiment>> {
-    vec![
-        Box::new(experiments::fig1::Experiment),
-        Box::new(experiments::section2c_epb::Experiment),
-        Box::new(experiments::table1::Experiment),
-        Box::new(experiments::table2::Experiment),
-        Box::new(experiments::table3::Experiment),
-        Box::new(experiments::fig2::Experiment),
-        Box::new(experiments::table4::Experiment),
-        Box::new(experiments::table5::Experiment),
-        Box::new(experiments::fig3::Experiment),
-        Box::new(experiments::fig4::Experiment),
-        Box::new(experiments::fig56::Experiment),
-        Box::new(experiments::section6b_governor::Experiment),
-        Box::new(experiments::fig7::Experiment),
-        Box::new(experiments::fig8::Experiment),
-        Box::new(experiments::section8::Experiment),
-        Box::new(experiments::sku_extrapolation::Experiment),
-        Box::new(experiments::fleet_cap_spread::Experiment),
-        Box::new(experiments::fleet_straggler::Experiment),
-        Box::new(experiments::analytic_accuracy::Experiment),
-        Box::new(experiments::fleet_analytic_scale::Experiment),
-    ]
-}
-
-/// The experiments a platform runs: the paper set on Haswell, the
-/// follow-up survey's reproductions (1905.12468) on Skylake-SP.
+/// The experiments a platform runs. Haswell: the paper's 16 experiments
+/// in paper order, then the fleet-scale follow-ups (Schuchart et al.) and
+/// the analytic tier's two. Skylake-SP: the follow-up survey's
+/// reproductions (1905.12468) plus the two analytic experiments.
 pub fn registry_for(platform: PlatformKind) -> Vec<Box<dyn SurveyExperiment>> {
     match platform {
-        PlatformKind::Haswell => registry(),
+        PlatformKind::Haswell => vec![
+            Box::new(experiments::fig1::Experiment),
+            Box::new(experiments::section2c_epb::Experiment),
+            Box::new(experiments::table1::Experiment),
+            Box::new(experiments::table2::Experiment),
+            Box::new(experiments::table3::Experiment),
+            Box::new(experiments::fig2::Experiment),
+            Box::new(experiments::table4::Experiment),
+            Box::new(experiments::table5::Experiment),
+            Box::new(experiments::fig3::Experiment),
+            Box::new(experiments::fig4::Experiment),
+            Box::new(experiments::fig56::Experiment),
+            Box::new(experiments::section6b_governor::Experiment),
+            Box::new(experiments::fig7::Experiment),
+            Box::new(experiments::fig8::Experiment),
+            Box::new(experiments::section8::Experiment),
+            Box::new(experiments::sku_extrapolation::Experiment),
+            Box::new(experiments::fleet_cap_spread::Experiment),
+            Box::new(experiments::fleet_straggler::Experiment),
+            Box::new(experiments::analytic_accuracy::Experiment),
+            Box::new(experiments::fleet_analytic_scale::Experiment),
+        ],
         PlatformKind::SkylakeSp => vec![
             Box::new(experiments::skx_license_table::Experiment),
             Box::new(experiments::skx_ufs_mesh::Experiment),
@@ -1186,7 +1181,11 @@ mod tests {
             "20 Haswell + 4 Skylake-SP (the two analytic experiments \
              register on both platforms)"
         );
-        assert_eq!(registry().len(), 20, "the paper set plus extensions");
+        assert_eq!(
+            registry_for(PlatformKind::Haswell).len(),
+            20,
+            "the paper set plus extensions"
+        );
         let mut dedup = ids.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -16,10 +16,6 @@
 pub struct Token {
     /// 1-based source line of the token's first character.
     pub line: u32,
-    /// Byte offset of the token's first character in the source.
-    pub byte: u32,
-    /// Byte length of the token's source text.
-    pub len: u32,
     pub kind: TokenKind,
 }
 
@@ -30,8 +26,8 @@ pub enum TokenKind {
     Int(u128),
     /// Float or unparseable numeric literal — carried but valueless.
     Float,
-    /// String / raw-string / byte-string literal contents.
-    Str(String),
+    /// String / raw-string / byte-string literal (contents are not kept).
+    Str,
     /// Char or byte-char literal.
     Char,
     /// Lifetime or loop label (`'a`, `'scope`).
@@ -49,10 +45,6 @@ pub struct Comment {
     pub line: u32,
     /// 1-based line the comment ends on (same as `line` for `//`).
     pub end_line: u32,
-    /// Byte offset of the comment's opening delimiter in the source.
-    pub byte: u32,
-    /// Byte length of the comment's source text, delimiters included.
-    pub len: u32,
     /// Text without the delimiters, trimmed.
     pub text: String,
 }
@@ -73,16 +65,6 @@ const JOINED: &[&str] = &[
 
 pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
-    // Prefix byte offsets so token spans can be reported in bytes (what
-    // editors and `--json` consumers address) while the lexer itself keeps
-    // walking chars.
-    let mut byte_of: Vec<u32> = Vec::with_capacity(chars.len() + 1);
-    let mut b = 0u32;
-    for c in &chars {
-        byte_of.push(b);
-        b += c.len_utf8() as u32;
-    }
-    byte_of.push(b);
     let mut out = Lexed::default();
     let mut i = 0usize;
     let mut line = 1u32;
@@ -91,9 +73,6 @@ pub fn lex(src: &str) -> Lexed {
 
     while i < chars.len() {
         let c = chars[i];
-        let tok_byte = byte_of[i];
-        let ntok = out.tokens.len();
-        let ncom = out.comments.len();
         match c {
             '\n' => {
                 line += 1;
@@ -109,8 +88,6 @@ pub fn lex(src: &str) -> Lexed {
                 out.comments.push(Comment {
                     line,
                     end_line: line,
-                    byte: 0,
-                    len: 0,
                     text: text.trim().to_string(),
                 });
             }
@@ -138,52 +115,33 @@ pub fn lex(src: &str) -> Lexed {
                 out.comments.push(Comment {
                     line: start_line,
                     end_line: line,
-                    byte: 0,
-                    len: 0,
                     text: text.trim().to_string(),
                 });
             }
             '"' => {
-                let (s, ni, nl) = lex_string(&chars, i, line);
+                let (ni, nl) = lex_string(&chars, i, line);
                 out.tokens.push(Token {
                     line,
-                    byte: 0,
-                    len: 0,
-                    kind: TokenKind::Str(s),
+                    kind: TokenKind::Str,
                 });
                 i = ni;
                 line = nl;
             }
             'r' | 'b' if starts_raw_or_byte_string(&chars, i) => {
                 let (kind, ni, nl) = lex_prefixed_literal(&chars, i, line);
-                out.tokens.push(Token {
-                    line,
-                    byte: 0,
-                    len: 0,
-                    kind,
-                });
+                out.tokens.push(Token { line, kind });
                 i = ni;
                 line = nl;
             }
             '\'' => {
                 let (kind, ni, nl) = lex_quote(&chars, i, line);
-                out.tokens.push(Token {
-                    line,
-                    byte: 0,
-                    len: 0,
-                    kind,
-                });
+                out.tokens.push(Token { line, kind });
                 i = ni;
                 line = nl;
             }
             c if c.is_ascii_digit() => {
                 let (kind, ni) = lex_number(&chars, i);
-                out.tokens.push(Token {
-                    line,
-                    byte: 0,
-                    len: 0,
-                    kind,
-                });
+                out.tokens.push(Token { line, kind });
                 i = ni;
             }
             c if c.is_alphabetic() || c == '_' => {
@@ -194,8 +152,6 @@ pub fn lex(src: &str) -> Lexed {
                 let ident: String = chars[start..i].iter().collect();
                 out.tokens.push(Token {
                     line,
-                    byte: 0,
-                    len: 0,
                     kind: TokenKind::Ident(ident),
                 });
             }
@@ -206,8 +162,6 @@ pub fn lex(src: &str) -> Lexed {
                 {
                     out.tokens.push(Token {
                         line,
-                        byte: 0,
-                        len: 0,
                         kind: TokenKind::Punct(op),
                     });
                     i += op.len();
@@ -218,27 +172,10 @@ pub fn lex(src: &str) -> Lexed {
                         | '@' | '$' | '~' => TokenKind::Punct(single_punct(c)),
                         other => TokenKind::OtherPunct(other),
                     };
-                    out.tokens.push(Token {
-                        line,
-                        byte: 0,
-                        len: 0,
-                        kind,
-                    });
+                    out.tokens.push(Token { line, kind });
                     i += 1;
                 }
             }
-        }
-        // Every branch consumes exactly the source of whatever it pushed,
-        // so the token/comment emitted this iteration spans
-        // [tok_byte, byte_of[i]).
-        let end = byte_of[i];
-        for t in &mut out.tokens[ntok..] {
-            t.byte = tok_byte;
-            t.len = end - tok_byte;
-        }
-        for cm in &mut out.comments[ncom..] {
-            cm.byte = tok_byte;
-            cm.len = end - tok_byte;
         }
     }
     out
@@ -328,7 +265,6 @@ fn lex_prefixed_literal(chars: &[char], mut i: usize, mut line: u32) -> (TokenKi
             return (TokenKind::Ident(ident), i, line);
         }
         i += 1; // opening quote
-        let start = i;
         loop {
             match at(i) {
                 None => break,
@@ -342,55 +278,43 @@ fn lex_prefixed_literal(chars: &[char], mut i: usize, mut line: u32) -> (TokenKi
                         k += 1;
                     }
                     if k == hashes {
-                        let s: String = chars[start..i].iter().collect();
-                        return (TokenKind::Str(s), i + 1 + hashes, line);
+                        return (TokenKind::Str, i + 1 + hashes, line);
                     }
                     i += 1;
                 }
                 Some(_) => i += 1,
             }
         }
-        let s: String = chars[start..].iter().collect();
-        (TokenKind::Str(s), chars.len(), line)
+        (TokenKind::Str, chars.len(), line)
     } else {
         // plain byte string b"…"
-        let (s, ni, nl) = lex_string(chars, i, line);
-        (TokenKind::Str(s), ni, nl)
+        let (ni, nl) = lex_string(chars, i, line);
+        (TokenKind::Str, ni, nl)
     }
 }
 
-/// Lex a `"…"` string with escapes, starting at the opening quote.
-/// Returns (contents, next index, next line).
-fn lex_string(chars: &[char], mut i: usize, mut line: u32) -> (String, usize, u32) {
+/// Skip a `"…"` string with escapes, starting at the opening quote.
+/// Returns (next index, next line).
+fn lex_string(chars: &[char], mut i: usize, mut line: u32) -> (usize, u32) {
     debug_assert_eq!(chars[i], '"');
     i += 1;
-    let mut s = String::new();
     while i < chars.len() {
         match chars[i] {
             '\\' => {
-                if let Some(&next) = chars.get(i + 1) {
-                    s.push(next);
-                    if next == '\n' {
-                        line += 1;
-                    }
-                    i += 2;
-                } else {
-                    i += 1;
+                if chars.get(i + 1) == Some(&'\n') {
+                    line += 1;
                 }
+                i = (i + 2).min(chars.len());
             }
-            '"' => return (s, i + 1, line),
+            '"' => return (i + 1, line),
             '\n' => {
-                s.push('\n');
                 line += 1;
                 i += 1;
             }
-            c => {
-                s.push(c);
-                i += 1;
-            }
+            _ => i += 1,
         }
     }
-    (s, i, line)
+    (i, line)
 }
 
 /// Lex from a `'`: either a char literal or a lifetime/label.
@@ -520,11 +444,14 @@ mod tests {
         let src = r##"let s = r#"not // a comment"#; let x = HashMap;"##;
         let lexed = lex(src);
         assert!(lexed.comments.is_empty(), "{:?}", lexed.comments);
-        assert!(idents(&lexed).contains(&"HashMap"));
-        assert!(lexed
+        // The literal is one token; the code after it lexes normally.
+        assert_eq!(idents(&lexed), vec!["let", "s", "let", "x", "HashMap"]);
+        let strs = lexed
             .tokens
             .iter()
-            .any(|t| matches!(&t.kind, TokenKind::Str(s) if s == "not // a comment")));
+            .filter(|t| t.kind == TokenKind::Str)
+            .count();
+        assert_eq!(strs, 1);
     }
 
     #[test]

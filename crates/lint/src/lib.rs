@@ -5,17 +5,19 @@
 //! `survey.json` is byte-identical for any `--jobs`, any
 //! `RAYON_NUM_THREADS`, and either time engine. The dynamic tests pin that
 //! contract end to end (subprocess `cmp` legs in CI), but they only catch
-//! a regression *after* it changes bytes. This crate catches the two ways
-//! such regressions have entered codebases like this one — wall-clock /
-//! ambient entropy in a result path, and unordered-collection iteration —
-//! at the source level, plus the MSR model's cross-file invariants that no
-//! compiler pass checks (gate allowlist ↔ address constants, encode ↔
-//! decode bitfields, experiment modules ↔ survey registry).
+//! a regression *after* it changes bytes. This crate catches the ways such
+//! regressions enter codebases like this one — wall-clock / ambient
+//! entropy in a result path, unordered-collection iteration,
+//! scheduler-ordered float reductions — at the source level, plus the
+//! cross-file invariants no compiler pass or test checks: snapshot field
+//! coverage (M4), generation dispatch outside the policy layer (M5),
+//! dirty-plane marking (M6) and panic paths under the tick (P1).
 //!
-//! No `syn`, no crates.io: a small token-level lexer ([`lexer`]) feeds a
-//! rule engine ([`rules`] for the textual tier, [`model`] for the semantic
-//! tier), and [`workspace::lint_workspace`] wires both to the repo layout.
-//! Suppressions are per-line `// lint:allow(rule): <justification>`
+//! No `syn`, no crates.io: a small token-level lexer ([`lexer`]) feeds the
+//! textual rules ([`rules`]), the snapshot model ([`model`]) and an
+//! item/call-graph parser ([`parser`], [`semantic`]);
+//! [`workspace::lint_workspace`] runs all of them over every file on each
+//! run. Suppressions are per-line `// lint:allow(rule): <justification>`
 //! comments; an allow without a justification suppresses nothing.
 
 pub mod lexer;
@@ -26,66 +28,4 @@ pub mod semantic;
 pub mod workspace;
 
 pub use rules::{scan_file, FileScope, Finding, KNOWN_RULES};
-pub use workspace::{find_workspace_root, lint_workspace, lint_workspace_uncached};
-
-/// Render findings as a deterministic JSON array (sorted, stable keys).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"path\": \"{}\", \"line\": {}, \"byte\": {}, \"len\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.path),
-            f.line,
-            f.byte,
-            f.len,
-            f.rule,
-            json_escape(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_output_is_valid_and_escaped() {
-        let findings = vec![Finding::new(
-            "a/b.rs",
-            3,
-            "D2",
-            "uses `HashMap` (\"unordered\")".to_string(),
-        )];
-        let json = findings_to_json(&findings);
-        assert!(json.contains("\\\"unordered\\\""));
-        assert!(json.contains("\"byte\": 0"));
-        assert!(json.contains("\"len\": 0"));
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert_eq!(findings_to_json(&[]), "[]\n");
-    }
-}
+pub use workspace::{find_workspace_root, lint_workspace};

@@ -1,31 +1,23 @@
 //! The `hsw-lint` binary: lint the workspace (or a single file), print
-//! `path:line: rule: message` findings, exit nonzero on any.
+//! `path:line: rule: message` findings, exit 1 on any and 2 on bad input.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hsw_lint::{
-    find_workspace_root, findings_to_json, lint_workspace, lint_workspace_uncached, rules,
-    FileScope, Finding,
-};
+use hsw_lint::{find_workspace_root, lint_workspace, rules, FileScope, Finding};
 
 const USAGE: &str = "\
-hsw-lint — determinism-contract and MSR-model static analysis
+hsw-lint — determinism-contract, snapshot and dirty-plane static analysis
 
 USAGE:
-    hsw-lint [--root <dir>] [--json] [--no-cache]
-    hsw-lint --check-file <file.rs> [--json]
+    hsw-lint [--root <dir>]
+    hsw-lint --check-file <file.rs>
 
 OPTIONS:
     --root <dir>        Workspace root (default: walk up from cwd to the
                         directory whose Cargo.toml declares [workspace])
     --check-file <f>    Lint one file with the full tier-1 rule set
                         (treated as a result-producing crate)
-    --json              Emit findings as a JSON array instead of text
-                        (objects carry byte/len spans for editor tooling)
-    --no-cache          Skip the content-hash cache in target/ and rescan
-                        every file (the cache self-invalidates on change;
-                        this flag exists for debugging it)
     -h, --help          This text
 
 RULES:
@@ -38,9 +30,8 @@ RULES:
         or a plane:dirty naming an unknown plane
     A2  stale directives: a justified lint:allow, snap:skip, or plane:dirty
         that no longer suppresses/declares anything must be deleted
-    M1  gate allowlist addresses are named in addresses.rs and unique
-    M2  fields.rs encode/decode shift/mask pairs consistent, within 64 bits
-    M3  every experiments/* module registered in the registry, ids unique
+    M4  every field of a struct with an `XSnapshot` companion is captured
+        or carries a justified `// snap:skip(<why>)`
     M5  no match/if-let/matches! on CpuGeneration outside hwspec's policy layer
     M6  every `&mut self` method of a plane-tracked type (Socket) that
         mutates plane-mapped state must mark it dirty — directly, through a
@@ -52,28 +43,33 @@ RULES:
 Suppress a finding with `// lint:allow(rule): <why this is sound>` on the
 same line or the line above. Unjustified allows suppress nothing, and
 allows that no longer match a finding rot into A2.
+
+EXIT STATUS:
+    0 clean, 1 findings, 2 bad arguments or nothing to lint
 ";
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("hsw-lint: {msg}\n\n{USAGE}");
+    ExitCode::from(2)
+}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let mut json = false;
-    let mut no_cache = false;
     let mut root: Option<PathBuf> = None;
     let mut check_file: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--no-cache" => no_cache = true,
-            "--root" => root = args.next().map(PathBuf::from),
-            "--check-file" => check_file = args.next().map(PathBuf::from),
+        let slot = match arg.as_str() {
+            "--root" => &mut root,
+            "--check-file" => &mut check_file,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("hsw-lint: unknown argument `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument `{other}`")),
+        };
+        match args.next() {
+            Some(value) => *slot = Some(PathBuf::from(value)),
+            None => return usage_error(&format!("{arg} needs a value")),
         }
     }
 
@@ -105,12 +101,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let scan = if no_cache {
-            lint_workspace_uncached(&root)
-        } else {
-            lint_workspace(&root)
-        };
-        match scan {
+        match lint_workspace(&root) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("hsw-lint: scan failed: {e}");
@@ -119,12 +110,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        print!("{}", findings_to_json(&findings));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
+    for f in &findings {
+        println!("{f}");
     }
     if findings.is_empty() {
         eprintln!("hsw-lint: clean");

@@ -1,20 +1,15 @@
-//! Tier-2 (semantic) rules: the MSR model's three sources of truth must
-//! agree with each other.
+//! Tier-2 (model) rule M4: every `XSnapshot` struct accounts for each
+//! field of its source struct `X` — captured, directly or inside a
+//! plane-image substruct, or marked with a justified `// snap:skip(<why>)`.
 //!
-//! | Rule | Consistency enforced |
-//! |---|---|
-//! | M1 | gate allowlist ↔ `addresses.rs` constants (named, unique) |
-//! | M2 | `fields.rs` encode/decode shifts and masks (paired, within 64 bits) |
-//! | M3 | `experiments/*` modules ↔ survey registry (registered, unique ids) |
-//! | M4 | `XSnapshot` structs ↔ their source struct `X` (every field captured or `snap:skip`-justified) |
-//!
-//! These checks parse the *declarative surface* of each file through the
-//! same lexer the textual rules use — constant definitions, path
-//! references, shift/mask literals, registry entries — not arbitrary Rust.
-//! Each function takes source text (not paths) so tests can feed seeded
-//! inconsistencies straight in.
+//! The check reads struct definitions and `snap:skip` comments through the
+//! same lexer the textual rules use, not arbitrary Rust. It takes source
+//! text (not paths) so tests can feed seeded inconsistencies straight in.
+//! The MSR tables and the experiment registry are not linted: tests in
+//! `hsw-msr` (`fields`, `gate`) and `tests/survey_registry.rs` hold their
+//! invariants.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use crate::rules::Finding;
@@ -28,568 +23,6 @@ fn as_ident(t: &Token) -> Option<&str> {
 
 fn is_punct(t: &Token, p: &str) -> bool {
     matches!(&t.kind, TokenKind::Punct(q) if *q == p)
-}
-
-fn as_int(t: &Token) -> Option<u128> {
-    match t.kind {
-        TokenKind::Int(v) => Some(v),
-        _ => None,
-    }
-}
-
-/// Extract `[pub] const NAME: u32 = <int>;` items → (name, value, line).
-fn u32_consts(tokens: &[Token]) -> Vec<(String, u128, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if as_ident(&tokens[i]) == Some("const")
-            && i + 5 < tokens.len()
-            && is_punct(&tokens[i + 2], ":")
-            && as_ident(&tokens[i + 3]) == Some("u32")
-            && is_punct(&tokens[i + 4], "=")
-        {
-            if let (Some(name), Some(v)) = (as_ident(&tokens[i + 1]), as_int(&tokens[i + 5])) {
-                out.push((name.to_string(), v, tokens[i + 1].line));
-                i += 6;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Find the body token range of `fn name` — (start, end) indices of the
-/// tokens between the outermost braces, or None.
-fn fn_body(tokens: &[Token], name: &str) -> Option<(usize, usize)> {
-    let mut i = 0;
-    while i + 1 < tokens.len() {
-        if as_ident(&tokens[i]) == Some("fn") && as_ident(&tokens[i + 1]) == Some(name) {
-            let mut j = i + 2;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") {
-                j += 1;
-            }
-            if j == tokens.len() {
-                return None;
-            }
-            let start = j + 1;
-            let mut depth = 1usize;
-            let mut k = start;
-            while k < tokens.len() && depth > 0 {
-                if is_punct(&tokens[k], "{") {
-                    depth += 1;
-                } else if is_punct(&tokens[k], "}") {
-                    depth -= 1;
-                }
-                k += 1;
-            }
-            return Some((start, k.saturating_sub(1)));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// M1: every address the gate references resolves to a named constant in
-/// `addresses.rs`; constant values are unique; the allowlist never inserts
-/// a raw numeric address.
-pub fn check_addresses_and_gate(
-    addr_path: &str,
-    addr_src: &str,
-    gate_path: &str,
-    gate_src: &str,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let addr_tokens = lex(addr_src).tokens;
-    let consts = u32_consts(&addr_tokens);
-
-    if consts.is_empty() {
-        findings.push(Finding::new(
-            addr_path,
-            1,
-            "M1",
-            "no `const NAME: u32` MSR addresses found — parser and file have diverged".to_string(),
-        ));
-        return findings;
-    }
-
-    // Uniqueness: two names for one MSR number is a copy-paste bug.
-    let mut by_value: BTreeMap<u128, &str> = BTreeMap::new();
-    for (name, v, line) in &consts {
-        if let Some(first) = by_value.get(v) {
-            findings.push(Finding::new(
-                addr_path,
-                *line,
-                "M1",
-                format!("`{name}` duplicates MSR address {v:#x} already named `{first}`"),
-            ));
-        } else {
-            by_value.insert(*v, name);
-        }
-    }
-    let names: BTreeSet<&str> = consts.iter().map(|(n, _, _)| n.as_str()).collect();
-
-    // The gate imports the address module under an alias
-    // (`use crate::addresses as a;`); find it, then resolve every
-    // `alias::NAME` reference.
-    let gate_tokens = lex(gate_src).tokens;
-    let mut alias = "a".to_string();
-    for w in gate_tokens.windows(7) {
-        if as_ident(&w[0]) == Some("use")
-            && as_ident(&w[1]) == Some("crate")
-            && is_punct(&w[2], "::")
-            && as_ident(&w[3]) == Some("addresses")
-            && as_ident(&w[4]) == Some("as")
-        {
-            if let Some(al) = as_ident(&w[5]) {
-                alias = al.to_string();
-            }
-        }
-    }
-    for (i, t) in gate_tokens.iter().enumerate() {
-        if as_ident(t) == Some(alias.as_str())
-            && gate_tokens.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-        {
-            if let Some(name) = gate_tokens.get(i + 2).and_then(as_ident) {
-                if !names.contains(name) {
-                    findings.push(Finding::new(
-                        gate_path,
-                        t.line,
-                        "M1",
-                        format!("gate references `{alias}::{name}` but addresses.rs defines no such constant"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Inside the allowlist itself, a raw numeric address bypasses the
-    // naming discipline entirely.
-    if let Some((start, end)) = fn_body(&gate_tokens, "survey_allowlist") {
-        let body = &gate_tokens[start..end];
-        for w in body.windows(3) {
-            if as_ident(&w[0]) == Some("insert") && is_punct(&w[1], "(") {
-                if let Some(v) = as_int(&w[2]) {
-                    findings.push(Finding::new(
-                        gate_path,
-                        w[2].line,
-                        "M1",
-                        format!(
-                            "allowlist inserts raw address {v:#x}; use a named constant \
-                             from addresses.rs"
-                        ),
-                    ));
-                }
-            }
-        }
-    } else {
-        findings.push(Finding::new(
-            gate_path,
-            1,
-            "M1",
-            "no `fn survey_allowlist` found — parser and file have diverged".to_string(),
-        ));
-    }
-
-    findings.sort();
-    findings
-}
-
-/// A shift/mask pair extracted from one statement: `(expr & M) << S`
-/// (encode idiom) or `(v >> S) & M` (decode idiom). Shift 0 means a mask
-/// with no shift; mask `None` means a shift whose operand width is implied
-/// by the type (e.g. `(x as u64) << 8`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FieldPair {
-    shift: u128,
-    mask: Option<u128>,
-    line: u32,
-}
-
-/// Per-function shift/mask summary.
-#[derive(Debug, Default)]
-struct FieldUse {
-    pairs: Vec<FieldPair>,
-    /// Literal left-shift amounts (encode direction).
-    shl: Vec<u128>,
-    /// Literal right-shift amounts (decode direction).
-    shr: Vec<u128>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Mask(u128, u32),
-    Shl(u128, u32),
-    Shr(u128, u32),
-}
-
-/// Collect shift/mask events per statement of a function body, then pair
-/// them: a `<<` binds the nearest unconsumed mask before it, a `>>` the
-/// nearest after it; leftover masks are shift-0 fields.
-fn field_use(body: &[Token]) -> FieldUse {
-    let mut usage = FieldUse::default();
-    for stmt in body.split(|t| is_punct(t, ";")) {
-        let mut events = Vec::new();
-        let mut i = 0;
-        while i < stmt.len() {
-            let t = &stmt[i];
-            if is_punct(t, "&") {
-                if let Some(v) = stmt.get(i + 1).and_then(as_int) {
-                    events.push(Event::Mask(v, t.line));
-                    i += 2;
-                    continue;
-                }
-            } else if is_punct(t, "<<") || is_punct(t, ">>") {
-                if let Some(v) = stmt.get(i + 1).and_then(as_int) {
-                    if is_punct(t, "<<") {
-                        events.push(Event::Shl(v, t.line));
-                        usage.shl.push(v);
-                    } else {
-                        events.push(Event::Shr(v, t.line));
-                        usage.shr.push(v);
-                    }
-                    i += 2;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-
-        let mut consumed = vec![false; events.len()];
-        for k in 0..events.len() {
-            match events[k] {
-                Event::Shl(s, line) => {
-                    // Encode idiom: `(x & M) << S` — nearest mask to the left.
-                    let mask = (0..k).rev().find_map(|j| match events[j] {
-                        Event::Mask(m, _) if !consumed[j] => Some((j, m)),
-                        _ => None,
-                    });
-                    if let Some((j, m)) = mask {
-                        consumed[j] = true;
-                        usage.pairs.push(FieldPair {
-                            shift: s,
-                            mask: Some(m),
-                            line,
-                        });
-                    } else {
-                        usage.pairs.push(FieldPair {
-                            shift: s,
-                            mask: None,
-                            line,
-                        });
-                    }
-                }
-                Event::Shr(s, line) => {
-                    // Decode idiom: `(v >> S) & M` — nearest mask to the right.
-                    let mask = (k + 1..events.len()).find_map(|j| match events[j] {
-                        Event::Mask(m, _) if !consumed[j] => Some((j, m)),
-                        _ => None,
-                    });
-                    if let Some((j, m)) = mask {
-                        consumed[j] = true;
-                        usage.pairs.push(FieldPair {
-                            shift: s,
-                            mask: Some(m),
-                            line,
-                        });
-                    } else {
-                        usage.pairs.push(FieldPair {
-                            shift: s,
-                            mask: None,
-                            line,
-                        });
-                    }
-                }
-                Event::Mask(..) => {}
-            }
-        }
-        for (k, e) in events.iter().enumerate() {
-            if let Event::Mask(m, line) = *e {
-                if !consumed[k] {
-                    usage.pairs.push(FieldPair {
-                        shift: 0,
-                        mask: Some(m),
-                        line,
-                    });
-                }
-            }
-        }
-    }
-    usage
-}
-
-fn mask_bits(mask: u128) -> u128 {
-    128 - mask.leading_zeros() as u128
-}
-
-/// M2: every `encode_*`/`decode_*` in fields.rs keeps its shift/mask pairs
-/// inside 64 bits, and a name-paired encode/decode agree: everything the
-/// decoder extracts (`>> S`) the encoder placed (`<< S`), and where both
-/// sides mask the same field position the masks are identical.
-pub fn check_fields(path: &str, src: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let tokens = lex(src).tokens;
-
-    // Enumerate encode_*/decode_* function names in order.
-    let mut fns: Vec<String> = Vec::new();
-    for w in tokens.windows(2) {
-        if as_ident(&w[0]) == Some("fn") {
-            if let Some(name) = as_ident(&w[1]) {
-                if name.starts_with("encode_") || name.starts_with("decode_") {
-                    fns.push(name.to_string());
-                }
-            }
-        }
-    }
-    if fns.is_empty() {
-        findings.push(Finding::new(
-            path,
-            1,
-            "M2",
-            "no encode_*/decode_* functions found — parser and file have diverged".to_string(),
-        ));
-        return findings;
-    }
-
-    let mut uses: BTreeMap<String, FieldUse> = BTreeMap::new();
-    for name in &fns {
-        if let Some((start, end)) = fn_body(&tokens, name) {
-            uses.insert(name.clone(), field_use(&tokens[start..end]));
-        }
-    }
-
-    // Within-64-bit checks, per function.
-    for (name, usage) in &uses {
-        for p in &usage.pairs {
-            if p.shift >= 64 {
-                findings.push(Finding::new(
-                    path,
-                    p.line,
-                    "M2",
-                    format!(
-                        "{name}: shift by {} is out of range for a 64-bit MSR",
-                        p.shift
-                    ),
-                ));
-            } else if let Some(m) = p.mask {
-                if p.shift + mask_bits(m) > 64 {
-                    findings.push(Finding::new(
-                        path,
-                        p.line,
-                        "M2",
-                        format!(
-                            "{name}: field mask {m:#x} shifted by {} exceeds 64 bits",
-                            p.shift
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Encode/decode pairing.
-    for (name, dec) in &uses {
-        let Some(suffix) = name.strip_prefix("decode_") else {
-            continue;
-        };
-        let Some(enc) = uses.get(&format!("encode_{suffix}")) else {
-            continue;
-        };
-        // Every decoded position must have been encoded at the same shift.
-        let mut enc_shl = enc.shl.clone();
-        for s in &dec.shr {
-            if let Some(pos) = enc_shl.iter().position(|e| e == s) {
-                enc_shl.remove(pos);
-            } else {
-                let line = dec
-                    .pairs
-                    .iter()
-                    .find(|p| p.shift == *s)
-                    .map(|p| p.line)
-                    .unwrap_or(1);
-                findings.push(Finding::new(
-                    path,
-                    line,
-                    "M2",
-                    format!(
-                        "decode_{suffix} extracts a field at `>> {s}` but encode_{suffix} \
-                         never places one there (its shifts: {:?})",
-                        enc.shl
-                    ),
-                ));
-            }
-        }
-        // Where both sides mask the same field position, the masks agree.
-        let shifts: BTreeSet<u128> = dec
-            .pairs
-            .iter()
-            .chain(&enc.pairs)
-            .filter(|p| p.mask.is_some())
-            .map(|p| p.shift)
-            .collect();
-        for s in shifts {
-            let masks_at = |u: &FieldUse| -> BTreeSet<u128> {
-                u.pairs
-                    .iter()
-                    .filter(|p| p.shift == s)
-                    .filter_map(|p| p.mask)
-                    .collect()
-            };
-            let dm = masks_at(dec);
-            let em = masks_at(enc);
-            if !dm.is_empty() && !em.is_empty() && dm != em {
-                let line = dec
-                    .pairs
-                    .iter()
-                    .find(|p| p.shift == s && p.mask.is_some())
-                    .map(|p| p.line)
-                    .unwrap_or(1);
-                findings.push(Finding::new(
-                    path,
-                    line,
-                    "M2",
-                    format!(
-                        "field at shift {s}: decode_{suffix} masks with {dm:x?} but \
-                         encode_{suffix} masks with {em:x?}"
-                    ),
-                ));
-            }
-        }
-    }
-
-    findings.sort();
-    findings
-}
-
-/// One experiment module handed to [`check_registry`]: name (module path
-/// stem), reporting path, and source text.
-pub struct ExperimentModule<'a> {
-    pub name: &'a str,
-    pub path: &'a str,
-    pub src: &'a str,
-}
-
-/// M3: every module declared in `experiments/mod.rs` is registered in the
-/// survey registry and vice versa, and every module's `fn id()` returns a
-/// unique string equal to its module name (the registry's documented
-/// convention: "Stable identifier (the module name)").
-pub fn check_registry(
-    mod_path: &str,
-    mod_src: &str,
-    survey_path: &str,
-    survey_src: &str,
-    modules: &[ExperimentModule<'_>],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-
-    // `pub mod NAME;` declarations.
-    let mod_tokens = lex(mod_src).tokens;
-    let mut declared: BTreeMap<String, u32> = BTreeMap::new();
-    for w in mod_tokens.windows(4) {
-        if as_ident(&w[0]) == Some("pub") && as_ident(&w[1]) == Some("mod") && is_punct(&w[3], ";")
-        {
-            if let Some(name) = as_ident(&w[2]) {
-                declared.insert(name.to_string(), w[2].line);
-            }
-        }
-    }
-    if declared.is_empty() {
-        findings.push(Finding::new(
-            mod_path,
-            1,
-            "M3",
-            "no `pub mod` declarations found — parser and file have diverged".to_string(),
-        ));
-        return findings;
-    }
-
-    // `experiments::NAME` references in the registry.
-    let survey_tokens = lex(survey_src).tokens;
-    let mut registered: BTreeMap<String, u32> = BTreeMap::new();
-    for (i, t) in survey_tokens.iter().enumerate() {
-        if as_ident(t) == Some("experiments")
-            && survey_tokens.get(i + 1).is_some_and(|n| is_punct(n, "::"))
-        {
-            if let Some(name) = survey_tokens.get(i + 2).and_then(as_ident) {
-                registered.entry(name.to_string()).or_insert(t.line);
-            }
-        }
-    }
-
-    for (name, line) in &declared {
-        if !registered.contains_key(name) {
-            findings.push(Finding::new(
-                mod_path,
-                *line,
-                "M3",
-                format!("experiment module `{name}` is never registered in the survey registry"),
-            ));
-        }
-    }
-    for (name, line) in &registered {
-        if !declared.contains_key(name) {
-            findings.push(Finding::new(
-                survey_path,
-                *line,
-                "M3",
-                format!("registry entry `experiments::{name}` has no module declaration"),
-            ));
-        }
-    }
-
-    // Per-module ids: present, equal to the module name, unique.
-    let mut seen_ids: BTreeMap<String, String> = BTreeMap::new();
-    for m in modules {
-        let tokens = lex(m.src).tokens;
-        let mut id: Option<(String, u32)> = None;
-        for (i, t) in tokens.iter().enumerate() {
-            if as_ident(t) == Some("fn") && tokens.get(i + 1).and_then(as_ident) == Some("id") {
-                // The id body is `{ "literal" }` — take the first string
-                // literal within the next few tokens.
-                id = tokens[i..].iter().take(16).find_map(|t| match &t.kind {
-                    TokenKind::Str(s) => Some((s.clone(), t.line)),
-                    _ => None,
-                });
-                break;
-            }
-        }
-        let Some((id, line)) = id else {
-            if declared.contains_key(m.name) {
-                findings.push(Finding::new(
-                    m.path,
-                    1,
-                    "M3",
-                    format!("module `{}` declares no `fn id()` string", m.name),
-                ));
-            }
-            continue;
-        };
-        if id != m.name {
-            findings.push(Finding::new(
-                m.path,
-                line,
-                "M3",
-                format!(
-                    "experiment id \"{id}\" must equal its module name `{}` — the \
-                     registry's stable-identifier convention",
-                    m.name
-                ),
-            ));
-        }
-        if let Some(other) = seen_ids.get(&id) {
-            findings.push(Finding::new(
-                m.path,
-                line,
-                "M3",
-                format!("experiment id \"{id}\" is already used by module `{other}`"),
-            ));
-        } else {
-            seen_ids.insert(id, m.name.to_string());
-        }
-    }
-
-    findings.sort();
-    findings
 }
 
 /// A named struct field: its name, line, and every identifier appearing in
@@ -937,201 +370,6 @@ pub(crate) fn check_snapshots_with_usage(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ADDR_OK: &str = "pub const IA32_APERF: u32 = 0xE8;\npub const IA32_MPERF: u32 = 0xE7;\npub const MSR_PKG_ENERGY_STATUS: u32 = 0x611;\n";
-    const GATE_OK: &str = "use crate::addresses as a;\npub fn survey_allowlist() -> BTreeMap<u32, Permission> {\n    let mut m = BTreeMap::new();\n    for addr in [a::IA32_APERF, a::IA32_MPERF] {\n        m.insert(addr, Permission::READ_ONLY);\n    }\n    m.insert(a::MSR_PKG_ENERGY_STATUS, Permission::READ_ONLY);\n    m\n}\n";
-
-    #[test]
-    fn m1_clean_gate_passes() {
-        assert!(check_addresses_and_gate("addr.rs", ADDR_OK, "gate.rs", GATE_OK).is_empty());
-    }
-
-    #[test]
-    fn m1_catches_gate_reference_without_constant() {
-        let gate = GATE_OK.replace("a::IA32_MPERF", "a::IA32_BOGUS");
-        let f = check_addresses_and_gate("addr.rs", ADDR_OK, "gate.rs", &gate);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "M1");
-        assert!(f[0].message.contains("IA32_BOGUS"));
-    }
-
-    #[test]
-    fn m1_catches_duplicate_addresses() {
-        let addr = format!("{ADDR_OK}pub const MSR_SHADOW: u32 = 0x611;\n");
-        let f = check_addresses_and_gate("addr.rs", &addr, "gate.rs", GATE_OK);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("0x611"));
-        assert!(f[0].message.contains("MSR_PKG_ENERGY_STATUS"));
-    }
-
-    #[test]
-    fn m1_catches_raw_address_in_allowlist() {
-        let gate = GATE_OK.replace("m.insert(a::MSR_PKG_ENERGY_STATUS", "m.insert(0x611");
-        let f = check_addresses_and_gate("addr.rs", ADDR_OK, "gate.rs", &gate);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("raw address"));
-    }
-
-    const FIELDS_OK: &str = "pub fn encode_uncore(min: u8, max: u8) -> u64 {\n    (max as u64 & 0x7F) | ((min as u64 & 0x7F) << 8)\n}\npub fn decode_uncore(value: u64) -> (u8, u8) {\n    (((value >> 8) & 0x7F) as u8, (value & 0x7F) as u8)\n}\n";
-
-    #[test]
-    fn m2_clean_pair_passes() {
-        assert!(check_fields("fields.rs", FIELDS_OK).is_empty());
-    }
-
-    #[test]
-    fn m2_catches_mask_mismatch() {
-        let src = FIELDS_OK.replace("(value >> 8) & 0x7F", "(value >> 8) & 0x3F");
-        let f = check_fields("fields.rs", &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "M2");
-        assert!(f[0].message.contains("shift 8"));
-    }
-
-    #[test]
-    fn m2_catches_shift_mismatch() {
-        let src = FIELDS_OK.replace("value >> 8", "value >> 9");
-        let f = check_fields("fields.rs", &src);
-        assert!(!f.is_empty(), "{f:?}");
-        assert!(f.iter().any(|f| f.message.contains(">> 9")), "{f:?}");
-    }
-
-    #[test]
-    fn m2_catches_out_of_range_shift_and_wide_mask() {
-        let src = "fn encode_x(v: u64) -> u64 { (v & 0xFF) << 64 }\n";
-        let f = check_fields("fields.rs", src);
-        assert!(
-            f.iter().any(|f| f.message.contains("out of range")),
-            "{f:?}"
-        );
-
-        let src = "fn encode_y(v: u64) -> u64 { (v & 0x1FF) << 56 }\n";
-        let f = check_fields("fields.rs", src);
-        assert!(
-            f.iter().any(|f| f.message.contains("exceeds 64 bits")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn m2_encode_without_mask_is_wildcard() {
-        // `(x as u8 as u64) << 8` carries its mask in the type; the decode
-        // side's explicit 0xFF must not be reported against it.
-        let src = "fn encode_p(x: u8) -> u64 { (x as u64) << 8 }\nfn decode_p(v: u64) -> u8 { ((v >> 8) & 0xFF) as u8 }\n";
-        assert!(check_fields("fields.rs", src).is_empty());
-    }
-
-    const MOD_OK: &str = "pub mod fig1;\npub mod fig2;\n";
-    const SURVEY_OK: &str = "pub fn registry() -> Vec<Box<dyn SurveyExperiment>> {\n    vec![\n        Box::new(experiments::fig1::Experiment),\n        Box::new(experiments::fig2::Experiment),\n    ]\n}\n";
-
-    fn module_src(id: &str) -> String {
-        format!(
-            "impl SurveyExperiment for Experiment {{\n    fn id(&self) -> &'static str {{\n        \"{id}\"\n    }}\n}}\n"
-        )
-    }
-
-    #[test]
-    fn m3_clean_registry_passes() {
-        let (a, b) = (module_src("fig1"), module_src("fig2"));
-        let mods = [
-            ExperimentModule {
-                name: "fig1",
-                path: "fig1.rs",
-                src: &a,
-            },
-            ExperimentModule {
-                name: "fig2",
-                path: "fig2.rs",
-                src: &b,
-            },
-        ];
-        assert!(check_registry("mod.rs", MOD_OK, "survey.rs", SURVEY_OK, &mods).is_empty());
-    }
-
-    #[test]
-    fn m3_catches_unregistered_module() {
-        let survey = SURVEY_OK.replace("Box::new(experiments::fig2::Experiment),\n", "");
-        let (a, b) = (module_src("fig1"), module_src("fig2"));
-        let mods = [
-            ExperimentModule {
-                name: "fig1",
-                path: "fig1.rs",
-                src: &a,
-            },
-            ExperimentModule {
-                name: "fig2",
-                path: "fig2.rs",
-                src: &b,
-            },
-        ];
-        let f = check_registry("mod.rs", MOD_OK, "survey.rs", &survey, &mods);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("never registered"));
-    }
-
-    #[test]
-    fn m3_catches_registry_entry_without_module() {
-        let mods_src = "pub mod fig1;\n";
-        let a = module_src("fig1");
-        let mods = [ExperimentModule {
-            name: "fig1",
-            path: "fig1.rs",
-            src: &a,
-        }];
-        let f = check_registry("mod.rs", mods_src, "survey.rs", SURVEY_OK, &mods);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("no module declaration"));
-    }
-
-    #[test]
-    fn m3_catches_duplicate_and_mismatched_ids() {
-        let (a, b) = (module_src("fig1"), module_src("fig1"));
-        let mods = [
-            ExperimentModule {
-                name: "fig1",
-                path: "fig1.rs",
-                src: &a,
-            },
-            ExperimentModule {
-                name: "fig2",
-                path: "fig2.rs",
-                src: &b,
-            },
-        ];
-        let f = check_registry("mod.rs", MOD_OK, "survey.rs", SURVEY_OK, &mods);
-        assert!(
-            f.iter()
-                .any(|f| f.message.contains("must equal its module name")),
-            "{f:?}"
-        );
-        assert!(
-            f.iter().any(|f| f.message.contains("already used")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn m3_catches_module_without_id() {
-        let a = module_src("fig1");
-        let b = "pub struct Experiment;\n".to_string();
-        let mods = [
-            ExperimentModule {
-                name: "fig1",
-                path: "fig1.rs",
-                src: &a,
-            },
-            ExperimentModule {
-                name: "fig2",
-                path: "fig2.rs",
-                src: &b,
-            },
-        ];
-        let f = check_registry("mod.rs", MOD_OK, "survey.rs", SURVEY_OK, &mods);
-        assert!(
-            f.iter().any(|f| f.message.contains("no `fn id()`")),
-            "{f:?}"
-        );
-    }
 
     // A clean source/snapshot pair: one captured field, one justified
     // skip, one field whose capture the seeded tests remove.

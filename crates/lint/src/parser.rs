@@ -37,10 +37,8 @@ pub struct ConstItem {
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
-    /// Line/byte span of the `fn` name token.
+    /// Line of the `fn` name token.
     pub line: u32,
-    pub byte: u32,
-    pub len: u32,
     /// Last path segment of the impl target type; `None` for free
     /// functions. Trait definitions use the trait's own name.
     pub self_ty: Option<String>,
@@ -89,18 +87,9 @@ pub enum FieldEffect {
 pub enum BodyOp {
     /// Free or associated call: `foo(…)` → `["foo"]`,
     /// `survey::mix_seed(…)` → `["survey", "mix_seed"]`.
-    Call {
-        path: Vec<String>,
-        line: u32,
-        byte: u32,
-    },
+    Call { path: Vec<String>, line: u32 },
     /// `.name(…)` method call.
-    Method {
-        name: String,
-        recv: Recv,
-        line: u32,
-        byte: u32,
-    },
+    Method { name: String, recv: Recv, line: u32 },
     /// A `self.<field>` access. `guards` carries the identifiers of the
     /// enclosing `if`/`while` conditions — how the semantic model learns
     /// the field→plane partition from `restore_planes`-style bodies.
@@ -109,11 +98,10 @@ pub enum BodyOp {
         effect: FieldEffect,
         guards: Vec<String>,
         line: u32,
-        byte: u32,
     },
     /// A postfix `expr[…]` indexing site; `arith` when the index tokens
     /// contain `+`/`-`/`*` (a computed index, the panicky kind).
-    Index { arith: bool, line: u32, byte: u32 },
+    Index { arith: bool, line: u32 },
 }
 
 /// Parser output for one file.
@@ -550,8 +538,6 @@ fn parse_fn(
         Some(FnItem {
             name: name.to_string(),
             line: name_tok.line,
-            byte: name_tok.byte,
-            len: name_tok.len,
             self_ty: self_ty.map(str::to_string),
             trait_name: trait_name.map(str::to_string),
             mut_self,
@@ -657,11 +643,7 @@ fn scan_body(
                             break;
                         }
                     }
-                    out.push(BodyOp::Call {
-                        path,
-                        line: t.line,
-                        byte: t.byte,
-                    });
+                    out.push(BodyOp::Call { path, line: t.line });
                 }
                 j += 1;
                 continue;
@@ -680,7 +662,6 @@ fn scan_body(
                             name: name.to_string(),
                             recv: Recv::Other,
                             line: name_tok.line,
-                            byte: name_tok.byte,
                         });
                         j += 2;
                         continue;
@@ -707,7 +688,6 @@ fn scan_body(
                 out.push(BodyOp::Index {
                     arith,
                     line: t.line,
-                    byte: t.byte,
                 });
             }
             // Scan the bracketed tokens for nested ops (calls, self uses).
@@ -757,7 +737,6 @@ fn scan_self_chain(
             name: field,
             recv: Recv::SelfDirect,
             line: seg.line,
-            byte: seg.byte,
         });
         return j; // main scan proceeds into the argument list
     }
@@ -776,14 +755,12 @@ fn scan_self_chain(
                             name: sub.clone(),
                             recv: Recv::SelfField(field.clone()),
                             line: next.line,
-                            byte: next.byte,
                         });
                         out.push(BodyOp::SelfField {
                             field,
                             effect: FieldEffect::MethodRecv(sub.clone()),
                             guards: flat_guards(guards),
                             line: seg.line,
-                            byte: seg.byte,
                         });
                         return j + 2; // resume inside the argument list
                     }
@@ -803,7 +780,6 @@ fn scan_self_chain(
             out.push(BodyOp::Index {
                 arith,
                 line: tokens[j].line,
-                byte: tokens[j].byte,
             });
             scan_body(tokens, j + 1, close - 1, guards, out);
             j = close;
@@ -846,7 +822,6 @@ fn scan_self_chain(
         effect,
         guards: flat_guards(guards),
         line: seg.line,
-        byte: seg.byte,
     });
     j
 }

@@ -1,4 +1,5 @@
-//! Tier-1 (textual) rules and the `lint:allow` suppression machinery.
+//! Tier-1 (textual) rules, the [`Finding`] type, and the `lint:allow`
+//! suppression machinery every tier shares.
 //!
 //! | Rule | Meaning |
 //! |---|---|
@@ -8,6 +9,10 @@
 //! | S1 | every `unsafe` must be preceded by a `// SAFETY:` comment |
 //! | A1 | malformed `lint:allow` / `plane:dirty` directive |
 //! | M5 | no pattern-match on `CpuGeneration` outside hwspec's policy layer |
+//!
+//! The rest of [`KNOWN_RULES`] need the whole workspace: M4 lives in
+//! [`crate::model`], M6 and P1 in [`crate::semantic`], A2 in
+//! [`crate::workspace`].
 //!
 //! D1–D3 guard the determinism contract: `survey.json` must be
 //! byte-identical for any `--jobs`, any `RAYON_NUM_THREADS` and either
@@ -23,9 +28,7 @@
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
 /// Every rule the engine knows, for allow-directive validation.
-pub const KNOWN_RULES: &[&str] = &[
-    "D1", "D2", "D3", "S1", "A1", "A2", "M1", "M2", "M3", "M4", "M5", "M6", "P1",
-];
+pub const KNOWN_RULES: &[&str] = &["D1", "D2", "D3", "S1", "A1", "A2", "M4", "M5", "M6", "P1"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -34,13 +37,9 @@ pub struct Finding {
     pub path: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id ("D1", "M2", …).
+    /// Rule id ("D1", "M4", …).
     pub rule: &'static str,
     pub message: String,
-    /// Byte offset of the offending token in the file (0 when unknown).
-    pub byte: u32,
-    /// Byte length of the offending token (0 when unknown).
-    pub len: u32,
 }
 
 impl Finding {
@@ -50,16 +49,7 @@ impl Finding {
             line,
             rule,
             message,
-            byte: 0,
-            len: 0,
         }
-    }
-
-    /// Attach a byte span (offset + length) to the finding.
-    pub fn with_span(mut self, byte: u32, len: u32) -> Finding {
-        self.byte = byte;
-        self.len = len;
-        self
     }
 }
 
@@ -87,11 +77,9 @@ pub struct FileScope {
 #[derive(Debug, Clone)]
 pub(crate) struct Allow {
     pub(crate) line: u32,
-    pub(crate) byte: u32,
-    pub(crate) len: u32,
     pub(crate) rule: String,
     pub(crate) justified: bool,
-    /// Set by [`suppress`] when the allow actually removed a finding;
+    /// Set by [`suppressed`] when the allow actually removed a finding;
     /// a justified allow that stays unused is stale (A2).
     pub(crate) used: bool,
 }
@@ -117,8 +105,6 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
             .unwrap_or(false);
         allows.push(Allow {
             line: c.end_line,
-            byte: c.byte,
-            len: c.len,
             rule,
             justified,
             used: false,
@@ -135,8 +121,6 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
 #[derive(Debug, Clone)]
 pub(crate) struct PlaneAnn {
     pub(crate) line: u32,
-    pub(crate) byte: u32,
-    pub(crate) len: u32,
     /// The `|`-separated plane names inside the parentheses.
     pub(crate) planes: Vec<String>,
     pub(crate) justified: bool,
@@ -158,8 +142,6 @@ pub(crate) fn parse_plane_anns(comments: &[Comment]) -> Vec<PlaneAnn> {
         };
         let mut ann = PlaneAnn {
             line: c.end_line,
-            byte: c.byte,
-            len: c.len,
             planes: Vec::new(),
             justified: false,
             malformed: None,
@@ -222,21 +204,19 @@ pub(crate) fn tier1_findings(path: &str, lexed: &Lexed, scope: FileScope) -> Vec
     findings
 }
 
-/// Apply suppressions: a justified allow covers findings of its rule on
-/// its own line (trailing comment) and on the line below (standalone
-/// comment above the code). Marks each allow that removed a finding as
-/// `used` so the workspace pass can flag stale ones (A2).
-pub(crate) fn suppress(findings: &mut Vec<Finding>, allows: &mut [Allow]) {
-    findings.retain(|f| {
-        let mut hit = false;
-        for a in allows.iter_mut() {
-            if a.justified && a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line) {
-                a.used = true;
-                hit = true;
-            }
+/// Is `f` suppressed by one of its file's `allows`? A justified allow
+/// covers findings of its rule on its own line (trailing comment) and on
+/// the line below (standalone comment above the code). Marks each allow
+/// that matched as `used` so the workspace pass can flag stale ones (A2).
+pub(crate) fn suppressed(f: &Finding, allows: &mut [Allow]) -> bool {
+    let mut hit = false;
+    for a in allows.iter_mut() {
+        if a.justified && a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line) {
+            a.used = true;
+            hit = true;
         }
-        !hit
-    });
+    }
+    hit
 }
 
 /// A1 findings for malformed directives — never themselves suppressible.
@@ -244,46 +224,39 @@ pub(crate) fn directive_findings(path: &str, allows: &[Allow], anns: &[PlaneAnn]
     let mut findings = Vec::new();
     for a in allows {
         if !KNOWN_RULES.contains(&a.rule.as_str()) {
-            findings.push(
-                Finding::new(
-                    path,
-                    a.line,
-                    "A1",
-                    format!(
-                        "lint:allow names unknown rule `{}` (known: {})",
-                        a.rule,
-                        KNOWN_RULES.join(", ")
-                    ),
-                )
-                .with_span(a.byte, a.len),
-            );
+            findings.push(Finding::new(
+                path,
+                a.line,
+                "A1",
+                format!(
+                    "lint:allow names unknown rule `{}` (known: {})",
+                    a.rule,
+                    KNOWN_RULES.join(", ")
+                ),
+            ));
         } else if !a.justified {
-            findings.push(
-                Finding::new(
-                    path,
-                    a.line,
-                    "A1",
-                    format!(
-                        "lint:allow({}) without a justification suppresses nothing; \
-                         write `// lint:allow({}): <why this is sound>`",
-                        a.rule, a.rule
-                    ),
-                )
-                .with_span(a.byte, a.len),
-            );
+            findings.push(Finding::new(
+                path,
+                a.line,
+                "A1",
+                format!(
+                    "lint:allow({}) without a justification suppresses nothing; \
+                     write `// lint:allow({}): <why this is sound>`",
+                    a.rule, a.rule
+                ),
+            ));
         }
     }
     for ann in anns {
         if let Some(err) = &ann.malformed {
-            findings
-                .push(Finding::new(path, ann.line, "A1", err.clone()).with_span(ann.byte, ann.len));
+            findings.push(Finding::new(path, ann.line, "A1", err.clone()));
         }
     }
     findings
 }
 
 /// Run the tier-1 rules over one file and apply per-line suppressions.
-/// The workspace pass uses the pieces ([`tier1_findings`], [`suppress`],
+/// The workspace pass uses the pieces ([`tier1_findings`], [`suppressed`],
 /// [`directive_findings`]) directly so it can also track *stale* allows
 /// (A2); this wrapper is the single-file entry point (`--check-file`).
 pub fn scan_file(path: &str, src: &str, scope: FileScope) -> Vec<Finding> {
@@ -291,7 +264,7 @@ pub fn scan_file(path: &str, src: &str, scope: FileScope) -> Vec<Finding> {
     let mut allows = parse_allows(&lexed.comments);
     let anns = parse_plane_anns(&lexed.comments);
     let mut findings = tier1_findings(path, &lexed, scope);
-    suppress(&mut findings, &mut allows);
+    findings.retain(|f| !suppressed(f, &mut allows));
     findings.extend(directive_findings(path, &allows, &anns));
     findings.sort();
     findings
@@ -457,20 +430,17 @@ fn check_d3(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
                 }
             }
             if par_source {
-                findings.push(
-                    Finding::new(
-                        path,
-                        t.line,
-                        "D3",
-                        format!(
-                            "`.{name}(…)` over a parallel source: float reduction order \
-                             follows the scheduler, breaking byte-identical output; \
-                             collect per-point results in index order (as the sweep \
-                             executor does) and reduce sequentially"
-                        ),
-                    )
-                    .with_span(t.byte, t.len),
-                );
+                findings.push(Finding::new(
+                    path,
+                    t.line,
+                    "D3",
+                    format!(
+                        "`.{name}(…)` over a parallel source: float reduction order \
+                         follows the scheduler, breaking byte-identical output; \
+                         collect per-point results in index order (as the sweep \
+                         executor does) and reduce sequentially"
+                    ),
+                ));
             }
         }
         // `partial_cmp(…).unwrap()` / `.expect(…)` comparator.
@@ -489,17 +459,14 @@ fn check_d3(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
                 k += 1;
             }
             if punct(k + 1, ".") && matches!(ident(k + 2), Some("unwrap") | Some("expect")) {
-                findings.push(
-                    Finding::new(
-                        path,
-                        t.line,
-                        "D3",
-                        "`partial_cmp(…).unwrap()` comparator: panics on NaN and its \
-                         ordering is not total; use `f64::total_cmp` instead"
-                            .to_string(),
-                    )
-                    .with_span(t.byte, t.len),
-                );
+                findings.push(Finding::new(
+                    path,
+                    t.line,
+                    "D3",
+                    "`partial_cmp(…).unwrap()` comparator: panics on NaN and its \
+                     ordering is not total; use `f64::total_cmp` instead"
+                        .to_string(),
+                ));
             }
         }
     }

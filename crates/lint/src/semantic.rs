@@ -354,13 +354,12 @@ impl<'a> Semantic<'a> {
                 let cov = self.coverage(aud, id, &mut memo, &mut BTreeSet::new());
 
                 // Uncovered mutations before annotations are applied.
-                let mut uncovered: BTreeMap<&str, (&BTreeSet<String>, u32, u32)> = BTreeMap::new();
+                let mut uncovered: BTreeMap<&str, (&BTreeSet<String>, u32)> = BTreeMap::new();
                 for op in &f.ops {
                     let BodyOp::SelfField {
                         field,
                         effect,
                         line,
-                        byte,
                         ..
                     } = op
                     else {
@@ -373,9 +372,7 @@ impl<'a> Semantic<'a> {
                         continue; // unmapped state (snap-skipped scratch)
                     };
                     if planes.is_disjoint(&cov) {
-                        uncovered
-                            .entry(field.as_str())
-                            .or_insert((planes, *line, *byte));
+                        uncovered.entry(field.as_str()).or_insert((planes, *line));
                     }
                 }
 
@@ -388,7 +385,7 @@ impl<'a> Semantic<'a> {
                             ann_planes.extend(mi.consts.get(p).cloned().unwrap_or_default());
                         }
                         let before = uncovered.len();
-                        uncovered.retain(|_, (planes, _, _)| planes.is_disjoint(&ann_planes));
+                        uncovered.retain(|_, (planes, _)| planes.is_disjoint(&ann_planes));
                         if uncovered.len() < before {
                             ann.used = true;
                         }
@@ -419,7 +416,7 @@ impl<'a> Semantic<'a> {
                             let ccov = self.coverage(aud, cid, &mut memo, &mut BTreeSet::new());
                             uncovered
                                 .values()
-                                .all(|(planes, _, _)| !planes.is_disjoint(&ccov))
+                                .all(|(planes, _)| !planes.is_disjoint(&ccov))
                         });
                         if all_cover {
                             uncovered.clear();
@@ -427,27 +424,24 @@ impl<'a> Semantic<'a> {
                     }
                 }
 
-                for (field, (planes, line, byte)) in uncovered {
+                for (field, (planes, line)) in uncovered {
                     let planes_s: Vec<&str> = planes.iter().map(String::as_str).collect();
-                    findings.push(
-                        Finding::new(
-                            &self.files[fi].path,
-                            line,
-                            "M6",
-                            format!(
-                                "`{}::{}` mutates `{field}` (plane {}) without marking it \
-                                 dirty: a warm-forked sweep point would restore stale \
-                                 state; mark via `self.{} |= …`, call a marking method, \
-                                 or justify with `// plane:dirty({})`",
-                                aud.type_name,
-                                f.name,
-                                planes_s.join("|"),
-                                aud.mask_field,
-                                planes_s.join("|"),
-                            ),
-                        )
-                        .with_span(byte, field.len() as u32),
-                    );
+                    findings.push(Finding::new(
+                        &self.files[fi].path,
+                        line,
+                        "M6",
+                        format!(
+                            "`{}::{}` mutates `{field}` (plane {}) without marking it \
+                             dirty: a warm-forked sweep point would restore stale \
+                             state; mark via `self.{} |= …`, call a marking method, \
+                             or justify with `// plane:dirty({})`",
+                            aud.type_name,
+                            f.name,
+                            planes_s.join("|"),
+                            aud.mask_field,
+                            planes_s.join("|"),
+                        ),
+                    ));
                 }
             }
         }
@@ -475,18 +469,15 @@ impl<'a> Semantic<'a> {
                 }
                 for p in &ann.planes {
                     if !known.contains(p.as_str()) {
-                        findings.push(
-                            Finding::new(
-                                &self.files[fi].path,
-                                ann.line,
-                                "A1",
-                                format!(
-                                    "plane:dirty names unknown plane `{p}` (known: {})",
-                                    known.iter().copied().collect::<Vec<_>>().join(", ")
-                                ),
-                            )
-                            .with_span(ann.byte, ann.len),
-                        );
+                        findings.push(Finding::new(
+                            &self.files[fi].path,
+                            ann.line,
+                            "A1",
+                            format!(
+                                "plane:dirty names unknown plane `{p}` (known: {})",
+                                known.iter().copied().collect::<Vec<_>>().join(", ")
+                            ),
+                        ));
                     }
                 }
             }
@@ -568,45 +559,33 @@ impl<'a> Semantic<'a> {
             let f = self.fn_item(id);
             for op in &f.ops {
                 match op {
-                    BodyOp::Method {
-                        name, line, byte, ..
-                    } if P1_PANICKY.contains(&name.as_str()) => {
-                        findings.push(
-                            Finding::new(
-                                &self.files[fi].path,
-                                *line,
-                                "P1",
-                                format!(
-                                    "`.{name}()` in `{}` is reachable from {roots_s}: a \
-                                     panic here poisons every sweep point sharing the \
-                                     pool; handle the failure or justify with \
-                                     `// lint:allow(P1): <why it cannot fire>`",
-                                    f.name
-                                ),
-                            )
-                            .with_span(*byte, name.len() as u32),
-                        );
+                    BodyOp::Method { name, line, .. } if P1_PANICKY.contains(&name.as_str()) => {
+                        findings.push(Finding::new(
+                            &self.files[fi].path,
+                            *line,
+                            "P1",
+                            format!(
+                                "`.{name}()` in `{}` is reachable from {roots_s}: a \
+                                 panic here poisons every sweep point sharing the \
+                                 pool; handle the failure or justify with \
+                                 `// lint:allow(P1): <why it cannot fire>`",
+                                f.name
+                            ),
+                        ));
                     }
-                    BodyOp::Index {
-                        arith: true,
-                        line,
-                        byte,
-                    } => {
-                        findings.push(
-                            Finding::new(
-                                &self.files[fi].path,
-                                *line,
-                                "P1",
-                                format!(
-                                    "computed index in `{}` is reachable from {roots_s}: \
-                                     an off-by-one panics mid-sweep; use `get`/checked \
-                                     arithmetic or justify with `// lint:allow(P1): <why \
-                                     the bound holds>`",
-                                    f.name
-                                ),
-                            )
-                            .with_span(*byte, 1),
-                        );
+                    BodyOp::Index { arith: true, line } => {
+                        findings.push(Finding::new(
+                            &self.files[fi].path,
+                            *line,
+                            "P1",
+                            format!(
+                                "computed index in `{}` is reachable from {roots_s}: \
+                                 an off-by-one panics mid-sweep; use `get`/checked \
+                                 arithmetic or justify with `// lint:allow(P1): <why \
+                                 the bound holds>`",
+                                f.name
+                            ),
+                        ));
                     }
                     _ => {}
                 }
@@ -807,7 +786,6 @@ impl Sock {
         assert!(f[0]
             .message
             .contains("`Sock::bad` mutates `msr` (plane MSR)"));
-        assert!(f[0].byte > 0, "span attached");
     }
 
     #[test]

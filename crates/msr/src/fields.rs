@@ -114,12 +114,27 @@ mod tests {
         assert!(en);
     }
 
+    // One round-trip property per encode/decode pair, each sampling the
+    // field's whole domain. Decoders must also ignore every bit outside
+    // their field (`noise`), so a decode mask or shift that drifts from
+    // its encode fails here.
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
         #[test]
-        fn prop_perf_ctl_only_uses_bits_15_8(ratio in 0u8..=255) {
+        fn prop_perf_ctl_only_uses_bits_15_8(ratio in 0u8..=255, noise in any::<u64>()) {
             let v = encode_perf_ctl(PState(ratio));
             prop_assert_eq!(v & !0xFF00, 0);
             prop_assert_eq!(decode_perf_ctl(v), PState(ratio));
+            prop_assert_eq!(decode_perf_ctl(v | (noise & !0xFF00)), PState(ratio));
+        }
+
+        #[test]
+        fn prop_perf_status_only_uses_bits_15_8(ratio in 0u8..=255, noise in any::<u64>()) {
+            let v = encode_perf_status(PState(ratio));
+            prop_assert_eq!(v & !0xFF00, 0);
+            prop_assert_eq!(decode_perf_status(v), PState(ratio));
+            prop_assert_eq!(decode_perf_status(v | (noise & !0xFF00)), PState(ratio));
         }
 
         #[test]
@@ -133,17 +148,67 @@ mod tests {
         }
 
         #[test]
-        fn prop_uncore_ratio_round_trip(min in 0u8..=0x7F, max in 0u8..=0x7F) {
-            prop_assert_eq!(
-                decode_uncore_ratio_limit(encode_uncore_ratio_limit(min, max)),
-                (min, max)
-            );
+        fn prop_epb_class_round_trip(
+            class in prop_oneof![
+                Just(EpbClass::Performance),
+                Just(EpbClass::Balanced),
+                Just(EpbClass::EnergySaving),
+            ],
+            noise in any::<u64>(),
+        ) {
+            let v = encode_epb(class);
+            prop_assert_eq!(v & !0xF, 0);
+            prop_assert_eq!(decode_epb(v), class);
+            prop_assert_eq!(decode_epb(v | (noise & !0xF)), class);
+        }
+
+        #[test]
+        fn prop_rapl_power_unit_round_trip(
+            pu in 0u8..=0xF,
+            esu in 0u8..=0x1F,
+            tu in 0u8..=0xF,
+            noise in any::<u64>(),
+        ) {
+            let v = encode_rapl_power_unit(pu, esu, tu);
+            // SDM layout: PU bits 3:0, ESU 12:8, TU 19:16, nothing else.
+            prop_assert_eq!(v & !0xF_1F0F, 0);
+            prop_assert_eq!(v & 0xF, pu as u64);
+            prop_assert_eq!((v >> 16) & 0xF, tu as u64);
+            prop_assert_eq!(decode_energy_status_unit(v), esu);
+            prop_assert_eq!(decode_energy_status_unit(v | (noise & !0x1F00)), esu);
+        }
+
+        #[test]
+        fn prop_uncore_ratio_round_trip(min in 0u8..=0x7F, max in 0u8..=0x7F, noise in any::<u64>()) {
+            let v = encode_uncore_ratio_limit(min, max);
+            prop_assert_eq!(v & !0x7F7F, 0);
+            prop_assert_eq!(decode_uncore_ratio_limit(v), (min, max));
+            prop_assert_eq!(decode_uncore_ratio_limit(v | (noise & !0x7F7F)), (min, max));
         }
 
         #[test]
         fn prop_power_limit_round_trip(watts in 1.0f64..4000.0) {
             let (w, _) = decode_pkg_power_limit(encode_pkg_power_limit(watts, 3, true), 3);
             prop_assert!((w - watts).abs() <= 0.0626, "w={} watts={}", w, watts);
+        }
+
+        #[test]
+        fn prop_power_limit_round_trip_at_any_power_unit(
+            power_unit_exp in 0u8..=0xF,
+            units in 0u64..=0x7FFF,
+            enable in any::<bool>(),
+            noise in any::<u64>(),
+        ) {
+            // Any representable PL1 round-trips exactly: `units` steps of
+            // 1/2^exp W, the enable bit, and the clamp bit 16 always set.
+            let watts = units as f64 / (1u64 << power_unit_exp) as f64;
+            let v = encode_pkg_power_limit(watts, power_unit_exp, enable);
+            prop_assert_eq!(v, units | ((enable as u64) << 15) | (1 << 16));
+            prop_assert_eq!(decode_pkg_power_limit(v, power_unit_exp), (watts, enable));
+            prop_assert_eq!(
+                decode_pkg_power_limit(v | (noise & !0xFFFF), power_unit_exp),
+                (watts, enable)
+            );
         }
     }
 }

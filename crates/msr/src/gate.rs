@@ -148,6 +148,49 @@ mod tests {
         assert!(keys.len() >= 16, "allowlist unexpectedly small: {keys:?}");
     }
 
+    /// Every `pub const NAME: u32 = <address>;` line of addresses.rs, read
+    /// from its source so no constant can be left out of the checks below.
+    fn named_addresses() -> Vec<(&'static str, u32)> {
+        include_str!("addresses.rs")
+            .lines()
+            .filter_map(|line| {
+                let (name, rest) = line.strip_prefix("pub const ")?.split_once(": u32 = ")?;
+                let value = rest.split_once(';')?.0.replace('_', "");
+                let addr = match value.strip_prefix("0x") {
+                    Some(hex) => u32::from_str_radix(hex, 16),
+                    None => value.parse(),
+                };
+                Some((
+                    name,
+                    addr.unwrap_or_else(|e| panic!("{name} = {value}: {e}")),
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn addresses_are_unique_and_name_every_allowlist_entry() {
+        let named = named_addresses();
+        assert!(
+            named.len() >= 20,
+            "address table unexpectedly small: {named:?}"
+        );
+        // Two names for one MSR number is a copy-paste bug.
+        let mut by_addr: BTreeMap<u32, &str> = BTreeMap::new();
+        for &(name, addr) in &named {
+            if let Some(first) = by_addr.insert(addr, name) {
+                panic!("`{name}` duplicates MSR address {addr:#x} already named `{first}`");
+            }
+        }
+        // The gate admits only registers the address table names.
+        for addr in survey_allowlist().keys() {
+            assert!(
+                by_addr.contains_key(addr),
+                "allowlist entry {addr:#x} is not a named constant in addresses.rs"
+            );
+        }
+    }
+
     #[test]
     fn counters_read_but_never_write() {
         let mut b = bank();

@@ -1,13 +1,17 @@
 //! The survey runner's contract: a complete registry, scheduling-free
 //! determinism, and strict id validation.
 
-use haswell_survey_repro::survey::survey::{experiment_seed, registry, run_survey, SurveyConfig};
+use std::collections::BTreeSet;
+
+use haswell_survey_repro::survey::survey::{
+    experiment_seed, registry_for, run_survey, SurveyConfig,
+};
 use haswell_survey_repro::survey::Fidelity;
-use hsw_node::EngineMode;
+use hsw_node::{EngineMode, PlatformKind};
 
 #[test]
 fn registry_covers_all_20_experiments_with_unique_ids() {
-    let reg = registry();
+    let reg = registry_for(PlatformKind::Haswell);
     assert_eq!(reg.len(), 20);
     let mut ids: Vec<&str> = reg.iter().map(|e| e.id()).collect();
     ids.sort_unstable();
@@ -37,6 +41,38 @@ fn registry_covers_all_20_experiments_with_unique_ids() {
     ] {
         assert!(ids.contains(&required), "missing {required}");
     }
+}
+
+#[test]
+fn every_experiment_module_is_registered_under_its_own_name() {
+    // One module per experiment: the file stems of `experiments/*.rs` are
+    // exactly the ids the two platform registries hand out, so a module
+    // left out of every registry, or an `id()` that differs from its
+    // module name, fails here. Within a registry, ids are unique.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src/experiments");
+    let stems: BTreeSet<String> = std::fs::read_dir(dir)
+        .expect("list the experiments directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .filter_map(|path| Some(path.file_stem()?.to_str()?.to_string()))
+        .filter(|stem| stem != "mod")
+        .collect();
+    let mut ids: BTreeSet<String> = BTreeSet::new();
+    for platform in PlatformKind::ALL {
+        let platform_ids: Vec<&str> = registry_for(platform).iter().map(|e| e.id()).collect();
+        let unique: BTreeSet<&str> = platform_ids.iter().copied().collect();
+        assert_eq!(
+            unique.len(),
+            platform_ids.len(),
+            "duplicate ids in the {} registry: {platform_ids:?}",
+            platform.name()
+        );
+        ids.extend(unique.into_iter().map(str::to_string));
+    }
+    assert_eq!(
+        stems, ids,
+        "experiments/*.rs file stems vs. the union of registry ids"
+    );
 }
 
 #[test]
