@@ -45,7 +45,7 @@ fn digest(values: &[f64]) -> f64 {
 /// forked columns). Returns (wall seconds per column, digest).
 fn full_table4(seed: u64) -> (f64, f64) {
     let t0 = Instant::now();
-    let t4 = table4::run_seeded(Fidelity::Quick, seed);
+    let t4 = table4::run(&RunCtx::new(Fidelity::Quick, seed, EngineMode::default()));
     let wall = t0.elapsed().as_secs_f64();
     let d = digest(
         &t4.points

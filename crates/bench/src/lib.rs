@@ -1,15 +1,17 @@
 //! # hsw-bench — the benchmark harness that regenerates the paper
 //!
-//! Each Criterion bench target regenerates one of the paper's tables or
-//! figures (printing the reproduced rows/series once) and then times the
-//! regeneration:
+//! Criterion bench targets over the survey and the layers under it:
 //!
-//! * `benches/tables.rs` — Tables I–V,
-//! * `benches/figures.rs` — Figures 2–8 and the Section VIII analysis,
+//! * `benches/experiments.rs` — every registered experiment on both
+//!   platforms, through the same `SurveyExperiment::run` the survey calls,
 //! * `benches/ablations.rs` — design-choice ablations called out in
 //!   DESIGN.md (EET on/off, UFS schedule vs. pinned uncore, PCPS vs.
 //!   chip-wide p-states, RAPL DRAM mode 0 vs. 1) and a simulator
-//!   throughput measurement.
+//!   throughput measurement,
+//! * `benches/survey.rs`, `sweep.rs`, `warmstart.rs`, `engine.rs`,
+//!   `fleet.rs`, `analytic.rs`, `micro.rs` — the survey runner, the sweep
+//!   executor, the time engines, the fleet and surrogate tiers, and
+//!   per-component micro benches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

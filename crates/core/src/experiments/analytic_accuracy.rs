@@ -15,13 +15,12 @@
 use hsw_analytic::{AnalyticModel, OperatingPoint};
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{CpuId, EngineMode, Resolution};
+use hsw_node::{CpuId, Resolution};
 use hsw_tools::perfctr::{median_of, PerfCtr};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::survey::{rel_err, RunCtx};
-use crate::Fidelity;
 
 /// Relative error on settled steady-state rows above which the accuracy
 /// gate fails (model drift guard; CI runs this experiment's checks).
@@ -181,8 +180,8 @@ fn simulate(ctx: &RunCtx, row: &Row, seed: u64) -> RowSample {
     node.advance_s(0.5);
 
     let pc = PerfCtr::new(&node, CpuId::new(0, 0, 0));
-    let n = ctx.fidelity.table4_samples();
-    let dt = ctx.fidelity.table4_interval_s();
+    let n = ctx.fidelity.durations().table4_samples;
+    let dt = ctx.fidelity.durations().table4_interval_s;
     let mut prev = pc.sample(&node);
     let mut derived = Vec::with_capacity(n);
     for _ in 0..n {
@@ -229,17 +228,7 @@ fn worst_err(sur: &RowSample, sim: &RowSample) -> f64 {
     .fold(0.0, f64::max)
 }
 
-pub fn run(fidelity: Fidelity) -> AnalyticAccuracy {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] with the survey runner's seed derivation.
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> AnalyticAccuracy {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> AnalyticAccuracy {
+pub fn run(ctx: &RunCtx) -> AnalyticAccuracy {
     let platform = ctx.platform();
     let model = AnalyticModel::from_node_spec(&platform.spec, platform.eet_enabled);
     let rows = envelope(&platform.spec.sku);
@@ -304,7 +293,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         true
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let (settled, transient) = (r.settled_worst(), r.transient_worst());
         out.metric("settled_worst_rel_err", settled);
@@ -334,10 +323,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn acc() -> &'static AnalyticAccuracy {
         static CACHE: std::sync::OnceLock<AnalyticAccuracy> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run_seeded(Fidelity::Quick, 0xACC0))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0xACC0, EngineMode::default())))
     }
 
     #[test]

@@ -10,12 +10,12 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::{calib, NodeSpec};
 use hsw_msr::addresses as msra;
-use hsw_node::{CpuId, EngineMode, Node, Resolution};
+use hsw_node::{CpuId, Node, Resolution};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{linear_fit, quadratic_fit, Fit};
 use crate::survey::RunCtx;
-use crate::{Fidelity, Table};
+use crate::Table;
 
 /// One measurement point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,7 +136,7 @@ fn measure_point(node: &mut Node, avg_s: f64) -> (f64, f64) {
 fn run_panel(ctx: &RunCtx, spec: NodeSpec, salt: u64) -> Fig2Panel {
     let generation = spec.sku.generation.name().to_string();
     let max_cores = spec.sku.cores;
-    let avg_s = ctx.fidelity.fig2_avg_s();
+    let avg_s = ctx.fidelity.durations().fig2_avg_s;
     let benches = WorkloadProfile::fig2_benchmarks();
 
     let jobs: Vec<(WorkloadProfile, (usize, usize, usize))> = benches
@@ -212,18 +212,8 @@ fn run_panel(ctx: &RunCtx, spec: NodeSpec, salt: u64) -> Fig2Panel {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> Fig2 {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] but with both panels' point seeds derived from `seed` via
-/// the sweep executor (the survey runner's determinism contract).
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Fig2 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> Fig2 {
+/// Both panels' point seeds derive from `ctx.seed` via the sweep executor.
+pub fn run(ctx: &RunCtx) -> Fig2 {
     Fig2 {
         sandy_bridge: run_panel(ctx, NodeSpec::sandy_bridge_node(), 0),
         haswell: run_panel(ctx, NodeSpec::paper_test_node(), 1),
@@ -244,7 +234,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "RAPL measurement quality vs. AC reference"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let hsw_r2 = r
             .haswell
@@ -276,10 +266,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn fig2() -> &'static Fig2 {
         static CACHE: std::sync::OnceLock<Fig2> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

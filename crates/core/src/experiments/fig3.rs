@@ -7,7 +7,7 @@
 
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::PState;
-use hsw_node::{CpuId, EngineMode, Resolution};
+use hsw_node::{CpuId, Resolution};
 use hsw_tools::{DelayRegime, FtaLat};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -15,8 +15,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::Histogram;
-use crate::survey::RunCtx;
-use crate::Fidelity;
+use crate::survey::{mix_seed, RunCtx};
 
 /// One campaign's results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,30 +90,15 @@ pub fn regimes() -> Vec<DelayRegime> {
     ]
 }
 
-pub fn run(fidelity: Fidelity) -> Fig3 {
-    run_impl(&RunCtx::new(fidelity, 0, EngineMode::default()), None)
-}
-
-/// Like [`run`] but with node and request-timing seeds derived from
-/// `seed` (the survey runner's determinism contract).
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Fig3 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_impl(&ctx, Some(seed))
-}
-
-fn run_impl(ctx: &RunCtx, seed: Option<u64>) -> Fig3 {
-    let n = ctx.fidelity.fig3_samples();
+/// Node and request-timing seeds per campaign derive from `ctx.seed`.
+pub fn run(ctx: &RunCtx) -> Fig3 {
+    let n = ctx.fidelity.durations().fig3_samples;
     let campaigns: Vec<Fig3Campaign> = regimes()
         .par_iter()
         .enumerate()
         .map(|(i, regime)| {
-            let (node_seed, rng_seed) = match seed {
-                None => (7_700 + i as u64, 555 + i as u64),
-                Some(root) => (
-                    crate::survey::mix_seed(root, 2 * i as u64),
-                    crate::survey::mix_seed(root, 2 * i as u64 + 1),
-                ),
-            };
+            let node_seed = mix_seed(ctx.seed, 2 * i as u64);
+            let rng_seed = mix_seed(ctx.seed, 2 * i as u64 + 1);
             let mut node = ctx
                 .session()
                 .seed(node_seed)
@@ -157,7 +141,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "P-state transition latency histograms"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_impl(ctx, Some(ctx.seed));
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let random = &r.campaigns[0];
         let immediate = &r.campaigns[1];
@@ -189,10 +173,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn fig3() -> &'static Fig3 {
         static CACHE: std::sync::OnceLock<Fig3> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

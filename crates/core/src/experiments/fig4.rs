@@ -10,7 +10,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::PState;
 use hsw_msr::{addresses as msra, fields};
-use hsw_node::{CpuId, EngineMode, Platform, Resolution};
+use hsw_node::{CpuId, Platform, Resolution};
 use serde::{Deserialize, Serialize};
 
 use crate::survey::RunCtx;
@@ -60,15 +60,7 @@ impl std::fmt::Display for Fig4 {
     }
 }
 
-pub fn run() -> Fig4 {
-    run_impl(&RunCtx::new(
-        crate::Fidelity::Quick,
-        0,
-        EngineMode::default(),
-    ))
-}
-
-fn run_impl(ctx: &RunCtx) -> Fig4 {
+pub fn run(ctx: &RunCtx) -> Fig4 {
     // Deterministic experiment (`seeded() == false`): pinned to the
     // platform default seed regardless of the survey root.
     let mut node = ctx
@@ -150,7 +142,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         false
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_impl(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         out.metric("estimated_period_us", r.estimated_period_us);
         out.metric("timeline_entries", r.entries.len() as f64);
@@ -171,10 +163,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn cached() -> &'static Fig4 {
         static CACHE: std::sync::OnceLock<Fig4> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

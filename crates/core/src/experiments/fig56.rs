@@ -4,14 +4,12 @@
 
 use hsw_cstates::{CoreCState, WakeScenario};
 use hsw_hwspec::CpuGeneration;
-use hsw_node::EngineMode;
 use hsw_tools::cstate_lat::{sweep_series, CStateLatencyPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::survey::{mix_seed, RunCtx};
-use crate::Fidelity;
 
 /// One plotted series: a generation × state × scenario sweep over frequency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -61,19 +59,9 @@ impl std::fmt::Display for Fig56 {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> Fig56 {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] but with node and wake-timing seeds derived from `seed`
-/// via the sweep executor (the survey runner's determinism contract).
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Fig56 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> Fig56 {
-    let iterations = ctx.fidelity.fig56_iterations();
+/// Node and wake-timing seeds derive from `ctx.seed` via the sweep executor.
+pub fn run(ctx: &RunCtx) -> Fig56 {
+    let iterations = ctx.fidelity.durations().fig56_iterations;
     let jobs: Vec<(CpuGeneration, CoreCState, WakeScenario)> =
         [CpuGeneration::HaswellEp, CpuGeneration::SandyBridgeEp]
             .into_iter()
@@ -123,7 +111,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "C-state wake-up latencies vs. Sandy Bridge-EP"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let nearest = |s: &Fig56Series, ghz: f64| -> f64 {
             s.points
@@ -167,11 +155,13 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_hwspec::calib::cstate as cal;
+    use hsw_node::EngineMode;
 
     fn fig() -> &'static Fig56 {
         static CACHE: std::sync::OnceLock<Fig56> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     fn latency_at(s: &Fig56Series, ghz: f64) -> f64 {

@@ -13,6 +13,7 @@ use hsw_memhier::bandwidth::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::survey::RunCtx;
 use crate::Table;
 
 /// One generation's normalized bandwidth curve.
@@ -87,11 +88,7 @@ fn sku_for(generation: CpuGeneration) -> SkuSpec {
 pub const L3_WORKING_SET: usize = 17 * 1024 * 1024;
 pub const DRAM_WORKING_SET: usize = 350 * 1024 * 1024;
 
-fn series(generation: CpuGeneration, l3: bool) -> Fig7Series {
-    series_with_sku(&sku_for(generation), generation, l3)
-}
-
-fn series_with_sku(sku: &SkuSpec, generation: CpuGeneration, l3: bool) -> Fig7Series {
+fn series(sku: &SkuSpec, generation: CpuGeneration, l3: bool) -> Fig7Series {
     let sku = sku.clone();
     debug_assert_eq!(
         MemoryLevel::classify(&sku, if l3 { L3_WORKING_SET } else { DRAM_WORKING_SET }),
@@ -135,19 +132,11 @@ const GENERATIONS: [CpuGeneration; 3] = [
     CpuGeneration::HaswellEp,
 ];
 
-pub fn run() -> Fig7 {
-    Fig7 {
-        l3: GENERATIONS.iter().map(|g| series(*g, true)).collect(),
-        dram: GENERATIONS.iter().map(|g| series(*g, false)).collect(),
-    }
-}
-
-/// Like [`run`] but fanning the generation × panel grid through the
-/// warm-start sweep executor, sharing the resolved SKU table across all
-/// points. The bandwidth model is analytic, so the derived point seeds are
-/// not consumed and the result is identical to the serial [`run`] in
-/// either warm-start mode.
-fn run_ctx(ctx: &crate::survey::RunCtx) -> Fig7 {
+/// Fans the generation × panel grid through the warm-start sweep executor,
+/// sharing the resolved SKU table across all points. The bandwidth model
+/// is analytic, so the derived point seeds are not consumed and the result
+/// is the same in either warm-start mode.
+pub fn run(ctx: &RunCtx) -> Fig7 {
     let jobs: Vec<(CpuGeneration, bool)> = GENERATIONS
         .iter()
         .flat_map(|g| [true, false].into_iter().map(move |l3| (*g, l3)))
@@ -160,7 +149,7 @@ fn run_ctx(ctx: &crate::survey::RunCtx) -> Fig7 {
                 .iter()
                 .position(|x| *x == g)
                 .expect("generation");
-            series_with_sku(&skus[idx], g, l3)
+            series(&skus[idx], g, l3)
         },
     );
     let (mut l3, mut dram) = (Vec::new(), Vec::new());
@@ -192,7 +181,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         false
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let hsw_dram = r.low_end(false, "Haswell-EP");
         let snb_dram = r.low_end(false, "Sandy Bridge-EP");
@@ -222,10 +211,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn fig() -> &'static Fig7 {
         static CACHE: std::sync::OnceLock<Fig7> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

@@ -14,6 +14,7 @@ use hsw_memhier::bandwidth::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::survey::RunCtx;
 use crate::Table;
 
 /// One heatmap cell.
@@ -127,26 +128,11 @@ fn row(sku: &SkuSpec, freq: f64, thread_counts: &[usize]) -> Vec<Fig8Cell> {
         .collect()
 }
 
-pub fn run() -> Fig8 {
-    let sku = SkuSpec::xeon_e5_2680_v3();
-    let (thread_counts, freqs_ghz) = grid(&sku);
-    let cells = freqs_ghz
-        .iter()
-        .flat_map(|&freq| row(&sku, freq, &thread_counts))
-        .collect();
-    Fig8 {
-        cells,
-        freqs_ghz,
-        thread_counts,
-    }
-}
-
-/// Like [`run`] but fanning one sweep point per frequency row through the
-/// warm-start sweep executor, sharing the resolved SKU and thread-count
-/// axis across rows. The model is analytic, so the derived point seeds are
-/// not consumed and the result is identical to the serial [`run`] in
-/// either warm-start mode.
-fn run_ctx(ctx: &crate::survey::RunCtx) -> Fig8 {
+/// Fans one sweep point per frequency row through the warm-start sweep
+/// executor, sharing the resolved SKU and thread-count axis across rows.
+/// The model is analytic, so the derived point seeds are not consumed and
+/// the result is the same in either warm-start mode.
+pub fn run(ctx: &RunCtx) -> Fig8 {
     let sku = SkuSpec::xeon_e5_2680_v3();
     let (thread_counts, freqs_ghz) = grid(&sku);
     let rows = ctx.sweep_warm_shared(
@@ -184,7 +170,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         false
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let dram12 = r.at(12, 2.5).map(|c| c.dram_gbs).unwrap_or(f64::NAN);
         let dram24 = r.at(24, 2.5).map(|c| c.dram_gbs).unwrap_or(f64::NAN);
@@ -214,10 +200,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn fig() -> &'static Fig8 {
         static CACHE: std::sync::OnceLock<Fig8> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! Skylake-SP backend sweeps its own SKU.
 
 use hsw_fleet::{Spread, VariationModel};
-use hsw_node::EngineMode;
 use serde::{Deserialize, Serialize};
 
 use super::fleet_cap_spread::{
@@ -83,17 +82,7 @@ impl std::fmt::Display for FleetAnalyticScale {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> FleetAnalyticScale {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] with the survey runner's seed derivation.
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> FleetAnalyticScale {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> FleetAnalyticScale {
+pub fn run(ctx: &RunCtx) -> FleetAnalyticScale {
     let n = ctx.fleet_size_override().unwrap_or(scale_for(ctx.fidelity));
     let platform = ctx.platform();
     let model = VariationModel::paper_fleet();
@@ -200,7 +189,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         true
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let (un, tight) = (r.uncapped(), r.tightest());
         out.metric("fleet_size", r.fleet_size as f64);
@@ -251,14 +240,14 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsw_node::PlatformKind;
+    use hsw_node::{EngineMode, PlatformKind};
 
     fn scale() -> &'static FleetAnalyticScale {
         static CACHE: std::sync::OnceLock<FleetAnalyticScale> = std::sync::OnceLock::new();
         CACHE.get_or_init(|| {
             let ctx = RunCtx::new(Fidelity::Quick, 0x5343_414C_4501, EngineMode::default())
                 .with_fleet_size(Some(256));
-            run_ctx(&ctx)
+            run(&ctx)
         })
     }
 
@@ -297,7 +286,7 @@ mod tests {
         assert!(scale_for(Fidelity::Analytic) >= 1_000_000);
         assert!(scale_for(Fidelity::Quick) < scale_for(Fidelity::Paper));
         let ctx = RunCtx::new(Fidelity::Quick, 1, EngineMode::default()).with_fleet_size(Some(8));
-        assert_eq!(run_ctx(&ctx).fleet_size, 8);
+        assert_eq!(run(&ctx).fleet_size, 8);
     }
 
     #[test]
@@ -305,7 +294,7 @@ mod tests {
         let ctx = RunCtx::new(Fidelity::Quick, 2, EngineMode::default())
             .with_platform(PlatformKind::SkylakeSp)
             .with_fleet_size(Some(24));
-        let r = run_ctx(&ctx);
+        let r = run(&ctx);
         let cap = r.tightest().cap_w.unwrap();
         assert_eq!(cap, 0.8 * r.uncapped().power.mean);
         assert!(

@@ -19,7 +19,7 @@ use hsw_analytic::{AnalyticModel, OperatingPoint};
 use hsw_exec::WorkloadProfile;
 use hsw_fleet::{ChipVariation, Spread, VariationModel};
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{CpuId, EngineMode, Node, Resolution};
+use hsw_node::{CpuId, Node, Resolution};
 use hsw_tools::perfctr::PerfCtr;
 use serde::{Deserialize, Serialize};
 
@@ -51,13 +51,13 @@ pub struct MemberSample {
 pub(crate) fn measure_member(fid: Fidelity, node: &mut Node) -> MemberSample {
     // The golden snapshot converged with the *nominal* chip; give this
     // unit's PCU time to re-equilibrate to its own leakage/corner/trim.
-    node.advance_s(fid.fleet_settle_s());
+    node.advance_s(fid.durations().fleet_settle_s);
     let pcs = [
         PerfCtr::new(node, CpuId::new(0, 0, 0)),
         PerfCtr::new(node, CpuId::new(1, 0, 0)),
     ];
     let before = [pcs[0].sample(node), pcs[1].sample(node)];
-    node.advance_s(fid.fleet_measure_s());
+    node.advance_s(fid.durations().fleet_measure_s);
     let d = [
         pcs[0].derive(&before[0], &pcs[0].sample(node)),
         pcs[1].derive(&before[1], &pcs[1].sample(node)),
@@ -84,7 +84,7 @@ pub(crate) fn fleet_warmup_spec(
         session.run_on_socket(s, &wl, CORES_PER_SOCKET, 1);
     }
     session.set_turbo(true);
-    session.advance_s(fid.fleet_settle_s());
+    session.advance_s(fid.durations().fleet_settle_s);
     session
 }
 
@@ -219,7 +219,7 @@ pub(crate) const FLEET_SPOT_REL_ERR_GATE: f64 = 0.10;
 pub(crate) fn run_ctx_analytic(ctx: &RunCtx) -> FleetCapSpreadAnalytic {
     let n = ctx.fleet_size();
     let model = VariationModel::paper_fleet();
-    let caps = ctx.fidelity.fleet_caps_w();
+    let caps = ctx.fidelity.durations().fleet_caps_w;
     let mut spot_checks = Vec::new();
     let points: Vec<CapPoint> = caps
         .iter()
@@ -269,20 +269,10 @@ pub(crate) fn run_ctx_analytic(ctx: &RunCtx) -> FleetCapSpreadAnalytic {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> FleetCapSpread {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] with the survey runner's seed derivation.
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> FleetCapSpread {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-pub(crate) fn run_ctx(ctx: &RunCtx) -> FleetCapSpread {
+pub fn run(ctx: &RunCtx) -> FleetCapSpread {
     let n = ctx.fleet_size();
     let model = VariationModel::paper_fleet();
-    let caps = ctx.fidelity.fleet_caps_w();
+    let caps = ctx.fidelity.durations().fleet_caps_w;
     let points: Vec<CapPoint> = caps
         .iter()
         .map(|&cap_w| {
@@ -379,7 +369,7 @@ impl crate::survey::SurveyExperiment for Experiment {
             );
             return out;
         }
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         push_spread_checks(&mut out, &r);
         out
@@ -431,10 +421,17 @@ fn push_spread_checks(out: &mut crate::survey::ExperimentResult, r: &FleetCapSpr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsw_node::EngineMode;
 
     fn fleet() -> &'static FleetCapSpread {
         static CACHE: std::sync::OnceLock<FleetCapSpread> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run_seeded(Fidelity::Quick, 0x464C_4545_5401))
+        CACHE.get_or_init(|| {
+            run(&RunCtx::new(
+                Fidelity::Quick,
+                0x464C_4545_5401,
+                EngineMode::default(),
+            ))
+        })
     }
 
     #[test]
@@ -491,7 +488,7 @@ mod tests {
             RunCtx::new(Fidelity::Analytic, seed, EngineMode::default()).with_fleet_size(Some(n));
         let r = run_ctx_analytic(&actx);
         assert!(!r.spot_checks.is_empty());
-        for cap_w in actx.fidelity.fleet_caps_w() {
+        for &cap_w in actx.fidelity.durations().fleet_caps_w {
             let qctx =
                 RunCtx::new(Fidelity::Quick, seed, EngineMode::default()).with_fleet_size(Some(n));
             let members = qctx.sweep_fleet(
@@ -524,7 +521,7 @@ mod tests {
     #[test]
     fn single_node_fleet_degenerates_to_zero_spread() {
         let ctx = RunCtx::new(Fidelity::Quick, 7, EngineMode::default()).with_fleet_size(Some(1));
-        let r = run_ctx(&ctx);
+        let r = run(&ctx);
         assert_eq!(r.fleet_size, 1);
         for p in &r.points {
             assert_eq!(p.power.rel_spread, 0.0);

@@ -10,13 +10,11 @@
 //! that per-node metrics hide.
 
 use hsw_fleet::{Spread, VariationModel};
-use hsw_node::EngineMode;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::fleet_cap_spread::{fleet_warmup, measure_member, MemberSample};
 use crate::report::Table;
 use crate::survey::RunCtx;
-use crate::Fidelity;
 
 /// Work per member of the collective, in giga-instructions. The absolute
 /// number only scales the time axis; penalties are ratios.
@@ -75,22 +73,12 @@ fn argmin_by<F: Fn(&MemberSample) -> f64>(members: &[MemberSample], f: F) -> usi
     best
 }
 
-pub fn run(fidelity: Fidelity) -> FleetStraggler {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] with the survey runner's seed derivation.
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> FleetStraggler {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-pub(crate) fn run_ctx(ctx: &RunCtx) -> FleetStraggler {
+pub fn run(ctx: &RunCtx) -> FleetStraggler {
     let n = ctx.fleet_size();
     let model = VariationModel::paper_fleet();
     // The barrier story only needs its two endpoints: uncapped and the
     // tightest cap.
-    let caps_all = ctx.fidelity.fleet_caps_w();
+    let caps_all = ctx.fidelity.durations().fleet_caps_w;
     let caps = [
         caps_all[0],
         *caps_all.last().expect("cap list is never empty"),
@@ -172,7 +160,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Barrier collectives pay for the slowest chip under a cap"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let (un, tight) = (r.uncapped(), r.tightest());
         out.metric("uncapped_penalty", un.penalty);
@@ -210,10 +198,18 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn fleet() -> &'static FleetStraggler {
         static CACHE: std::sync::OnceLock<FleetStraggler> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run_seeded(Fidelity::Quick, 0x464C_4545_5402))
+        CACHE.get_or_init(|| {
+            run(&RunCtx::new(
+                Fidelity::Quick,
+                0x464C_4545_5402,
+                EngineMode::default(),
+            ))
+        })
     }
 
     #[test]
@@ -251,7 +247,7 @@ mod tests {
     #[test]
     fn single_node_fleet_has_unit_penalty() {
         let ctx = RunCtx::new(Fidelity::Quick, 7, EngineMode::default()).with_fleet_size(Some(1));
-        let r = run_ctx(&ctx);
+        let r = run(&ctx);
         for p in &r.points {
             assert_eq!(p.penalty, 1.0);
             assert!(p.completion_s.is_finite() && p.completion_s > 0.0);

@@ -13,7 +13,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_msr::addresses as msra;
-use hsw_node::{CpuId, EngineMode, PlaneMask, Resolution};
+use hsw_node::{CpuId, PlaneMask, Resolution};
 use hsw_tools::PerfCtr;
 use serde::{Deserialize, Serialize};
 
@@ -56,19 +56,8 @@ fn program_epb(node: &mut hsw_node::Node, sockets: std::ops::Range<usize>, raw: 
     }
 }
 
-pub fn run() -> Section2cEpb {
-    let ctx = RunCtx::new(crate::Fidelity::Quick, 0, EngineMode::default());
-    run_impl(&ctx)
-}
-
-/// Like [`run`] but with per-value observation seeds derived from `seed`
-/// (the survey runner's determinism contract).
-pub fn run_seeded(seed: u64) -> Section2cEpb {
-    let ctx = RunCtx::new(crate::Fidelity::Quick, seed, EngineMode::default());
-    run_impl(&ctx)
-}
-
-fn run_impl(ctx: &RunCtx) -> Section2cEpb {
+/// Per-value observation seeds derive from `ctx.seed`.
+pub fn run(ctx: &RunCtx) -> Section2cEpb {
     let raws: Vec<u8> = (0u8..16).collect();
 
     // Classify each raw EPB value by its measurable effect, via two warm
@@ -172,7 +161,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Measured EPB register mapping"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_impl(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let matches = r
             .observations
@@ -206,10 +195,12 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn cached() -> &'static Section2cEpb {
         static CACHE: std::sync::OnceLock<Section2cEpb> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

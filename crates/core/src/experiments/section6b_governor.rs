@@ -15,6 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::survey::RunCtx;
 use crate::Table;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,14 +52,9 @@ fn ln(x: f64) -> f64 {
     x.ln()
 }
 
-pub fn run() -> GovernorComparison {
-    run_with_seed(0x6B)
-}
-
-/// Like [`run`] but with the idle-interval distribution drawn from `seed`
-/// (the survey runner's determinism contract; `run` keeps the legacy 0x6B).
-pub fn run_with_seed(seed: u64) -> GovernorComparison {
-    let mut rng = SmallRng::seed_from_u64(seed);
+/// The idle-interval distribution is drawn from `ctx.seed`.
+pub fn run(ctx: &RunCtx) -> GovernorComparison {
+    let mut rng = SmallRng::seed_from_u64(ctx.seed);
     let intervals = idle_intervals(2_000, &mut rng);
 
     // The latencies the Figures 5/6 experiment measured (local, 2.5 GHz).
@@ -147,7 +143,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Menu governor with firmware vs. measured ACPI tables"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_with_seed(ctx.seed);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         out.metric("firmware_accuracy", r.firmware_accuracy);
         out.metric("measured_accuracy", r.measured_accuracy);
@@ -175,11 +171,13 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_cstates::residency::hindsight_optimal;
+    use hsw_node::EngineMode;
 
     fn cached() -> &'static GovernorComparison {
         static CACHE: std::sync::OnceLock<GovernorComparison> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0x6B, EngineMode::default())))
     }
 
     #[test]

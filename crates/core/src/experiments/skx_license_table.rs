@@ -16,6 +16,7 @@ use hsw_hwspec::{EpbClass, SkuSpec};
 use hsw_pcu::{PcuController, PcuInputs};
 use serde::{Deserialize, Serialize};
 
+use crate::survey::RunCtx;
 use crate::Table;
 
 /// One solved operating point of the license grid.
@@ -92,15 +93,9 @@ fn grid() -> Vec<(u8, usize)> {
     jobs
 }
 
-pub fn run() -> SkxLicenseTable {
-    let sku = SkuSpec::xeon_platinum_8170();
-    build(grid().iter().map(|&(l, a)| solve(&sku, l, a)).collect())
-}
-
-/// Like [`run`] but fanned through the survey's worker pool. The PCU
-/// solve is analytic, so the derived point seeds are not consumed and the
-/// result is identical to the serial [`run`].
-fn run_ctx(ctx: &crate::survey::RunCtx) -> SkxLicenseTable {
+/// Fans the grid through the survey's worker pool. The PCU solve is
+/// analytic, so the derived point seeds are not consumed.
+pub fn run(ctx: &RunCtx) -> SkxLicenseTable {
     let sku = SkuSpec::xeon_platinum_8170();
     let jobs = grid();
     build(ctx.sweep(&jobs, |&(level, active), _seed| solve(&sku, level, active)))
@@ -156,7 +151,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         false
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let sku = SkuSpec::xeon_platinum_8170();
         let all = sku.cores;
@@ -195,10 +190,15 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::{EngineMode, PlatformKind};
 
     fn cached() -> &'static SkxLicenseTable {
         static CACHE: std::sync::OnceLock<SkxLicenseTable> = std::sync::OnceLock::new();
-        CACHE.get_or_init(run)
+        CACHE.get_or_init(|| {
+            run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())
+                .with_platform(PlatformKind::SkylakeSp))
+        })
     }
 
     #[test]

@@ -12,14 +12,13 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::{CpuId, EngineMode, Platform, PlatformKind, Resolution};
+use hsw_node::{CpuId, Platform, Resolution};
 use hsw_tools::PerfCtr;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::survey::RunCtx;
-use crate::Fidelity;
 
 /// One measured row of the mesh-frequency table.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -80,18 +79,10 @@ fn measure(
     )
 }
 
-/// Standalone entry point with a fixed legacy seed (the survey runner
-/// derives its own per-experiment seed through [`Experiment::run`]).
-pub fn run(fidelity: Fidelity) -> SkxUfsMesh {
-    let ctx =
-        RunCtx::new(fidelity, 0, EngineMode::default()).with_platform(PlatformKind::SkylakeSp);
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> SkxUfsMesh {
+pub fn run(ctx: &RunCtx) -> SkxUfsMesh {
     let sku = Platform::skylake_sp().spec.sku;
     let settings = sku.freq.all_settings();
-    let secs = ctx.fidelity.table3_measure_s();
+    let secs = ctx.fidelity.durations().table3_measure_s;
 
     let points: Vec<SkxUfsPoint> = settings
         .par_iter()
@@ -157,7 +148,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Mesh (uncore) frequency scaling on Skylake-SP"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let turbo = r.points[0];
         let floor = r.points.last().unwrap();
@@ -191,11 +182,16 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_hwspec::calib;
+    use hsw_node::{EngineMode, PlatformKind};
 
     fn cached() -> &'static SkxUfsMesh {
         static CACHE: std::sync::OnceLock<SkxUfsMesh> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| {
+            run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())
+                .with_platform(PlatformKind::SkylakeSp))
+        })
     }
 
     #[test]

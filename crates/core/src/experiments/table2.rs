@@ -3,12 +3,11 @@
 
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{EngineMode, Platform};
+use hsw_node::Platform;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{watts, Table};
 use crate::survey::RunCtx;
-use crate::Fidelity;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table2 {
@@ -22,12 +21,7 @@ impl std::fmt::Display for Table2 {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> Table2 {
-    run_impl(&RunCtx::new(fidelity, 0, EngineMode::default()))
-}
-
-fn run_impl(ctx: &RunCtx) -> Table2 {
-    let fidelity = ctx.fidelity;
+pub fn run(ctx: &RunCtx) -> Table2 {
     let platform = Platform::paper();
     let sku = platform.spec.sku.clone();
     let eet_enabled = platform.eet_enabled;
@@ -41,10 +35,7 @@ fn run_impl(ctx: &RunCtx) -> Table2 {
     node.set_setting_all(FreqSetting::Turbo);
     let _ = WorkloadProfile::idle();
     node.advance_s(0.2);
-    let idle_power_w = node.measure_ac_average(match fidelity {
-        Fidelity::Quick | Fidelity::Analytic => 1.0,
-        Fidelity::Paper => 10.0,
-    });
+    let idle_power_w = node.measure_ac_average(ctx.fidelity.durations().table2_idle_s);
 
     let mut t = Table::new("Table II: test system details", vec!["Item", "Value"]);
     t.row(vec!["Processor".to_string(), format!("2x {}", sku.model)]);
@@ -116,7 +107,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         false
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_impl(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         out.metric("idle_power_w", r.idle_power_w);
         out.check(
@@ -131,11 +122,13 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_hwspec::calib;
+    use hsw_node::EngineMode;
 
     #[test]
     fn idle_power_reproduces_table2() {
-        let t2 = run(Fidelity::Quick);
+        let t2 = run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default()));
         assert!(
             (t2.idle_power_w - calib::IDLE_NODE_POWER_W).abs() < 6.0,
             "idle = {:.1} W (paper: 261.5 W)",
@@ -145,7 +138,7 @@ mod tests {
 
     #[test]
     fn table_lists_the_paper_configuration() {
-        let text = run(Fidelity::Quick).to_string();
+        let text = run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())).to_string();
         for needle in [
             "E5-2680 v3",
             "1.2 - 2.5 GHz",

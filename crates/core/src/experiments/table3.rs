@@ -9,14 +9,13 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::{CpuId, EngineMode, Platform, Resolution};
+use hsw_node::{CpuId, Platform, Resolution};
 use hsw_tools::PerfCtr;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
-use crate::survey::RunCtx;
-use crate::Fidelity;
+use crate::survey::{mix_seed, RunCtx};
 
 /// One measured column of Table III.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -72,34 +71,18 @@ fn measure(
     )
 }
 
-pub fn run(fidelity: Fidelity) -> Table3 {
-    run_impl(&RunCtx::new(fidelity, 0, EngineMode::default()), None)
-}
-
-/// Like [`run`] but with all measurement seeds derived from `seed` (the
-/// survey runner's determinism contract). `run` keeps the legacy literal
-/// seeds so standalone outputs stay stable.
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Table3 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_impl(&ctx, Some(seed))
-}
-
-fn run_impl(ctx: &RunCtx, seed: Option<u64>) -> Table3 {
+/// Per-setting measurement seeds derive from `ctx.seed`.
+pub fn run(ctx: &RunCtx) -> Table3 {
     let sku = Platform::paper().spec.sku;
     let settings = sku.freq.all_settings();
-    let secs = ctx.fidelity.table3_measure_s();
+    let secs = ctx.fidelity.durations().table3_measure_s;
 
     let points: Vec<Table3Point> = settings
         .par_iter()
         .enumerate()
         .map(|(i, s)| {
-            let (bal_seed, perf_seed) = match seed {
-                None => (100 + i as u64, 200 + i as u64),
-                Some(root) => (
-                    crate::survey::mix_seed(root, i as u64),
-                    crate::survey::mix_seed(root, 1000 + i as u64),
-                ),
-            };
+            let bal_seed = mix_seed(ctx.seed, i as u64);
+            let perf_seed = mix_seed(ctx.seed, 1000 + i as u64);
             let (active, passive) = measure(ctx, *s, EpbClass::Balanced, secs, bal_seed);
             let (active_perf, _) = measure(ctx, *s, EpbClass::Performance, secs, perf_seed);
             Table3Point {
@@ -145,7 +128,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Uncore frequency vs. core frequency setting"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_impl(ctx, Some(ctx.seed));
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let worst_gap = r
             .points
@@ -178,11 +161,13 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_hwspec::calib;
+    use hsw_node::EngineMode;
 
     fn cached() -> &'static Table3 {
         static CACHE: std::sync::OnceLock<Table3> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

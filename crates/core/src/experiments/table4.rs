@@ -10,13 +10,12 @@
 use hsw_analytic::{AnalyticModel, OperatingPoint};
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{CpuId, EngineMode, Resolution};
+use hsw_node::{CpuId, Resolution};
 use hsw_tools::perfctr::{median_of, PerfCtr};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::survey::{rel_err, RunCtx};
-use crate::Fidelity;
 
 /// Measured medians for one socket under one setting.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -59,8 +58,8 @@ fn measure(
         PerfCtr::new(node, CpuId::new(0, 0, 0)),
         PerfCtr::new(node, CpuId::new(1, 0, 0)),
     ];
-    let n = ctx.fidelity.table4_samples();
-    let dt = ctx.fidelity.table4_interval_s();
+    let n = ctx.fidelity.durations().table4_samples;
+    let dt = ctx.fidelity.durations().table4_interval_s;
     let mut prev = [pcs[0].sample(node), pcs[1].sample(node)];
     let mut derived = [Vec::with_capacity(n), Vec::with_capacity(n)];
     for _ in 0..n {
@@ -87,17 +86,6 @@ pub fn table4_settings() -> Vec<FreqSetting> {
         v.push(FreqSetting::from_mhz(mhz));
     }
     v
-}
-
-pub fn run(fidelity: Fidelity) -> Table4 {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] but with measurement seeds derived from `seed` via the
-/// sweep executor (the survey runner's determinism contract).
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Table4 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
 }
 
 /// The shared FIRESTARTER bring-up at turbo: workload assignment plus the
@@ -127,7 +115,8 @@ fn point_of(ctx: &RunCtx, node: &mut hsw_node::Node, s: &FreqSetting) -> Table4P
     }
 }
 
-fn run_ctx(ctx: &RunCtx) -> Table4 {
+/// Measurement seeds derive from `ctx.seed` via the sweep executor.
+pub fn run(ctx: &RunCtx) -> Table4 {
     let settings = table4_settings();
     // Warm-start split: the bring-up is shared by every column; each point
     // forks the converged node and only re-settles under its setting.
@@ -316,7 +305,7 @@ impl crate::survey::SurveyExperiment for Experiment {
             );
             return out;
         }
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         push_table4_checks(&mut out, &r);
         out
@@ -351,10 +340,12 @@ fn push_table4_checks(out: &mut crate::survey::ExperimentResult, r: &Table4) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
 
     fn t4() -> &'static Table4 {
         static CACHE: std::sync::OnceLock<Table4> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]
@@ -444,7 +435,7 @@ mod tests {
             EngineMode::default(),
         ));
         assert!(!a.spot_checks.is_empty());
-        let q = run_seeded(Fidelity::Quick, seed);
+        let q = run(&RunCtx::new(Fidelity::Quick, seed, EngineMode::default()));
         for s in &a.spot_checks {
             let full = q.points[s.index];
             assert_eq!(s.full.setting_mhz, full.setting_mhz);

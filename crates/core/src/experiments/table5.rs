@@ -8,13 +8,12 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::{EngineMode, Resolution};
+use hsw_node::Resolution;
 use hsw_tools::{assign_stress_load, measure_stress, StressResult};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::survey::RunCtx;
-use crate::Fidelity;
 
 /// One cell (benchmark × setting × EPB) of Table V.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,18 +47,8 @@ impl std::fmt::Display for Table5 {
     }
 }
 
-pub fn run(fidelity: Fidelity) -> Table5 {
-    run_seeded(fidelity, 0)
-}
-
-/// Like [`run`] but with per-cell node seeds derived from `seed` via the
-/// sweep executor (the survey runner's determinism contract).
-pub fn run_seeded(fidelity: Fidelity, seed: u64) -> Table5 {
-    let ctx = RunCtx::new(fidelity, seed, EngineMode::default());
-    run_ctx(&ctx)
-}
-
-fn run_ctx(ctx: &RunCtx) -> Table5 {
+/// Per-cell node seeds derive from `ctx.seed` via the sweep executor.
+pub fn run(ctx: &RunCtx) -> Table5 {
     let benchmarks = WorkloadProfile::table5_benchmarks();
     let configs: Vec<(bool, EpbClass)> = [false, true]
         .into_iter()
@@ -99,8 +88,8 @@ fn run_ctx(ctx: &RunCtx) -> Table5 {
                         setting,
                         *epb,
                         true, // turbo mode active (the *setting* selects its use)
-                        ctx.fidelity.table5_run_s(),
-                        ctx.fidelity.table5_window_s(),
+                        ctx.fidelity.durations().table5_run_s,
+                        ctx.fidelity.durations().table5_window_s,
                     );
                     Table5Cell {
                         benchmark: profile.name.to_string(),
@@ -170,7 +159,7 @@ impl crate::survey::SurveyExperiment for Experiment {
         "Maximum power: FIRESTARTER / LINPACK / mprime"
     }
     fn run(&self, ctx: &crate::survey::RunCtx) -> crate::survey::ExperimentResult {
-        let r = run_ctx(ctx);
+        let r = run(ctx);
         let mut out = crate::survey::ExperimentResult::capture(self, ctx, &r);
         let max_power = r.cells.iter().map(|c| c.power_w).fold(0.0f64, f64::max);
         out.metric("max_window_power_w", max_power);
@@ -200,11 +189,13 @@ impl crate::survey::SurveyExperiment for Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
     use hsw_hwspec::calib::powercal;
+    use hsw_node::EngineMode;
 
     fn t5() -> &'static Table5 {
         static CACHE: std::sync::OnceLock<Table5> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| run(Fidelity::Quick))
+        CACHE.get_or_init(|| run(&RunCtx::new(Fidelity::Quick, 0, EngineMode::default())))
     }
 
     #[test]

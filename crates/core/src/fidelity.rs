@@ -12,76 +12,89 @@ pub enum Fidelity {
     Paper,
     /// Surrogate tier: sweep points are answered by the `hsw-analytic`
     /// closed form; a deterministic spot-check sample runs the full
-    /// simulator at [`Quick`](Fidelity::Quick) durations (every duration
-    /// accessor delegates to `Quick`, so spot-check bytes match a `quick`
-    /// run of the same points). Only experiments that opt in via
+    /// simulator at [`Quick`](Fidelity::Quick) durations (it shares
+    /// Quick's [`Durations`], so spot-check bytes match a `quick` run of
+    /// the same points). Only experiments that opt in via
     /// [`SurveyExperiment::supports_surrogate`](crate::survey::SurveyExperiment::supports_surrogate)
     /// accept it.
     Analytic,
 }
 
-impl Fidelity {
+/// The measurement durations of one fidelity tier, as plain data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Durations {
     /// Number of 1 s LIKWID samples for Table IV (paper: 50).
-    pub fn table4_samples(self) -> usize {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 10,
-            Fidelity::Paper => 50,
-        }
-    }
-
+    pub table4_samples: usize,
     /// Sampling interval for Table IV in seconds (paper: 1 s).
-    pub fn table4_interval_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 0.2,
-            Fidelity::Paper => 1.0,
-        }
-    }
-
+    pub table4_interval_s: f64,
+    /// Idle AC-power averaging window for Table II (s).
+    pub table2_idle_s: f64,
     /// Uncore-frequency measurement duration for Table III (paper: 10 s).
-    pub fn table3_measure_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 0.5,
-            Fidelity::Paper => 10.0,
-        }
-    }
-
+    pub table3_measure_s: f64,
     /// Stress-test recording duration for Table V (paper: 1000 s runs).
-    pub fn table5_run_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 6.0,
-            Fidelity::Paper => 120.0,
-        }
-    }
-
+    pub table5_run_s: f64,
     /// Maximum-power extraction window for Table V (paper: 60 s).
-    pub fn table5_window_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 4.0,
-            Fidelity::Paper => 60.0,
-        }
-    }
-
+    pub table5_window_s: f64,
     /// Averaging window per Figure 2 measurement point (paper: 4 s).
-    pub fn fig2_avg_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 1.0,
-            Fidelity::Paper => 4.0,
-        }
-    }
-
+    pub fig2_avg_s: f64,
     /// FTaLaT samples per campaign (paper: 1000).
-    pub fn fig3_samples(self) -> usize {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 120,
-            Fidelity::Paper => 1000,
-        }
-    }
-
+    pub fig3_samples: usize,
     /// Wake-latency handshakes per point.
-    pub fn fig56_iterations(self) -> usize {
+    pub fig56_iterations: usize,
+    /// Package power caps (PL1, W per socket) the cap-and-measure fleet
+    /// experiment sweeps; `None` is the uncapped baseline. The E5-2680 v3
+    /// TDP is 120 W, so 70 W is a tight cap well inside the throttling
+    /// regime.
+    pub fleet_caps_w: &'static [Option<f64>],
+    /// Per-node settle time before the fleet measurement window (s). Must
+    /// cover several PL1 limiter windows (`RAPL_LIMIT_WINDOW_US`, 0.15 s):
+    /// a forked fleet member inherits the *golden* chip's converged state
+    /// and needs that long to throttle to its own electrical identity.
+    pub fleet_settle_s: f64,
+    /// Per-node fleet measurement window (s).
+    pub fleet_measure_s: f64,
+}
+
+/// Short runs for tests and CI.
+const QUICK: Durations = Durations {
+    table4_samples: 10,
+    table4_interval_s: 0.2,
+    table2_idle_s: 1.0,
+    table3_measure_s: 0.5,
+    table5_run_s: 6.0,
+    table5_window_s: 4.0,
+    fig2_avg_s: 1.0,
+    fig3_samples: 120,
+    fig56_iterations: 20,
+    fleet_caps_w: &[None, Some(70.0)],
+    fleet_settle_s: 0.6,
+    fleet_measure_s: 0.3,
+};
+
+/// The paper's methodology durations.
+const PAPER: Durations = Durations {
+    table4_samples: 50,
+    table4_interval_s: 1.0,
+    table2_idle_s: 10.0,
+    table3_measure_s: 10.0,
+    table5_run_s: 120.0,
+    table5_window_s: 60.0,
+    fig2_avg_s: 4.0,
+    fig3_samples: 1000,
+    fig56_iterations: 200,
+    fleet_caps_w: &[None, Some(100.0), Some(85.0), Some(70.0)],
+    fleet_settle_s: 1.5,
+    fleet_measure_s: 2.0,
+};
+
+impl Fidelity {
+    /// This tier's measurement durations. `Analytic` spot checks run at
+    /// Quick durations, so a re-run point is byte-identical to the same
+    /// point under `--fidelity quick`.
+    pub fn durations(self) -> &'static Durations {
         match self {
-            Fidelity::Quick | Fidelity::Analytic => 20,
-            Fidelity::Paper => 200,
+            Fidelity::Quick | Fidelity::Analytic => &QUICK,
+            Fidelity::Paper => &PAPER,
         }
     }
 
@@ -92,36 +105,6 @@ impl Fidelity {
             Fidelity::Paper => 256,
             // Surrogate points cost microseconds; default wide.
             Fidelity::Analytic => 65_536,
-        }
-    }
-
-    /// Package power caps (PL1, W per socket) the cap-and-measure fleet
-    /// experiment sweeps; `None` is the uncapped baseline. The E5-2680 v3
-    /// TDP is 120 W, so 70 W is a tight cap well inside the throttling
-    /// regime.
-    pub fn fleet_caps_w(self) -> Vec<Option<f64>> {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => vec![None, Some(70.0)],
-            Fidelity::Paper => vec![None, Some(100.0), Some(85.0), Some(70.0)],
-        }
-    }
-
-    /// Per-node settle time before the fleet measurement window (s). Must
-    /// cover several PL1 limiter windows (`RAPL_LIMIT_WINDOW_US`, 0.15 s):
-    /// a forked fleet member inherits the *golden* chip's converged state
-    /// and needs that long to throttle to its own electrical identity.
-    pub fn fleet_settle_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 0.6,
-            Fidelity::Paper => 1.5,
-        }
-    }
-
-    /// Per-node fleet measurement window (s).
-    pub fn fleet_measure_s(self) -> f64 {
-        match self {
-            Fidelity::Quick | Fidelity::Analytic => 0.3,
-            Fidelity::Paper => 2.0,
         }
     }
 
@@ -163,12 +146,13 @@ mod tests {
 
     #[test]
     fn paper_fidelity_matches_methodology() {
-        assert_eq!(Fidelity::Paper.table4_samples(), 50);
-        assert_eq!(Fidelity::Paper.table4_interval_s(), 1.0);
-        assert_eq!(Fidelity::Paper.table3_measure_s(), 10.0);
-        assert_eq!(Fidelity::Paper.table5_window_s(), 60.0);
-        assert_eq!(Fidelity::Paper.fig2_avg_s(), 4.0);
-        assert_eq!(Fidelity::Paper.fig3_samples(), 1000);
+        let d = Fidelity::Paper.durations();
+        assert_eq!(d.table4_samples, 50);
+        assert_eq!(d.table4_interval_s, 1.0);
+        assert_eq!(d.table3_measure_s, 10.0);
+        assert_eq!(d.table5_window_s, 60.0);
+        assert_eq!(d.fig2_avg_s, 4.0);
+        assert_eq!(d.fig3_samples, 1000);
     }
 
     #[test]
@@ -182,26 +166,22 @@ mod tests {
 
     #[test]
     fn quick_is_strictly_cheaper() {
-        assert!(Fidelity::Quick.table4_samples() < Fidelity::Paper.table4_samples());
-        assert!(Fidelity::Quick.table5_run_s() < Fidelity::Paper.table5_run_s());
-        assert!(Fidelity::Quick.fig3_samples() < Fidelity::Paper.fig3_samples());
+        let (q, p) = (Fidelity::Quick.durations(), Fidelity::Paper.durations());
+        assert!(q.table4_samples < p.table4_samples);
+        assert!(q.table5_run_s < p.table5_run_s);
+        assert!(q.fig3_samples < p.fig3_samples);
         assert!(Fidelity::Quick.fleet_size() < Fidelity::Paper.fleet_size());
-        assert!(Fidelity::Quick.fleet_caps_w().len() < Fidelity::Paper.fleet_caps_w().len());
-        assert!(Fidelity::Quick.fleet_measure_s() < Fidelity::Paper.fleet_measure_s());
+        assert!(q.fleet_caps_w.len() < p.fleet_caps_w.len());
+        assert!(q.fleet_measure_s < p.fleet_measure_s);
     }
 
     #[test]
     fn analytic_spot_checks_run_at_quick_durations() {
         // The spot-check contract: a point re-run at full fidelity under
         // `--fidelity analytic` must be byte-identical to the same point
-        // under `--fidelity quick`, so every measurement duration delegates.
+        // under `--fidelity quick`, so both tiers share one table.
         let (a, q) = (Fidelity::Analytic, Fidelity::Quick);
-        assert_eq!(a.table4_samples(), q.table4_samples());
-        assert_eq!(a.table4_interval_s(), q.table4_interval_s());
-        assert_eq!(a.fig2_avg_s(), q.fig2_avg_s());
-        assert_eq!(a.fleet_settle_s(), q.fleet_settle_s());
-        assert_eq!(a.fleet_measure_s(), q.fleet_measure_s());
-        assert_eq!(a.fleet_caps_w(), q.fleet_caps_w());
+        assert_eq!(a.durations(), q.durations());
         assert!(a.fleet_size() > Fidelity::Paper.fleet_size());
         assert!(a.is_analytic() && !q.is_analytic());
     }
@@ -209,9 +189,9 @@ mod tests {
     #[test]
     fn fleet_cap_lists_start_uncapped_and_tighten() {
         for f in [Fidelity::Quick, Fidelity::Paper, Fidelity::Analytic] {
-            let caps = f.fleet_caps_w();
+            let caps = f.durations().fleet_caps_w;
             assert_eq!(caps[0], None, "baseline must be uncapped");
-            let tight: Vec<f64> = caps.into_iter().flatten().collect();
+            let tight: Vec<f64> = caps.iter().flatten().copied().collect();
             assert!(tight.windows(2).all(|w| w[0] > w[1]), "caps must tighten");
             assert!(tight.iter().all(|&c| c < 120.0), "caps must bind below TDP");
         }

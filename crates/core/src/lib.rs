@@ -7,17 +7,23 @@
 //! tools (`hsw-tools`) and renders the same rows/series the paper reports.
 //!
 //! ```no_run
-//! use haswell_survey::{Fidelity, experiments};
+//! use haswell_survey::{experiments, Fidelity, RunCtx};
+//! use hsw_node::EngineMode;
 //!
 //! // Reproduce Table III (uncore frequencies vs. core frequency setting).
-//! let t3 = experiments::table3::run(Fidelity::Quick);
+//! let ctx = RunCtx::new(Fidelity::Quick, 42, EngineMode::default());
+//! let t3 = experiments::table3::run(&ctx);
 //! println!("{t3}");
 //! ```
 //!
-//! Experiments take a [`Fidelity`]: `Quick` for CI-scale runs, `Paper` for
-//! the durations the paper used (within simulation reason). Each result
-//! type implements `Display` (paper-style text table) and `serde`
-//! serialization (for EXPERIMENTS.md generation).
+//! Each experiment module has one `run` that computes its result from a
+//! [`RunCtx`]: the [`Fidelity`] (`Quick` for CI-scale runs, `Paper` for the
+//! durations the paper used, within simulation reason), the experiment's
+//! seed, the time engine and the platform. The survey runner
+//! ([`run_survey`]) builds one context per registered experiment. The four
+//! that need nothing from it (`fig1`, `table1`, `section8`,
+//! `sku_extrapolation`) take none. Each result type implements `Display`
+//! (paper-style text table) and `serde` serialization (for `survey.json`).
 
 pub mod energy;
 pub mod experiments;

@@ -711,6 +711,28 @@ impl ExperimentResult {
     pub fn checks_passed(&self) -> bool {
         self.checks.iter().all(|c| c.passed)
     }
+
+    /// This experiment's section of the text report: a banner naming it,
+    /// its paper-style text, and one line per check. Deterministic.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "================================================================\n\
+             {} — {} [{}]\n\
+             ================================================================\n\
+             {}\n",
+            self.anchor, self.title, self.id, self.text
+        );
+        for c in &self.checks {
+            out.push_str(&format!(
+                "  [{}] {}: {}\n",
+                crate::report::pass_fail(c.passed),
+                c.name,
+                c.detail
+            ));
+        }
+        out.push('\n');
+        out
+    }
 }
 
 /// A registry entry: one paper table/figure reproduction.
@@ -1025,12 +1047,7 @@ impl SurveyRun {
                 ])
             })
             .collect();
-        let total: usize = self.results.iter().map(|r| r.checks.len()).sum();
-        let passed: usize = self
-            .results
-            .iter()
-            .map(|r| r.checks.iter().filter(|c| c.passed).count())
-            .sum();
+        let (passed, total) = self.tally();
         Value::Object(vec![
             (
                 "schema".to_string(),
@@ -1128,40 +1145,34 @@ impl SurveyRun {
         t
     }
 
-    /// The human-readable survey report (paper-style text per experiment
-    /// plus the check scoreboard).
+    /// The human-readable survey report: each experiment's
+    /// [`ExperimentResult::render`], the check scoreboard, and the
+    /// [`summary`](SurveyRun::summary) line.
     pub fn text_report(&self) -> String {
-        let mut out = String::new();
-        for r in &self.results {
-            out.push_str(&format!(
-                "================================================================\n\
-                 {} — {} [{}]\n\
-                 ================================================================\n\
-                 {}\n",
-                r.anchor, r.title, r.id, r.text
-            ));
-            for c in &r.checks {
-                out.push_str(&format!(
-                    "  [{}] {}: {}\n",
-                    crate::report::pass_fail(c.passed),
-                    c.name,
-                    c.detail
-                ));
-            }
-            out.push('\n');
-        }
+        let mut out: String = self.results.iter().map(ExperimentResult::render).collect();
         out.push_str(&format!("{}\n", self.scoreboard()));
-        let total: usize = self.results.iter().map(|r| r.checks.len()).sum();
-        let passed: usize = self
+        out.push_str(&self.summary());
+        out
+    }
+
+    /// Checks passed and checks run, over every experiment.
+    fn tally(&self) -> (usize, usize) {
+        let total = self.results.iter().map(|r| r.checks.len()).sum();
+        let passed = self
             .results
             .iter()
             .map(|r| r.checks.iter().filter(|c| c.passed).count())
             .sum();
-        out.push_str(&format!(
+        (passed, total)
+    }
+
+    /// One line: experiments run and checks passed.
+    pub fn summary(&self) -> String {
+        let (passed, total) = self.tally();
+        format!(
             "survey: {} experiments, {passed}/{total} checks passed\n",
             self.results.len()
-        ));
-        out
+        )
     }
 }
 

@@ -1,8 +1,8 @@
 //! RAPL energy counters: 32-bit wrapping accumulators of energy units.
 
 /// A RAPL energy-status counter. Hardware exposes a 32-bit counter of
-/// energy units; software must handle wraparound (every ~4.4 h at 60 W with
-/// 61 µJ units). The accumulator keeps sub-unit residue so long simulations
+/// energy units; software must handle wraparound (every ~73 min at 60 W
+/// with 61 µJ units: 2³² × 61.035 µJ ≈ 262 kJ). The accumulator keeps sub-unit residue so long simulations
 /// do not lose energy to quantization.
 #[derive(Debug, Clone)]
 pub struct EnergyCounter {

@@ -9,6 +9,8 @@
 use hsw_msr::addresses as msra;
 use hsw_node::{CpuId, Node};
 
+use crate::perfctr::energy_counts;
+
 /// The groups the survey uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventGroup {
@@ -72,11 +74,32 @@ pub fn measure_group(
     group: EventGroup,
     duration_s: f64,
 ) -> GroupReport {
-    let rd = |node: &Node, addr: u32| node.rdmsr(cpu, addr).unwrap_or(0);
-    let before: Vec<u64> = EVENTS.iter().map(|a| rd(node, *a)).collect();
+    let read = |node: &Node| EVENTS.map(|addr| node.rdmsr(cpu, addr).unwrap_or(0));
+    let before = read(node);
     node.advance_s(duration_s);
-    let after: Vec<u64> = EVENTS.iter().map(|a| rd(node, *a)).collect();
-    let d = |i: usize| after[i].wrapping_sub(before[i]) as f64;
+    let after = read(node);
+    group_report(node, cpu, group, duration_s, &before, &after)
+}
+
+/// Derive `group`'s metrics from two reads of [`EVENTS`] taken
+/// `duration_s` apart. Each counter is subtracted at its register's width:
+/// the two RAPL energy-status registers are 32 bits wide (as in
+/// `PerfCtr::derive`), the other counters 64.
+fn group_report(
+    node: &Node,
+    cpu: CpuId,
+    group: EventGroup,
+    duration_s: f64,
+    before: &[u64; EVENTS.len()],
+    after: &[u64; EVENTS.len()],
+) -> GroupReport {
+    let d = |i: usize| {
+        if i == IDX_PKG || i == IDX_DRAM {
+            energy_counts(before[i] as u32, after[i] as u32)
+        } else {
+            after[i].wrapping_sub(before[i]) as f64
+        }
+    };
 
     let dt = duration_s;
     let nominal_ghz = node.config().spec.sku.freq.base_mhz as f64 / 1000.0;
@@ -215,6 +238,31 @@ mod tests {
         let r = measure_group(&mut node, CpuId::new(0, 0, 0), EventGroup::CStates, 1.0);
         assert!(r.metric("Core C6 residency").unwrap() > 95.0);
         assert!(r.metric("Pkg C6 residency").unwrap() > 95.0);
+    }
+
+    #[test]
+    fn energy_group_subtracts_at_32_bits_across_a_wrap() {
+        // A real wrap needs ~2,200 simulated seconds at 120 W, so the two
+        // reads are built by hand: the PKG register advances 1000 counts
+        // and the DRAM register 100 counts across 2^32.
+        let node = Platform::paper().session().build().into_node();
+        let mut before = [0u64; EVENTS.len()];
+        let mut after = before;
+        (before[IDX_PKG], after[IDX_PKG]) = (u32::MAX as u64 - 499, 500);
+        (before[IDX_DRAM], after[IDX_DRAM]) = (u32::MAX as u64 - 49, 50);
+        let cpu = CpuId::new(0, 0, 0);
+        let r = group_report(&node, cpu, EventGroup::Energy, 1.0, &before, &after);
+        let rapl = node.config().spec.sku.generation.policy().rapl();
+        let pkg_j = r.metric("Energy PKG").unwrap();
+        let dram_j = r.metric("Energy DRAM").unwrap();
+        assert!(
+            (pkg_j - 1000.0 * rapl.pkg_energy_unit_uj * 1e-6).abs() < 1e-9,
+            "{pkg_j} J"
+        );
+        assert!(
+            (dram_j - 100.0 * rapl.dram_energy_unit_uj * 1e-6).abs() < 1e-9,
+            "{dram_j} J"
+        );
     }
 
     #[test]

@@ -91,11 +91,9 @@ impl PerfCtr {
             core_ghz: d(a.aperf, b.aperf) / mperf * self.nominal_ghz,
             uncore_ghz: d(a.uclk, b.uclk) / (dt_s * 1e9),
             gips: d(a.instr, b.instr) / (dt_s * 1e9),
-            pkg_w: b.pkg_energy_raw.wrapping_sub(a.pkg_energy_raw) as f64 * self.pkg_unit_uj * 1e-6
+            pkg_w: energy_counts(a.pkg_energy_raw, b.pkg_energy_raw) * self.pkg_unit_uj * 1e-6
                 / dt_s,
-            dram_w: b.dram_energy_raw.wrapping_sub(a.dram_energy_raw) as f64
-                * self.dram_unit_uj
-                * 1e-6
+            dram_w: energy_counts(a.dram_energy_raw, b.dram_energy_raw) * self.dram_unit_uj * 1e-6
                 / dt_s,
         }
     }
@@ -113,6 +111,12 @@ impl PerfCtr {
         }
         out
     }
+}
+
+/// Counts a RAPL energy-status register (bits 31:0 of the MSR) advanced
+/// between two reads, across at most one wrap of its 32 bits.
+pub(crate) fn energy_counts(before: u32, after: u32) -> f64 {
+    after.wrapping_sub(before) as f64
 }
 
 /// Median of a value extracted from monitoring samples (the paper uses
@@ -138,6 +142,43 @@ mod tests {
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::freq::FreqSetting;
     use hsw_node::{Platform, PlatformKind};
+
+    #[test]
+    fn derive_reads_rapl_power_across_a_32_bit_wrap() {
+        // Both RAPL registers straddle 2^32 within one 1 s window: PKG by
+        // 2000 counts, DRAM by 200.
+        let node = Platform::paper().session().build().into_node();
+        let pc = PerfCtr::new(&node, CpuId::new(0, 0, 0));
+        let a = CounterSample {
+            t_ns: 0,
+            tsc: 0,
+            aperf: 0,
+            mperf: 0,
+            instr: 0,
+            core_cycles: 0,
+            uclk: 0,
+            pkg_energy_raw: u32::MAX - 999,
+            dram_energy_raw: u32::MAX - 99,
+        };
+        let b = CounterSample {
+            t_ns: 1_000_000_000,
+            pkg_energy_raw: 1000,
+            dram_energy_raw: 100,
+            ..a
+        };
+        let d = pc.derive(&a, &b);
+        let rapl = node.config().spec.sku.generation.policy().rapl();
+        assert!(
+            (d.pkg_w - 2000.0 * rapl.pkg_energy_unit_uj * 1e-6).abs() < 1e-9,
+            "{}",
+            d.pkg_w
+        );
+        assert!(
+            (d.dram_w - 200.0 * rapl.dram_energy_unit_uj * 1e-6).abs() < 1e-9,
+            "{}",
+            d.dram_w
+        );
+    }
 
     fn loaded_node() -> Node {
         let mut node = Platform::paper().session().build().into_node();

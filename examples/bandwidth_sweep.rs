@@ -3,10 +3,12 @@
 //!
 //! Run with: `cargo run --release --example bandwidth_sweep`
 
-use haswell_survey_repro::survey::experiments;
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 
 fn main() {
-    let fig7 = experiments::fig7::run();
+    let ctx = RunCtx::new(Fidelity::Quick, 42, EngineMode::default());
+    let fig7 = experiments::fig7::run(&ctx);
     println!("{fig7}");
     println!(
         "(paper Fig. 7: Haswell-EP and Westmere-EP DRAM bandwidth is flat in\n\
@@ -14,7 +16,7 @@ fn main() {
          the core clock and flattens at high frequency.)\n"
     );
 
-    let fig8 = experiments::fig8::run();
+    let fig8 = experiments::fig8::run(&ctx);
     println!("{fig8}");
     println!(
         "(paper Fig. 8: DRAM saturates at 8 cores and is frequency-independent\n\

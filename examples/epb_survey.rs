@@ -4,10 +4,12 @@
 //!
 //! Run with: `cargo run --release --example epb_survey`
 
-use haswell_survey_repro::survey::experiments;
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 
 fn main() {
-    let epb = experiments::section2c_epb::run();
+    let epb =
+        experiments::section2c_epb::run(&RunCtx::new(Fidelity::Quick, 42, EngineMode::default()));
     println!("{epb}");
     println!(
         "(paper Section II-C: only 0, 6 and 15 are architecturally defined;\n\

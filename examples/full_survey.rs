@@ -1,13 +1,15 @@
-//! Run the complete survey — every table and every figure — and print the
-//! paper-style reports. With `--paper` the experiments use the paper's
-//! methodology durations (slower; use `--release`). With `--write-md FILE`
-//! a markdown summary (the basis of EXPERIMENTS.md) is written.
+//! Run the whole survey registry on both platforms and print each
+//! experiment's paper-style section exactly as `survey --platform <p>
+//! --seed 42` prints it, minus the wall-clock scoreboard, so the output is
+//! byte-stable (`survey_output.txt` is this program's output). With
+//! `--paper` the experiments use the paper's methodology durations
+//! (slower). With `--write-md FILE` the same sections are also written as
+//! markdown (the basis of EXPERIMENTS.md).
 //!
 //! Run with: `cargo run --release --example full_survey [-- --paper]`
 
-use std::fmt::Write as _;
-
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::PlatformKind;
+use haswell_survey_repro::survey::{run_survey, Fidelity, SurveyConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -23,102 +25,33 @@ fn main() {
         .cloned();
 
     let mut md = String::new();
-    let mut emit = |title: &str, body: String| {
-        println!("================================================================");
-        println!("{title}");
-        println!("================================================================");
-        println!("{body}");
-        let _ = writeln!(md, "## {title}\n\n```text\n{body}\n```\n");
-    };
-
-    emit(
-        "Table I — microarchitecture comparison",
-        experiments::table1::run().to_string(),
-    );
-    emit(
-        "Table II — test system",
-        experiments::table2::run(fidelity).to_string(),
-    );
-    emit(
-        "Table III — uncore frequencies",
-        experiments::table3::run(fidelity).to_string(),
-    );
-    emit(
-        "Table IV — FIRESTARTER vs frequency settings",
-        experiments::table4::run(fidelity).to_string(),
-    );
-    emit(
-        "Table V — maximum power",
-        experiments::table5::run(fidelity).to_string(),
-    );
-    emit(
-        "Figure 2 — RAPL vs AC reference",
-        experiments::fig2::run(fidelity).to_string(),
-    );
-    emit(
-        "Figure 3 — p-state transition latencies",
-        experiments::fig3::run(fidelity).to_string(),
-    );
-    emit(
-        "Figure 4 — opportunity timeline",
-        experiments::fig4::run().to_string(),
-    );
-    emit(
-        "Figures 5/6 — c-state wake latencies",
-        experiments::fig56::run(fidelity).to_string(),
-    );
-    emit(
-        "Figure 7 — bandwidth vs frequency",
-        experiments::fig7::run().to_string(),
-    );
-    emit(
-        "Figure 8 — bandwidth heatmaps",
-        experiments::fig8::run().to_string(),
-    );
-    emit(
-        "Section VIII — FIRESTARTER",
-        experiments::section8::run().to_string(),
-    );
-    emit(
-        "Figure 1 — die topology",
-        experiments::fig1::run().to_string(),
-    );
-    emit(
-        "Section II-C — measured EPB mapping",
-        experiments::section2c_epb::run().to_string(),
-    );
-    emit(
-        "Section VI-B — governor vs ACPI tables",
-        experiments::section6b_governor::run().to_string(),
-    );
-    emit(
-        "Extension — product-line extrapolation",
-        experiments::sku_extrapolation::run().to_string(),
-    );
-    emit(
-        "Fleet — power caps turn variation into performance spread",
-        experiments::fleet_cap_spread::run(fidelity).to_string(),
-    );
-    emit(
-        "Fleet — barrier collectives pay for the slowest chip",
-        experiments::fleet_straggler::run(fidelity).to_string(),
-    );
-    emit(
-        "Skylake-SP — AVX frequency licenses (arXiv:1905.12468)",
-        experiments::skx_license_table::run().to_string(),
-    );
-    emit(
-        "Skylake-SP — mesh frequency scaling (arXiv:1905.12468)",
-        experiments::skx_ufs_mesh::run(fidelity).to_string(),
-    );
-    emit(
-        "Analytic — surrogate accuracy vs the full simulator (arXiv:1803.01618)",
-        experiments::analytic_accuracy::run(fidelity).to_string(),
-    );
-    emit(
-        "Analytic — million-node cap-spread sweep with simulator spot checks",
-        experiments::fleet_analytic_scale::run(fidelity).to_string(),
-    );
+    for platform in PlatformKind::ALL {
+        let cfg = SurveyConfig {
+            fidelity,
+            platform,
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            ..SurveyConfig::default()
+        };
+        let run = run_survey(&cfg).expect("the whole registry runs");
+        println!(
+            "survey: platform={} fidelity={} seed={}\n",
+            platform.name(),
+            fidelity.label(),
+            cfg.seed
+        );
+        for r in &run.results {
+            let section = r.render();
+            print!("{section}");
+            md.push_str(&format!(
+                "## {} — {} [{}, {}]\n\n```text\n{section}```\n\n",
+                r.anchor,
+                r.title,
+                r.id,
+                platform.name()
+            ));
+        }
+        println!("{}", run.summary());
+    }
 
     if let Some(path) = write_md {
         std::fs::write(&path, md).expect("write markdown");

@@ -3,10 +3,11 @@
 //!
 //! Run with: `cargo run --release --example max_power`
 
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 
 fn main() {
-    let t5 = experiments::table5::run(Fidelity::Quick);
+    let t5 = experiments::table5::run(&RunCtx::new(Fidelity::Quick, 42, EngineMode::default()));
     println!("{t5}");
     println!(
         "(paper Table V at 2500/bal: FIRESTARTER 560.4 W @ 2.45 GHz,\n\

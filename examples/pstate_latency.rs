@@ -4,10 +4,12 @@
 //!
 //! Run with: `cargo run --release --example pstate_latency`
 
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 
 fn main() {
-    let fig3 = experiments::fig3::run(Fidelity::Quick);
+    let ctx = RunCtx::new(Fidelity::Quick, 42, EngineMode::default());
+    let fig3 = experiments::fig3::run(&ctx);
     println!("{fig3}");
     println!(
         "(paper: random requests spread evenly 21–524 µs; instant re-requests\n\
@@ -15,7 +17,7 @@ fn main() {
          The ACPI tables claim 10 µs — inapplicable.)\n"
     );
 
-    let fig4 = experiments::fig4::run();
+    let fig4 = experiments::fig4::run(&ctx);
     println!("{fig4}");
     println!(
         "(all cores of one socket latch at the same opportunity; the two\n\

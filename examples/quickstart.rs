@@ -6,8 +6,8 @@
 
 use haswell_survey_repro::exec::WorkloadProfile;
 use haswell_survey_repro::hwspec::freq::FreqSetting;
-use haswell_survey_repro::node::{CpuId, Node, NodeConfig};
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::{CpuId, EngineMode, Node, NodeConfig};
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 use haswell_survey_repro::tools::perfctr::{median_of, PerfCtr};
 
 fn main() {
@@ -47,6 +47,6 @@ fn main() {
     );
 
     // 5. One full experiment: Table III.
-    let t3 = experiments::table3::run(Fidelity::Quick);
+    let t3 = experiments::table3::run(&RunCtx::new(Fidelity::Quick, 42, EngineMode::default()));
     println!("{t3}");
 }

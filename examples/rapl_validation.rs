@@ -4,10 +4,11 @@
 //!
 //! Run with: `cargo run --release --example rapl_validation`
 
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
 
 fn main() {
-    let fig2 = experiments::fig2::run(Fidelity::Quick);
+    let fig2 = experiments::fig2::run(&RunCtx::new(Fidelity::Quick, 42, EngineMode::default()));
     println!("{fig2}");
 
     let q = fig2.haswell.quadratic.expect("haswell fit");

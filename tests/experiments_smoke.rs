@@ -1,7 +1,13 @@
 //! End-to-end smoke tests over the fast experiments, exercised through the
 //! root facade exactly as the examples use it.
 
-use haswell_survey_repro::survey::{experiments, Fidelity};
+use haswell_survey_repro::node::EngineMode;
+use haswell_survey_repro::survey::{experiments, Fidelity, RunCtx};
+
+/// Quick fidelity at seed 0, under the default time engine.
+fn quick() -> RunCtx {
+    RunCtx::new(Fidelity::Quick, 0, EngineMode::default())
+}
 
 #[test]
 fn table1_renders_and_validates() {
@@ -12,24 +18,24 @@ fn table1_renders_and_validates() {
 
 #[test]
 fn table2_reports_the_test_system() {
-    let t2 = experiments::table2::run(Fidelity::Quick);
+    let t2 = experiments::table2::run(&quick());
     assert!((t2.idle_power_w - 261.5).abs() < 8.0);
 }
 
 #[test]
 fn fig4_timeline_shows_the_500us_grid() {
-    let f4 = experiments::fig4::run();
+    let f4 = experiments::fig4::run(&quick());
     assert!((f4.estimated_period_us - 500.0).abs() < 35.0);
     assert!(f4.entries.len() >= 12);
 }
 
 #[test]
 fn fig7_and_fig8_have_paper_shapes() {
-    let f7 = experiments::fig7::run();
+    let f7 = experiments::fig7::run(&quick());
     assert!(f7.low_end(false, "Haswell-EP") > 0.97);
     assert!(f7.low_end(false, "Sandy Bridge-EP") < 0.6);
 
-    let f8 = experiments::fig8::run();
+    let f8 = experiments::fig8::run(&quick());
     let sat = f8.at(8, 2.5).unwrap().dram_gbs;
     let full = f8.at(12, 2.5).unwrap().dram_gbs;
     assert!((sat / full - 1.0).abs() < 0.03);
@@ -45,7 +51,7 @@ fn section8_validates_firestarter() {
 #[test]
 fn experiment_results_serialize() {
     // The EXPERIMENTS.md generator relies on serde round-trips.
-    let f7 = experiments::fig7::run();
+    let f7 = experiments::fig7::run(&quick());
     let json = serde_json::to_string(&f7).unwrap();
     let back: experiments::fig7::Fig7 = serde_json::from_str(&json).unwrap();
     assert_eq!(back.l3.len(), f7.l3.len());
