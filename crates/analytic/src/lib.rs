@@ -28,9 +28,11 @@
 //! ceiling logic (turbo bins, AVX license, EET, EPB turbo-at-base), the
 //! damped core/uncore fixed-point iteration against the RAPL budget, and the
 //! stall-driven uncore boost. The solver prices cores as runs of identical
-//! cores and memoizes its bisections within a solve, so one point costs
-//! microseconds instead of a simulated settle, and the surrogate's grant is
-//! the simulator's grant for the same inputs by construction.
+//! cores, memoizes its bisections within a solve and settles each one by
+//! pricing a handful of whole-MHz frequencies around the power threshold
+//! rather than all 24 midpoints, so one point costs microseconds instead of
+//! a simulated settle, and the surrogate's grant is the simulator's grant
+//! for the same inputs by construction.
 //!
 //! What the closed form adds over the solver is the steady limiter state.
 //! The two-level RAPL limiter grants `e · clamp(2·TDP − avg, 0.9·TDP,

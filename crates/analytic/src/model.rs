@@ -419,6 +419,64 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// FNV-1a over the little-endian bytes of one 64-bit word.
+    fn fnv1a(h: u64, word: u64) -> u64 {
+        word.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Every socket prediction for 512 fleet-varied chips on both
+    /// platforms, uncapped and at 0.6× and 0.4×TDP, for `compute` on five
+    /// cores and FIRESTARTER at full width — the varied, capped chips the
+    /// analytic fleet experiments answer.
+    fn varied_fleet_digest() -> (u64, usize) {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut n = 0;
+        let vm = VariationModel::paper_fleet();
+        let compute = WorkloadProfile::compute();
+        let fs = WorkloadProfile::firestarter();
+        for nominal in [haswell(), skylake()] {
+            let tdp = nominal.sku.tdp_w;
+            let points = [
+                OperatingPoint::new(&compute, FreqSetting::Turbo, 5),
+                OperatingPoint {
+                    smt: true,
+                    ..OperatingPoint::new(&fs, FreqSetting::Turbo, nominal.sku.cores)
+                },
+            ];
+            for seed in 0..512u64 {
+                let var = ChipVariation::sample(&vm, seed);
+                for cap in [None, Some(tdp * 0.6), Some(tdp * 0.4)] {
+                    let model = AnalyticModel::for_chip(&nominal, &var, true).with_cap_w(cap);
+                    for pt in &points {
+                        for s in model.predict(pt).sockets {
+                            for w in [
+                                s.core_ghz.to_bits(),
+                                s.uncore_ghz.to_bits(),
+                                s.gips.to_bits(),
+                                s.pkg_w.to_bits(),
+                                u64::from(s.power_limited),
+                            ] {
+                                h = fnv1a(h, w);
+                            }
+                            n += 1;
+                        }
+                    }
+                }
+            }
+        }
+        (h, n)
+    }
+
+    #[test]
+    fn varied_fleet_predictions_match_the_pinned_digest() {
+        // Pinned from the solver that priced every bisection midpoint: the
+        // whole-MHz threshold replay must not move a single bit of any
+        // varied chip's prediction.
+        assert_eq!(varied_fleet_digest(), (0xef32_6237_a473_4d52, 12288));
+    }
+
     #[test]
     fn skylake_predictions_use_the_mesh_envelope() {
         let model = AnalyticModel::from_node_spec(&skylake(), true);

@@ -179,8 +179,8 @@ struct QuietCache {
     tick: SocketTick,
     eet_input: f64,
     bias: ModelBias,
-    /// The limiter-average bucket hashed into the last PCU key; a light
-    /// phase must end (wake) on the step where the live average leaves it.
+    /// The limiter-average bucket of the last PCU key; a light phase must
+    /// end (wake) on the step where the live average leaves it.
     avg_bucket: u64,
     therm_readout: u64,
     /// The wake horizon: the earliest instant at which a discrete event
@@ -201,6 +201,25 @@ impl QuietCache {
             wake_at: 0,
         }
     }
+}
+
+/// The PCU inputs whose change forces a re-solve ahead of the periodic
+/// one, compared field by field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PcuKey {
+    /// The limiter's running average in 2 W buckets, so the solver re-runs
+    /// as the average migrates (fine steps during bursts, none in steady
+    /// state).
+    avg_bucket: u64,
+    setting: FreqSetting,
+    active: usize,
+    epb: EpbClass,
+    turbo_enabled: bool,
+    avx_level: u8,
+    /// Mean duty in 5 % buckets.
+    duty_bucket: u64,
+    /// EET's sampled stall in whole percent.
+    stall_pct: u64,
 }
 
 /// The per-core hot state as a structure of arrays: `Socket::tick`'s
@@ -358,8 +377,9 @@ pub struct Socket {
     /// Granted operating point (updated at the PCU cadence).
     grant: PcuGrant,
     next_pcu: Ns,
-    /// Hash of the PCU inputs at the last solve (event-driven re-solve).
-    last_pcu_key: u64,
+    /// The PCU inputs at the last solve (event-driven re-solve); `None`
+    /// until the first one.
+    last_pcu_key: Option<PcuKey>,
     uncore_mhz: f64,
     thermal: ThermalState,
     mbvr: Mbvr,
@@ -419,7 +439,7 @@ pub struct PStatePlaneImage {
     eet: EetController,
     grant: PcuGrant,
     next_pcu: Ns,
-    last_pcu_key: u64,
+    last_pcu_key: Option<PcuKey>,
     uncore_mhz: f64,
 }
 
@@ -489,7 +509,7 @@ impl Socket {
                 power_limited: false,
             },
             next_pcu: pcu_phase_ns,
-            last_pcu_key: u64::MAX,
+            last_pcu_key: None,
             uncore_mhz: spec.freq.uncore_min_mhz as f64,
             thermal: ThermalState::new(ThermalParams::server_max_fans()),
             mbvr: Mbvr::for_generation(spec.generation),
@@ -882,24 +902,18 @@ impl Socket {
         let setting = fastest_setting_in_system
             .filter(|_| active == 0)
             .unwrap_or_else(|| self.fastest_setting());
-        let duty_bucket = (duty * 20.0).round() as u64;
-        // Bucketed so the solver re-runs as the limiter's average migrates
-        // (fine steps during bursts, none in steady state).
-        let avg_bucket = (self.rapl.running_avg_pkg_w() / 2.0) as u64;
-        let key = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            avg_bucket.hash(&mut h);
-            setting.hash(&mut h);
-            active.hash(&mut h);
-            self.epb().hash(&mut h);
-            self.turbo_enabled().hash(&mut h);
-            avx_level.hash(&mut h);
-            duty_bucket.hash(&mut h);
-            ((self.eet.sampled_stall() * 100.0) as u64).hash(&mut h);
-            h.finish()
-        };
         let epb = self.epb();
+        let avg_bucket = (self.rapl.running_avg_pkg_w() / 2.0) as u64;
+        let key = PcuKey {
+            avg_bucket,
+            setting,
+            active,
+            epb,
+            turbo_enabled: self.turbo_enabled(),
+            avx_level,
+            duty_bucket: (duty * 20.0).round() as u64,
+            stall_pct: (self.eet.sampled_stall() * 100.0) as u64,
+        };
         let eet_limit = if self.eet_enabled {
             self.eet
                 .limit_mhz(spec, epb, spec.freq.turbo_mhz(active.max(1)))
@@ -928,8 +942,8 @@ impl Socket {
             eet_limit_mhz: eet_limit,
             avg_pkg_w: self.rapl.running_avg_pkg_w(),
         };
-        if key != self.last_pcu_key || self.next_pcu <= now {
-            self.last_pcu_key = key;
+        if self.last_pcu_key != Some(key) || self.next_pcu <= now {
+            self.last_pcu_key = Some(key);
             self.next_pcu = now + self.pcu_period_ns();
             self.grant = PcuController::solve(&inputs);
             self.grant_restored = false;

@@ -14,6 +14,13 @@
 //!    workload stalls on memory**, the uncore absorbs the remaining budget
 //!    up to its 3.0 GHz maximum — the paper's "available headroom is used
 //!    to increase the uncore frequencies" (Table IV caption).
+//!
+//! Both budget bisections halve their range 24 times, but a verdict
+//! `power <= budget` only reads the candidate's whole MHz, and package
+//! power never decreases as a whole-MHz frequency rises. So each bisection
+//! first finds the one whole MHz where power crosses the budget, pricing a
+//! handful of frequencies instead of 24 midpoints, then replays the 24
+//! halvings against it for the same bits ([`first_over_budget`]).
 
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
@@ -75,30 +82,130 @@ pub fn epb_budget_factor(epb: EpbClass) -> f64 {
     }
 }
 
-/// [`PcuController::max_core_within`] answers of one solve, keyed by the
-/// uncore target's bits. Both fixed-point passes and the final re-bisection
-/// keep asking about the same few UFS bins; a full table computes the
-/// answer without storing it.
-#[derive(Default)]
-struct CoreMemo {
-    entries: [(u64, f64); 8],
-    len: usize,
+/// A solve-local answer table on the stack, so the solve stays
+/// allocation-free; once full it computes answers without storing them.
+/// `solve` keeps two: [`PcuController::max_core_within`] by the uncore
+/// target's bits (both fixed-point passes and the final re-bisection keep
+/// asking about the same few UFS bins), and each pass's UFS targets by the
+/// schedule bin the core frequency maps onto (the damped iteration settles
+/// onto one or two bins).
+struct Memo<K, const N: usize> {
+    entries: [Option<(K, f64)>; N],
 }
 
-impl CoreMemo {
-    fn get_or(&mut self, uncore_mhz: f64, compute: impl FnOnce() -> f64) -> f64 {
-        let key = uncore_mhz.to_bits();
-        let known = self.entries.iter().take(self.len).find(|e| e.0 == key);
-        if let Some(&(_, core_mhz)) = known {
-            return core_mhz;
-        }
-        let core_mhz = compute();
-        if let Some(slot) = self.entries.get_mut(self.len) {
-            *slot = (key, core_mhz);
-            self.len += 1;
-        }
-        core_mhz
+impl<K: Copy + PartialEq, const N: usize> Memo<K, N> {
+    fn new() -> Self {
+        Memo { entries: [None; N] }
     }
+
+    fn get_or(&mut self, key: K, compute: impl FnOnce() -> f64) -> f64 {
+        for slot in &mut self.entries {
+            match *slot {
+                Some((k, answer)) if k == key => return answer,
+                Some(_) => {}
+                None => {
+                    let answer = compute();
+                    *slot = Some((key, answer));
+                    return answer;
+                }
+            }
+        }
+        compute()
+    }
+}
+
+/// The halvings of one budget bisection.
+const HALVINGS: u32 = 24;
+
+/// The whole MHz at which [`PcuController::power_at`] prices a candidate
+/// frequency.
+fn whole_mhz(mhz: f64) -> u32 {
+    mhz.round() as u32
+}
+
+/// The first whole MHz in `lo..=hi` whose power exceeds `budget_w`, given
+/// that `hi`'s power `p_hi` does.
+///
+/// `power` must never decrease as its whole-MHz argument rises. Package
+/// power doesn't: it adds and multiplies non-negative coefficients, the
+/// activity, voltages that rise with frequency and the frequency itself,
+/// and correctly rounded IEEE additions and multiplications of non-negative
+/// operands are monotone in each operand (a controller test sweeps every
+/// whole MHz to check). So the answer fixes the verdict `power <= budget_w`
+/// of every frequency in the range: it fits exactly when its whole MHz lies
+/// below the answer.
+///
+/// The search is a secant on the integers: it probes where the line
+/// through the last two priced frequencies meets the budget, and keeps the
+/// last fitting and the first exceeding whole MHz as a bracket. The line
+/// runs through log power, which bends less than power over a V/f curve
+/// (13.5 instead of 17 prices per limited solve over the controller tests'
+/// envelope). A secant guess outside the bracket halves it instead, and so
+/// does every step once the probes left could only just close the bracket
+/// by halving. So for any range narrower than 2²³ MHz this prices at most
+/// [`HALVINGS`] frequencies, `power(lo)` included: never more than the
+/// literal bisection's midpoints.
+fn first_over_budget(
+    lo: u32,
+    hi: u32,
+    p_hi: f64,
+    budget_w: f64,
+    power: impl Fn(u32) -> f64,
+) -> u32 {
+    if hi <= lo {
+        return hi;
+    }
+    let p_lo = power(lo);
+    let lo_fits = p_lo <= budget_w;
+    if !lo_fits {
+        return lo;
+    }
+    let (mut fit, mut over) = (lo, hi);
+    let target = budget_w.ln();
+    let (mut prev, mut last) = ((f64::from(hi), p_hi.ln()), (f64::from(lo), p_lo.ln()));
+    let mut probes_left = HALVINGS - 1;
+    while over - fit > 1 {
+        let width = over - fit;
+        // Halvings that close a bracket of this width: ceil(log2(width)).
+        let halvings = u32::BITS - (width - 1).leading_zeros();
+        let guess = last.0 + (target - last.1) * (last.0 - prev.0) / (last.1 - prev.1);
+        // A NaN or infinite guess (a flat secant, or power or budget not
+        // positive) is outside.
+        let inside = guess > f64::from(fit) && guess < f64::from(over);
+        let probe = if inside && halvings < probes_left {
+            (guess as u32).max(fit + 1)
+        } else {
+            fit + width / 2
+        };
+        probes_left = probes_left.saturating_sub(1);
+        let p = power(probe);
+        if p <= budget_w {
+            fit = probe;
+        } else {
+            over = probe;
+        }
+        (prev, last) = (last, (f64::from(probe), p.ln()));
+    }
+    over
+}
+
+/// The last fitting midpoint of [`HALVINGS`] halvings of `[lo, hi]`, where
+/// a midpoint fits exactly when its whole MHz lies below `first_over`:
+/// the same `lo` bits the bisection that prices every midpoint returns.
+/// `round` takes halves away from zero, so for the finite, non-negative
+/// frequencies every caller passes that test is `mid < first_over − 0.5`,
+/// which keeps the rounding off the halvings' dependency chain.
+fn replay_halvings(mut lo: f64, mut hi: f64, first_over: u32) -> f64 {
+    let fits_below = f64::from(first_over) - 0.5;
+    for _ in 0..HALVINGS {
+        let mid = 0.5 * (lo + hi);
+        if mid < fits_below {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Stateless equilibrium solver (the node simulator slews toward this
@@ -139,21 +246,24 @@ impl PcuController {
         ceiling.max(spec.freq.min_mhz)
     }
 
-    /// Package power at a candidate operating point. Hot: the bisections
-    /// call this dozens of times per solve and the event engine's wake
-    /// horizon once per full tick, so the cores are priced as two runs of
-    /// identical cores (active, then idle ungated; gated cores add nothing)
-    /// instead of a per-core array. The tests hold this bit-exact against
-    /// [`package_power_w`] over the explicit core array.
+    /// Package power at a candidate operating point, read at whole MHz
+    /// ([`whole_mhz`]). Hot: a limited solve calls this about 15 times and
+    /// the event engine's wake horizon once per full tick, so the cores are
+    /// priced as two runs of identical cores (active, then idle ungated;
+    /// gated cores add nothing) instead of a per-core array. The tests hold
+    /// this bit-exact against [`package_power_w`] over the explicit core
+    /// array.
     ///
     /// [`package_power_w`]: hsw_power::package_power_w
     fn power_at(inputs: &PcuInputs<'_>, core_mhz: f64, uncore_mhz: f64) -> f64 {
+        #[cfg(test)]
+        tests::POWER_AT_CALLS.with(|n| n.set(n.get() + 1));
         let spec = inputs.spec;
         let active = inputs.active_cores.min(spec.cores);
         let idle = spec.cores.saturating_sub(inputs.active_cores);
         let gated = inputs.gated_idle_cores.min(idle);
         let busy = CoreElecState {
-            mhz: core_mhz.round() as u32,
+            mhz: whole_mhz(core_mhz),
             activity: inputs.activity,
             license_level: inputs.avx_level,
             power_gated: false,
@@ -171,28 +281,33 @@ impl PcuController {
                 (busy, active),
                 (halted, spec.cores.saturating_sub(active + gated)),
             ],
-            uncore_mhz.round() as u32,
+            whole_mhz(uncore_mhz),
         )
         .total_w()
     }
 
-    /// UFS target keyed by the actual core frequency (mapped onto the
-    /// Table III schedule bins). `epb` is passed explicitly because the
-    /// EPB=performance uncore pin only survives while the package has power
-    /// headroom (see [`PcuController::solve`]).
-    fn ufs_target_for(inputs: &PcuInputs<'_>, core_mhz: f64, epb: EpbClass) -> f64 {
+    /// The Table III schedule bin the actual core frequency maps onto: the
+    /// UFS target depends on the core frequency only through it.
+    fn ufs_bin(inputs: &PcuInputs<'_>, core_mhz: f64) -> FreqSetting {
         let spec = inputs.spec;
-        let setting = if core_mhz > spec.freq.base_mhz as f64 + 50.0 {
+        if core_mhz > spec.freq.base_mhz as f64 + 50.0 {
             FreqSetting::Turbo
         } else {
             let bin = ((core_mhz / 100.0).round() as u32 * 100)
                 .clamp(spec.freq.min_mhz, spec.freq.base_mhz);
             FreqSetting::Fixed(PState::from_mhz(bin))
-        };
+        }
+    }
+
+    /// UFS target for a schedule bin (see [`PcuController::ufs_bin`]).
+    /// `epb` is passed explicitly because the EPB=performance uncore pin
+    /// only survives while the package has power headroom (see
+    /// [`PcuController::solve`]).
+    fn ufs_target_at(inputs: &PcuInputs<'_>, bin: FreqSetting, epb: EpbClass) -> f64 {
         ufs::ufs_target_mhz(
-            spec,
+            inputs.spec,
             &UfsInputs {
-                fastest_setting: setting,
+                fastest_setting: bin,
                 socket_active: inputs.active_cores > 0,
                 epb,
                 stall_fraction: inputs.stall_fraction,
@@ -202,30 +317,32 @@ impl PcuController {
     }
 
     /// Largest core frequency ≤ `ceiling` whose power with the given uncore
-    /// stays within budget.
+    /// stays within budget: the last fitting midpoint of 24 halvings of
+    /// `[floor, ceiling]`, replayed against the whole-MHz threshold (see
+    /// [`first_over_budget`]).
     fn max_core_within(
         inputs: &PcuInputs<'_>,
         ceiling_mhz: f64,
         uncore_mhz: f64,
         budget_w: f64,
     ) -> f64 {
-        let floor = inputs.spec.freq.min_mhz as f64;
-        if Self::power_at(inputs, ceiling_mhz, uncore_mhz) <= budget_w {
+        let p_ceiling = Self::power_at(inputs, ceiling_mhz, uncore_mhz);
+        if p_ceiling <= budget_w {
             return ceiling_mhz;
         }
-        let (mut lo, mut hi) = (floor, ceiling_mhz);
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            if Self::power_at(inputs, mid, uncore_mhz) <= budget_w {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let floor = inputs.spec.freq.min_mhz as f64;
+        let over = first_over_budget(
+            whole_mhz(floor),
+            whole_mhz(ceiling_mhz),
+            p_ceiling,
+            budget_w,
+            |mhz| Self::power_at(inputs, f64::from(mhz), uncore_mhz),
+        );
+        replay_halvings(floor, ceiling_mhz, over)
     }
 
-    /// Largest uncore frequency in [`lo`, `hi`] within budget.
+    /// Largest uncore frequency in [`lo`, `hi`] within budget, by the same
+    /// threshold replay as [`PcuController::max_core_within`].
     fn max_uncore_within(
         inputs: &PcuInputs<'_>,
         core_mhz: f64,
@@ -233,19 +350,18 @@ impl PcuController {
         hi_mhz: f64,
         budget_w: f64,
     ) -> f64 {
-        if Self::power_at(inputs, core_mhz, hi_mhz) <= budget_w {
+        let p_hi = Self::power_at(inputs, core_mhz, hi_mhz);
+        if p_hi <= budget_w {
             return hi_mhz;
         }
-        let (mut lo, mut hi) = (lo_mhz, hi_mhz);
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            if Self::power_at(inputs, core_mhz, mid) <= budget_w {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let over = first_over_budget(
+            whole_mhz(lo_mhz),
+            whole_mhz(hi_mhz),
+            p_hi,
+            budget_w,
+            |mhz| Self::power_at(inputs, core_mhz, f64::from(mhz)),
+        );
+        replay_halvings(lo_mhz, hi_mhz, over)
     }
 
     /// Whether [`PcuController::solve`] returns bit-identical grants for
@@ -312,20 +428,37 @@ impl PcuController {
         // Ceiling and budget are fixed from here on, so the core bisection
         // depends only on the uncore target, which takes a few whole-MHz
         // values per solve.
-        let mut memo = CoreMemo::default();
-        let mut max_core =
-            |fu: f64| memo.get_or(fu, || Self::max_core_within(inputs, ceiling, fu, budget));
+        let mut core_memo = Memo::<u64, 8>::new();
+        let mut max_core = |fu: f64| {
+            core_memo.get_or(fu.to_bits(), || {
+                Self::max_core_within(inputs, ceiling, fu, budget)
+            })
+        };
 
         // Self-consistent iteration: the UFS target follows the actual core
         // frequency, which follows the power left by the uncore. Damped to
         // suppress bin oscillation.
         let mut solve_with_epb = |ufs_epb: EpbClass| {
+            let mut ufs_memo = Memo::<FreqSetting, 4>::new();
+            let mut ufs_target =
+                |bin| ufs_memo.get_or(bin, || Self::ufs_target_at(inputs, bin, ufs_epb));
             let mut fc = ceiling;
-            let mut fu = Self::ufs_target_for(inputs, fc, ufs_epb);
-            for _ in 0..24 {
+            let mut bin = Self::ufs_bin(inputs, fc);
+            let mut fu = ufs_target(bin);
+            for step in 0..24 {
                 let fc_new = max_core(fu);
+                if Self::ufs_bin(inputs, fc_new) == bin {
+                    // The bin never falls as the core frequency rises, so
+                    // every later iterate, between `fc` and `fc_new`, stays
+                    // in it: the UFS target and the core answer stay put.
+                    for _ in step..24 {
+                        fc = 0.5 * (fc + fc_new);
+                    }
+                    return (fc, fu);
+                }
                 fc = 0.5 * (fc + fc_new);
-                fu = Self::ufs_target_for(inputs, fc, ufs_epb);
+                bin = Self::ufs_bin(inputs, fc);
+                fu = ufs_target(bin);
             }
             (fc, fu)
         };
@@ -377,6 +510,13 @@ mod tests {
     use crate::EetController;
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::calib;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`PcuController::power_at`] calls on this thread.
+        pub(super) static POWER_AT_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn sku() -> SkuSpec {
         SkuSpec::xeon_e5_2680_v3()
@@ -706,25 +846,12 @@ mod tests {
             .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
-    /// Every grant over both platforms' operating envelopes: uncapped and at
-    /// 0.6×TDP, every EPB, four workload profiles, four settings, three
-    /// widths with the idle cores gated or halted, the limiter average at
-    /// PL1 (steady state), above it and below it (the burst budget), plus
+    /// Visit every input of both platforms' operating envelopes: uncapped
+    /// and at 0.6×TDP, every EPB, four workload profiles, four settings,
+    /// three widths with the idle cores gated or halted, the limiter average
+    /// at PL1 (steady state), above it and below it (the burst budget), plus
     /// the idle socket.
-    fn envelope_digest() -> (u64, usize) {
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        let mut n = 0;
-        let mut fold = |g: PcuGrant| {
-            for w in [
-                g.core_mhz.to_bits(),
-                g.uncore_mhz.to_bits(),
-                g.power_w.to_bits(),
-                u64::from(g.power_limited),
-            ] {
-                h = fnv1a(h, w);
-            }
-            n += 1;
-        };
+    fn for_each_envelope_input(mut visit: impl FnMut(&PcuInputs<'_>)) {
         let profiles = [
             WorkloadProfile::firestarter(),
             WorkloadProfile::compute(),
@@ -759,7 +886,7 @@ mod tests {
                                     let eet_limit_mhz =
                                         eet.limit_mhz(spec, epb, spec.freq.turbo_mhz(active));
                                     for avg in [1.1, 1.0, 0.97, 0.9, 0.5] {
-                                        let inputs = PcuInputs {
+                                        visit(&PcuInputs {
                                             spec,
                                             socket_power_mult: 1.012,
                                             setting,
@@ -772,8 +899,7 @@ mod tests {
                                             stall_fraction: stall,
                                             eet_limit_mhz,
                                             avg_pkg_w: spec.tdp_w * avg,
-                                        };
-                                        fold(PcuController::solve(&inputs));
+                                        });
                                     }
                                 }
                             }
@@ -781,7 +907,7 @@ mod tests {
                     }
                 }
             }
-            let idle = PcuInputs {
+            visit(&PcuInputs {
                 spec: &nominal,
                 socket_power_mult: 1.0,
                 setting: FreqSetting::Turbo,
@@ -794,9 +920,26 @@ mod tests {
                 stall_fraction: 0.0,
                 eet_limit_mhz: u32::MAX,
                 avg_pkg_w: 12.0,
-            };
-            fold(PcuController::solve(&idle));
+            });
         }
+    }
+
+    /// Every grant over both platforms' operating envelopes.
+    fn envelope_digest() -> (u64, usize) {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut n = 0;
+        for_each_envelope_input(|inputs| {
+            let g = PcuController::solve(inputs);
+            for w in [
+                g.core_mhz.to_bits(),
+                g.uncore_mhz.to_bits(),
+                g.power_w.to_bits(),
+                u64::from(g.power_limited),
+            ] {
+                h = fnv1a(h, w);
+            }
+            n += 1;
+        });
         (h, n)
     }
 
@@ -806,5 +949,281 @@ mod tests {
         // array and re-ran every bisection: the run-grouped sum and the
         // per-solve memo must not move a single bit of any grant.
         assert_eq!(envelope_digest(), (0x205e_8906_c6b9_0ba2, 5762));
+    }
+
+    /// The bisection the threshold replay stands in for: price all 24
+    /// midpoints of `[floor, ceiling]`.
+    fn oracle_core_within(
+        inputs: &PcuInputs<'_>,
+        ceiling_mhz: f64,
+        uncore_mhz: f64,
+        budget_w: f64,
+    ) -> f64 {
+        if PcuController::power_at(inputs, ceiling_mhz, uncore_mhz) <= budget_w {
+            return ceiling_mhz;
+        }
+        let (mut lo, mut hi) = (inputs.spec.freq.min_mhz as f64, ceiling_mhz);
+        for _ in 0..24 {
+            let mid = 0.5 * (lo + hi);
+            if PcuController::power_at(inputs, mid, uncore_mhz) <= budget_w {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The uncore twin of [`oracle_core_within`] over `[lo, hi]`.
+    fn oracle_uncore_within(
+        inputs: &PcuInputs<'_>,
+        core_mhz: f64,
+        lo_mhz: f64,
+        hi_mhz: f64,
+        budget_w: f64,
+    ) -> f64 {
+        if PcuController::power_at(inputs, core_mhz, hi_mhz) <= budget_w {
+            return hi_mhz;
+        }
+        let (mut lo, mut hi) = (lo_mhz, hi_mhz);
+        for _ in 0..24 {
+            let mid = 0.5 * (lo + hi);
+            if PcuController::power_at(inputs, core_mhz, mid) <= budget_w {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// One fleet chip's socket spec, the way `ChipVariation::apply` makes
+    /// it, with its TDP scaled to `cap` (the fleet harness's power cap).
+    fn varied_spec(skylake: bool, leak: f64, vcorner_v: f64, trim: f64, cap: f64) -> SkuSpec {
+        let nominal = if skylake {
+            hsw_hwspec::NodeSpec::skylake_sp_node()
+        } else {
+            hsw_hwspec::NodeSpec::paper_test_node()
+        };
+        let chip = hsw_fleet::ChipVariation {
+            // Log-uniform in [1/1.5, 1.5], like `ChipVariation::sample`.
+            leak_scale: (leak * 1.5f64.ln()).exp(),
+            vcorner_v,
+            turbo_offset_mhz: 0,
+            rapl_gain: trim,
+        };
+        let mut spec = chip.apply(&nominal).sku;
+        spec.tdp_w *= cap;
+        spec
+    }
+
+    /// A budget below every frequency of `[p_lo, p_hi]` (`pick` < 0), above
+    /// every one (`pick` > 1), between them, or — for `exact` — equal to a
+    /// power the search will price, so `<=` is decided by equality.
+    fn pick_budget(pick: f64, exact: Option<f64>, p_lo: f64, p_hi: f64) -> f64 {
+        exact.unwrap_or(p_lo + pick * (p_hi - p_lo))
+    }
+
+    /// A socket's inputs for one draw: every active/gated split, activity
+    /// 0 or in (0, 1], AVX levels 0–2 and a per-part multiplier.
+    fn drawn_inputs(
+        spec: &SkuSpec,
+        split: (usize, usize),
+        activity: f64,
+        avx_level: u8,
+        mult: f64,
+    ) -> PcuInputs<'_> {
+        let active = split.0 % (spec.cores + 1);
+        PcuInputs {
+            spec,
+            socket_power_mult: mult,
+            setting: FreqSetting::Turbo,
+            epb: EpbClass::Balanced,
+            turbo_enabled: true,
+            active_cores: active,
+            gated_idle_cores: split.1 % (spec.cores - active + 1),
+            activity: if activity < 0.1 { 0.0 } else { activity },
+            avx_level,
+            stall_fraction: 0.0,
+            eet_limit_mhz: u32::MAX,
+            avg_pkg_w: spec.tdp_w,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The threshold replay returns the literal bisection's bits for the
+        /// core, over both platforms, fleet variation, caps from 0.3× to
+        /// 1.0×TDP and budgets where no, some or every frequency fits.
+        #[test]
+        fn prop_max_core_within_equals_the_literal_bisection(
+            (skylake, leak, vcorner_v, trim) in
+                (any::<bool>(), -1.0f64..=1.0, -0.05f64..=0.05, 0.98f64..=1.02),
+            (cap, split, activity, avx_level) in
+                (0.3f64..=1.0, (0usize..64, 0usize..64), 0.0f64..=1.0, 0u8..=2),
+            (mult, ceiling_at, whole, uncore_at) in
+                (0.95f64..=1.05, 0.0f64..=1.0, any::<bool>(), 0.0f64..=1.0),
+            (pick, exact_at, exact) in (-0.3f64..=1.3, 0.0f64..=1.0, any::<u8>()),
+        ) {
+            let spec = varied_spec(skylake, leak, vcorner_v, trim, cap);
+            let inputs = drawn_inputs(&spec, split, activity, avx_level, mult);
+            let floor = spec.freq.min_mhz as f64;
+            let top = spec.freq.turbo_mhz(1) as f64 + 100.0;
+            let mut ceiling = floor + ceiling_at * (top - floor);
+            if whole {
+                ceiling = ceiling.round();
+            }
+            let (u_lo, u_hi) = (spec.freq.uncore_min_mhz as f64, spec.freq.uncore_max_mhz as f64);
+            let uncore = u_lo + uncore_at * (u_hi - u_lo);
+            let p = |mhz: f64| PcuController::power_at(&inputs, mhz, uncore);
+            // One draw in four sets the budget to a priced power exactly.
+            let exact = (exact % 4 == 0).then(|| p((floor + exact_at * (ceiling - floor)).round()));
+            let budget = pick_budget(pick, exact, p(floor), p(ceiling));
+            let fast = PcuController::max_core_within(&inputs, ceiling, uncore, budget);
+            let oracle = oracle_core_within(&inputs, ceiling, uncore, budget);
+            prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "{fast} vs {oracle}, budget {budget}");
+        }
+
+        /// The same for the uncore, over ranges in either order with whole
+        /// or fractional endpoints.
+        #[test]
+        fn prop_max_uncore_within_equals_the_literal_bisection(
+            (skylake, leak, vcorner_v, trim) in
+                (any::<bool>(), -1.0f64..=1.0, -0.05f64..=0.05, 0.98f64..=1.02),
+            (cap, split, activity, avx_level) in
+                (0.3f64..=1.0, (0usize..64, 0usize..64), 0.0f64..=1.0, 0u8..=2),
+            (mult, core_at, whole, (lo_at, hi_at)) in
+                (0.95f64..=1.05, 0.0f64..=1.0, any::<bool>(), (0.0f64..=1.0, 0.0f64..=1.0)),
+            (pick, exact_at, exact) in (-0.3f64..=1.3, 0.0f64..=1.0, any::<u8>()),
+        ) {
+            let spec = varied_spec(skylake, leak, vcorner_v, trim, cap);
+            let inputs = drawn_inputs(&spec, split, activity, avx_level, mult);
+            let floor = spec.freq.min_mhz as f64;
+            let core = floor + core_at * (spec.freq.turbo_mhz(1) as f64 - floor);
+            let (u_lo, u_hi) = (spec.freq.uncore_min_mhz as f64, spec.freq.uncore_max_mhz as f64);
+            let (mut lo, mut hi) = (u_lo + lo_at * (u_hi - u_lo), u_lo + hi_at * (u_hi - u_lo));
+            if whole {
+                (lo, hi) = (lo.round(), hi.round());
+            }
+            let p = |mhz: f64| PcuController::power_at(&inputs, core, mhz);
+            let exact = (exact % 4 == 0).then(|| p((lo + exact_at * (hi - lo)).round()));
+            let budget = pick_budget(pick, exact, p(lo), p(hi));
+            let fast = PcuController::max_uncore_within(&inputs, core, lo, hi, budget);
+            let oracle = oracle_uncore_within(&inputs, core, lo, hi, budget);
+            prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "{fast} vs {oracle}, budget {budget}");
+        }
+
+        /// The replay's precondition: over every whole MHz of the core and
+        /// uncore ranges, package power never decreases, for the same specs.
+        #[test]
+        fn prop_power_never_decreases_over_whole_mhz(
+            (skylake, leak, vcorner_v, trim) in
+                (any::<bool>(), -1.0f64..=1.0, -0.05f64..=0.05, 0.98f64..=1.02),
+            (cap, split, activity, avx_level) in
+                (0.3f64..=1.0, (0usize..64, 0usize..64), 0.0f64..=1.0, 0u8..=2),
+            (mult, other_at) in (0.95f64..=1.05, 0.0f64..=1.0),
+        ) {
+            let spec = varied_spec(skylake, leak, vcorner_v, trim, cap);
+            let inputs = drawn_inputs(&spec, split, activity, avx_level, mult);
+            let (f_lo, f_hi) = (spec.freq.min_mhz, spec.core_vf.max_mhz + 200);
+            let (u_lo, u_hi) = (spec.freq.uncore_min_mhz, spec.uncore_vf.max_mhz + 200);
+            let core = f64::from(f_lo) + other_at * f64::from(f_hi - f_lo);
+            let uncore = f64::from(u_lo) + other_at * f64::from(u_hi - u_lo);
+            let mut prev = PcuController::power_at(&inputs, f64::from(f_lo), uncore);
+            for mhz in f_lo + 1..=f_hi {
+                let p = PcuController::power_at(&inputs, f64::from(mhz), uncore);
+                prop_assert!(p >= prev, "core {mhz} MHz: {p} < {prev}");
+                prev = p;
+            }
+            let mut prev = PcuController::power_at(&inputs, core, f64::from(u_lo));
+            for mhz in u_lo + 1..=u_hi {
+                let p = PcuController::power_at(&inputs, core, f64::from(mhz));
+                prop_assert!(p >= prev, "uncore {mhz} MHz: {p} < {prev}");
+                prev = p;
+            }
+        }
+    }
+
+    /// The threshold search on shapes the package power never takes —
+    /// concave, flat then a step, linear across a 2²³ − 1 MHz range — is
+    /// still exact, and never prices more than [`HALVINGS`] frequencies.
+    #[test]
+    fn threshold_search_is_exact_and_bounded_on_any_monotone_power() {
+        // Linear, convex, concave, and flat then a step.
+        let shapes: [fn(f64) -> f64; 4] = [
+            |m| m,
+            |m| m * m * m,
+            f64::sqrt,
+            |m| if m < 3_000.0 { 1.0 } else { 9.0 },
+        ];
+        for (shape_no, shape) in shapes.into_iter().enumerate() {
+            for (lo, hi) in [
+                (1_200, 3_700),
+                (0, 1),
+                (0, 2),
+                (5, 4_000),
+                (0, (1 << 23) - 1),
+            ] {
+                for share in [-0.1, 0.0, 0.001, 0.37, 0.5, 0.999, 1.0] {
+                    let power = |m: u32| shape(f64::from(m));
+                    let (p_lo, p_hi) = (power(lo), power(hi));
+                    let budget = p_lo + share * (p_hi - p_lo);
+                    if p_hi <= budget {
+                        continue;
+                    }
+                    // The first whole MHz over budget, by integer bisection.
+                    let (mut fit, mut over) = (lo, hi);
+                    if power(lo) > budget {
+                        over = lo;
+                    }
+                    while over > fit + 1 {
+                        let mid = fit + (over - fit) / 2;
+                        if power(mid) <= budget {
+                            fit = mid;
+                        } else {
+                            over = mid;
+                        }
+                    }
+                    let priced = Cell::new(0);
+                    let found = first_over_budget(lo, hi, p_hi, budget, |m| {
+                        priced.set(priced.get() + 1);
+                        power(m)
+                    });
+                    assert_eq!(found, over, "shape {shape_no} {lo}..={hi} share {share}");
+                    assert!(
+                        priced.get() <= HALVINGS,
+                        "shape {shape_no} {lo}..={hi} share {share}: priced {}",
+                        priced.get()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `power_at` calls per limited solve over the envelope: (mean, max).
+    fn limited_solve_pricing() -> (f64, u64) {
+        let (mut solves, mut calls, mut max) = (0u64, 0u64, 0u64);
+        for_each_envelope_input(|inputs| {
+            let before = POWER_AT_CALLS.with(Cell::get);
+            let limited = PcuController::solve(inputs).power_limited;
+            let n = POWER_AT_CALLS.with(Cell::get) - before;
+            if limited {
+                solves += 1;
+                calls += n;
+                max = max.max(n);
+            }
+        });
+        (calls as f64 / solves as f64, max)
+    }
+
+    #[test]
+    fn limited_solves_price_few_frequencies() {
+        // Pinned at the whole-MHz threshold search: 13.46 and 26. The
+        // literal 24-step bisection (the oracle above) prices 25
+        // frequencies per bisection: 61.72 per limited solve over this
+        // envelope on average, and up to 126.
+        let (mean, max) = limited_solve_pricing();
+        assert!(mean <= 13.5 && max <= 26, "mean {mean:.2}, max {max}");
     }
 }
