@@ -10,7 +10,7 @@ use std::time::Duration;
 use hsw_exec::{FirestarterKernel, WorkloadProfile};
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, MicroArch, SkuSpec};
-use hsw_memhier::{dram_read_bandwidth_gbs, l3_read_bandwidth_gbs, Cache};
+use hsw_memhier::{dram_read_bandwidth_gbs, l3_read_bandwidth_gbs};
 use hsw_pcu::{PcuController, PcuInputs};
 use hsw_power::{package_power_w, CoreElecState};
 
@@ -70,20 +70,6 @@ fn bench_pipeline_analysis(c: &mut Criterion) {
     });
 }
 
-fn bench_cache_stream(c: &mut Criterion) {
-    c.bench_function("micro_cache_stream_1mb", |b| {
-        b.iter_with_setup(
-            || Cache::new(256 * 1024, 8, 64),
-            |mut cache| {
-                for addr in (0..1_048_576u64).step_by(64) {
-                    black_box(cache.access(addr));
-                }
-                cache
-            },
-        )
-    });
-}
-
 criterion_group! {
     name = micro;
     config = Criterion::default()
@@ -91,6 +77,6 @@ criterion_group! {
         .measurement_time(Duration::from_secs(5))
         .warm_up_time(Duration::from_secs(1));
     targets = bench_pcu_solve, bench_package_power, bench_bandwidth_queries,
-              bench_pipeline_analysis, bench_cache_stream
+              bench_pipeline_analysis
 }
 criterion_main!(micro);

@@ -13,7 +13,7 @@
 use hsw_bench::CountingAlloc;
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{Node, NodeConfig, PlaneMask};
+use hsw_node::{Node, NodeConfig};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -73,40 +73,5 @@ fn dirty_plane_fork_allocates_less_than_a_node_build() {
         fork_allocs * 4 < build_allocs,
         "WORK-plane fork allocated {fork_allocs} times vs {build_allocs} for \
          build+restore — expected under a quarter"
-    );
-}
-
-#[test]
-fn plane_scoped_access_forks_cheaper_than_all_dirty() {
-    // `socket_planes_mut(s, MSR)` exists so a caller that only pokes MSRs
-    // doesn't pay an ALL-planes restore on the next fork; pin that the
-    // allocator sees the difference versus the conservative `socket_mut`.
-    let cfg = NodeConfig::paper_default().with_seed(7);
-    let mut golden = Node::new(cfg.clone());
-    golden.run_on_socket(0, &WorkloadProfile::compute(), 8, 1);
-    golden.advance_s(0.1);
-    let snap = golden.snapshot();
-
-    let mut scratch = Node::new(cfg);
-    scratch.fork_from(&snap, 2001); // clear the new node's everything-dirty state
-
-    let epb = hsw_msr::addresses::IA32_ENERGY_PERF_BIAS;
-    scratch
-        .socket_planes_mut(0, PlaneMask::MSR)
-        .msr_store(0, epb, 6)
-        .unwrap();
-    CountingAlloc::reset();
-    scratch.fork_from(&snap, 2002);
-    let scoped_allocs = CountingAlloc::allocs();
-
-    scratch.socket_mut(0).msr_store(0, epb, 6).unwrap();
-    CountingAlloc::reset();
-    scratch.fork_from(&snap, 2003);
-    let all_dirty_allocs = CountingAlloc::allocs();
-
-    assert!(
-        scoped_allocs < all_dirty_allocs,
-        "MSR-scoped fork allocated {scoped_allocs} times vs {all_dirty_allocs} \
-         for an ALL-dirty fork — scoping should be cheaper"
     );
 }

@@ -27,7 +27,7 @@ pub struct StragglerPoint {
     pub cap_w: Option<f64>,
     /// Effective core frequency across the fleet (GHz).
     pub freq: Spread,
-    /// Per-member completion time of [`WORK_GI`] giga-instructions (s).
+    /// Per-member completion time of `WORK_GI` giga-instructions (s).
     pub time: Spread,
     /// Barrier completion time: the slowest member's time (s).
     pub completion_s: f64,

@@ -13,7 +13,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_msr::addresses as msra;
-use hsw_node::{CpuId, PlaneMask, Resolution};
+use hsw_node::{CpuId, Resolution};
 use hsw_tools::PerfCtr;
 use serde::{Deserialize, Serialize};
 
@@ -41,17 +41,17 @@ impl std::fmt::Display for Section2cEpb {
     }
 }
 
-/// Program a raw EPB value on a range of hardware threads through the MSR
-/// interface (tools use wrmsr; we poke the registers the same way). EPB
-/// programming touches only the MSR plane, so the scoped accessor keeps a
-/// following warm-start fork from paying for a full restore.
+/// Program a raw EPB value on every hardware thread of `sockets` through
+/// the MSR interface, as tools do with wrmsr.
 fn program_epb(node: &mut hsw_node::Node, sockets: std::ops::Range<usize>, raw: u8) {
-    let threads = node.config().spec.sku.hw_threads();
+    let sku = &node.config().spec.sku;
+    let (cores, tpc) = (sku.cores, sku.threads_per_core);
     for s in sockets {
-        let sock = node.socket_planes_mut(s, PlaneMask::MSR);
-        for t in 0..threads {
-            sock.msr_store(t, msra::IA32_ENERGY_PERF_BIAS, raw as u64)
-                .unwrap();
+        for c in 0..cores {
+            for t in 0..tpc {
+                node.wrmsr(CpuId::new(s, c, t), msra::IA32_ENERGY_PERF_BIAS, raw as u64)
+                    .unwrap();
+            }
         }
     }
 }

@@ -830,7 +830,7 @@ pub struct SurveyConfig {
     pub fidelity: Fidelity,
     /// Root seed; per-experiment seeds derive from it and the id.
     pub seed: u64,
-    /// Worker threads (clamped to [1, #experiments]).
+    /// Worker threads (clamped to 1..=#experiments).
     pub jobs: usize,
     /// Run only these ids (registry order is kept); `None` = all.
     pub only: Option<Vec<String>>,

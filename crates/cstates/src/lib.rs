@@ -4,7 +4,8 @@
 //! node: core C-states (C0/C1/C3/C6), package C-states (PC0/PC2/PC3/PC6),
 //! the wake-up-latency model calibrated to paper Figures 5/6 and
 //! Section VI-B, a menu-style OS governor driven by the (inaccurate) ACPI
-//! tables, and the cross-socket package-state coupling the paper observed
+//! tables with statistics of how its choices compare to the hindsight
+//! optimum, and the cross-socket package-state coupling the paper observed
 //! ("these states are not used when there is still any core active in the
 //! system—even if this core is located on the other processor").
 //!
@@ -18,12 +19,10 @@
 
 pub mod governor;
 pub mod latency;
-pub mod predictor;
 pub mod residency;
 pub mod state;
 
 pub use governor::{fill_core_states, resolve_package_state, select_core_state};
 pub use latency::{wake_latency_us, WakeScenario};
-pub use predictor::IdlePredictor;
-pub use residency::{GovernorStats, IdleEpisode, Residency};
+pub use residency::{GovernorStats, IdleEpisode};
 pub use state::{CoreCState, PkgCState};

@@ -1,54 +1,12 @@
-//! C-state residency accounting.
+//! Governor-quality statistics over idle episodes.
 //!
-//! Mirrors what the hardware residency counters (`MSR_CORE_C*_RESIDENCY`,
-//! `MSR_PKG_C*_RESIDENCY`) measure, plus governor-quality statistics: how
-//! often the menu governor's choice matched what the (hindsight) optimal
-//! state would have been given the ACPI tables it used — the measurable
-//! consequence of the paper's "the discrepancy between the measured and
-//! defined latencies underlines the need for an interface to change these
-//! tables at runtime".
+//! How often the menu governor's choice matched what the (hindsight)
+//! optimal state would have been given the ACPI tables it used — the
+//! measurable consequence of the paper's "the discrepancy between the
+//! measured and defined latencies underlines the need for an interface to
+//! change these tables at runtime".
 
 use crate::state::CoreCState;
-
-/// Accumulated residency of one core.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Residency {
-    pub c0_us: f64,
-    pub c1_us: f64,
-    pub c3_us: f64,
-    pub c6_us: f64,
-}
-
-impl Residency {
-    pub fn total_us(&self) -> f64 {
-        self.c0_us + self.c1_us + self.c3_us + self.c6_us
-    }
-
-    pub fn add(&mut self, state: CoreCState, us: f64) {
-        debug_assert!(us >= 0.0);
-        match state {
-            CoreCState::C0 => self.c0_us += us,
-            CoreCState::C1 => self.c1_us += us,
-            CoreCState::C3 => self.c3_us += us,
-            CoreCState::C6 => self.c6_us += us,
-        }
-    }
-
-    /// Fraction of time in the given state.
-    pub fn fraction(&self, state: CoreCState) -> f64 {
-        let total = self.total_us();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let v = match state {
-            CoreCState::C0 => self.c0_us,
-            CoreCState::C1 => self.c1_us,
-            CoreCState::C3 => self.c3_us,
-            CoreCState::C6 => self.c6_us,
-        };
-        v / total
-    }
-}
 
 /// One observed idle episode: what the governor picked and how long the
 /// idle actually lasted.
@@ -126,16 +84,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn residency_fractions_sum_to_one() {
-        let mut r = Residency::default();
-        r.add(CoreCState::C0, 250.0);
-        r.add(CoreCState::C6, 750.0);
-        assert!((r.fraction(CoreCState::C0) - 0.25).abs() < 1e-12);
-        assert!((r.fraction(CoreCState::C6) - 0.75).abs() < 1e-12);
-        assert_eq!(r.total_us(), 1000.0);
-    }
-
-    #[test]
     fn inflated_acpi_tables_cause_too_shallow_choices() {
         // The paper's point, quantified: with measured C6 exits of ~15 µs
         // but an ACPI claim of 133 µs, mid-length idles (100–390 µs) get C3
@@ -209,20 +157,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_residency_totals_conserve_time(
-            adds in proptest::collection::vec((0usize..4, 0.0f64..1000.0), 0..100)
-        ) {
-            let mut r = Residency::default();
-            let mut total = 0.0;
-            for (idx, us) in adds {
-                let st = [CoreCState::C0, CoreCState::C1, CoreCState::C3, CoreCState::C6][idx];
-                r.add(st, us);
-                total += us;
-            }
-            prop_assert!((r.total_us() - total).abs() < 1e-6);
-        }
-
         #[test]
         fn prop_governor_stats_partition_episodes(
             idles in proptest::collection::vec(0u32..2000, 1..100)

@@ -19,10 +19,6 @@ impl CoreCState {
     /// All idle states, shallowest first.
     pub const IDLE_STATES: [CoreCState; 3] = [CoreCState::C1, CoreCState::C3, CoreCState::C6];
 
-    pub fn is_idle(self) -> bool {
-        self != CoreCState::C0
-    }
-
     /// Whether the core is power gated (drops out of the leakage sum).
     pub fn power_gated(self) -> bool {
         self == CoreCState::C6

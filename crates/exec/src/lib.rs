@@ -20,7 +20,6 @@ pub mod encoding;
 pub mod firestarter;
 pub mod isa;
 pub mod kernels;
-pub mod latency;
 pub mod pipeline;
 pub mod workloads;
 

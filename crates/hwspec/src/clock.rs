@@ -17,9 +17,6 @@ pub type Ns = u64;
 /// One microsecond in [`Ns`].
 pub const US: Ns = 1_000;
 
-/// One millisecond in [`Ns`].
-pub const MS: Ns = 1_000_000;
-
 /// Stable domain tags for keyed noise streams. The values are part of the
 /// determinism contract (they feed the hash): renumbering them changes
 /// every seeded simulation.

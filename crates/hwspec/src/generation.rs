@@ -127,21 +127,10 @@ impl CpuGeneration {
         self.policy().pstate().per_core_domains
     }
 
-    /// Whether the part implements on-die fully integrated voltage regulators.
-    pub fn has_fivr(self) -> bool {
-        self.policy().vr().has_fivr
-    }
-
     /// Whether AVX frequencies (a reduced guaranteed clock under wide-vector
     /// load) exist on this generation (paper Section II-F).
     pub fn has_avx_frequencies(self) -> bool {
         self.policy().license().levels >= 1
-    }
-
-    /// Whether a RAPL DRAM domain is exposed. On desktop platforms of
-    /// previous generations it is absent (paper Section IV).
-    pub fn has_dram_rapl_domain(self) -> bool {
-        self.policy().rapl().has_dram_domain
     }
 }
 

@@ -133,30 +133,12 @@ pub struct CStateExitPolicy {
     pub restore_freq_hi_ghz: f64,
 }
 
-/// Voltage-regulation topology (paper Section II-B): on-die FIVR fed by a
-/// single mainboard `VCCin` rail on Haswell; Skylake-SP returns voltage
-/// regulation to the mainboard.
+/// Mainboard voltage regulation (paper Section II-B): the `VCCin` rail
+/// commanded over SVID and the MBVR's phase-shedding thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrPolicy {
-    /// Whether the part implements on-die fully integrated voltage
-    /// regulators.
-    pub has_fivr: bool,
     /// Nominal VR input-rail voltage commanded over SVID (V).
     pub vccin_v: f64,
-    /// Legal core-voltage command range (V).
-    pub core_v_lo: f64,
-    pub core_v_hi: f64,
-    /// FIVR efficiency curve η(P) = peak − light/P − slope·P, clamped.
-    pub fivr_eff_peak: f64,
-    pub fivr_eff_light_w: f64,
-    pub fivr_eff_slope_per_w: f64,
-    pub fivr_eff_lo: f64,
-    pub fivr_eff_hi: f64,
-    /// Settle criterion: a 100 mV step settles to within 1/ratio of the
-    /// step in the p-state switching time.
-    pub fivr_settle_ratio: f64,
-    /// Settled-band half-width (V).
-    pub fivr_settle_tol_v: f64,
     /// Legal SVID input-rail command range (V).
     pub svid_lo_v: f64,
     pub svid_hi_v: f64,
@@ -177,7 +159,6 @@ pub trait FirmwarePolicy: Sync {
     fn license(&self) -> LicensePolicy;
     fn rapl(&self) -> RaplPolicy;
     fn cstate_exit(&self) -> CStateExitPolicy;
-    fn vr(&self) -> VrPolicy;
 }
 
 /// The Haswell c-state exit table, straight from [`calib::cstate`].
@@ -213,27 +194,18 @@ fn pre_haswell_cstate_exit() -> CStateExitPolicy {
     }
 }
 
-/// The Haswell board/FIVR voltage-regulation bundle (paper Section II-B).
-fn haswell_vr(has_fivr: bool) -> VrPolicy {
-    VrPolicy {
-        has_fivr,
-        vccin_v: 1.80,
-        core_v_lo: 0.4,
-        core_v_hi: 1.4,
-        fivr_eff_peak: 0.905,
-        fivr_eff_light_w: 0.35,
-        fivr_eff_slope_per_w: 0.0004,
-        fivr_eff_lo: 0.5,
-        fivr_eff_hi: 0.92,
-        fivr_settle_ratio: 50.0,
-        fivr_settle_tol_v: 0.002,
-        svid_lo_v: 1.6,
-        svid_hi_v: 2.0,
-        mbvr_ps1_below_w: 45.0,
-        mbvr_ps2_below_w: 15.0,
-        mbvr_hysteresis_w: 4.0,
-    }
-}
+/// The voltage-regulation bundle of every modeled generation's board.
+/// Skylake-SP moved regulation off the die (1905.12468 Section II-A), but
+/// the mainboard VR model is the same, so it is not part of
+/// [`FirmwarePolicy`].
+pub const BOARD_VR: VrPolicy = VrPolicy {
+    vccin_v: 1.80,
+    svid_lo_v: 1.6,
+    svid_hi_v: 2.0,
+    mbvr_ps1_below_w: 45.0,
+    mbvr_ps2_below_w: 15.0,
+    mbvr_hysteresis_w: 4.0,
+};
 
 /// Shared p-state mechanics for the immediate-transition generations.
 fn immediate_pstate() -> PStatePolicy {
@@ -311,10 +283,6 @@ impl FirmwarePolicy for WestmereEpPolicy {
     fn cstate_exit(&self) -> CStateExitPolicy {
         pre_haswell_cstate_exit()
     }
-
-    fn vr(&self) -> VrPolicy {
-        haswell_vr(false)
-    }
 }
 
 /// Sandy Bridge-EP: core-coupled uncore, modeled RAPL, chip-wide p-states.
@@ -352,10 +320,6 @@ impl FirmwarePolicy for SandyBridgeEpPolicy {
     fn cstate_exit(&self) -> CStateExitPolicy {
         pre_haswell_cstate_exit()
     }
-
-    fn vr(&self) -> VrPolicy {
-        haswell_vr(false)
-    }
 }
 
 /// Ivy Bridge-EP: same energy-management structure as Sandy Bridge-EP.
@@ -384,10 +348,6 @@ impl FirmwarePolicy for IvyBridgeEpPolicy {
 
     fn cstate_exit(&self) -> CStateExitPolicy {
         SandyBridgeEpPolicy.cstate_exit()
-    }
-
-    fn vr(&self) -> VrPolicy {
-        SandyBridgeEpPolicy.vr()
     }
 }
 
@@ -441,10 +401,6 @@ impl FirmwarePolicy for HaswellEpPolicy {
     fn cstate_exit(&self) -> CStateExitPolicy {
         haswell_cstate_exit()
     }
-
-    fn vr(&self) -> VrPolicy {
-        haswell_vr(true)
-    }
 }
 
 /// Haswell "HE" (client/workstation): FIVR and measured RAPL, but
@@ -477,10 +433,6 @@ impl FirmwarePolicy for HaswellHePolicy {
 
     fn cstate_exit(&self) -> CStateExitPolicy {
         haswell_cstate_exit()
-    }
-
-    fn vr(&self) -> VrPolicy {
-        haswell_vr(true)
     }
 }
 
@@ -547,12 +499,6 @@ impl FirmwarePolicy for SkylakeSpPolicy {
             ..haswell_cstate_exit()
         }
     }
-
-    fn vr(&self) -> VrPolicy {
-        // Skylake-SP moved voltage regulation back to the mainboard
-        // (1905.12468 Section II-A); the board VR model still applies.
-        haswell_vr(false)
-    }
 }
 
 /// The policy bundle for a generation.
@@ -612,19 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn haswell_vr_policy_pins_the_board_values() {
-        // Regression pins for the literals swept out of power/fivr.rs and
-        // power/mbvr.rs.
-        let v = policy_for(CpuGeneration::HaswellEp).vr();
-        assert!(v.has_fivr);
+    fn board_vr_pins_the_board_values() {
+        // Regression pins for the literals swept out of power/mbvr.rs.
+        let v = BOARD_VR;
         assert_eq!(v.vccin_v, 1.80);
-        assert_eq!((v.core_v_lo, v.core_v_hi), (0.4, 1.4));
-        assert_eq!(v.fivr_eff_peak, 0.905);
-        assert_eq!(v.fivr_eff_light_w, 0.35);
-        assert_eq!(v.fivr_eff_slope_per_w, 0.0004);
-        assert_eq!((v.fivr_eff_lo, v.fivr_eff_hi), (0.5, 0.92));
-        assert_eq!(v.fivr_settle_ratio, 50.0);
-        assert_eq!(v.fivr_settle_tol_v, 0.002);
         assert_eq!((v.svid_lo_v, v.svid_hi_v), (1.6, 2.0));
         assert_eq!(v.mbvr_ps1_below_w, 45.0);
         assert_eq!(v.mbvr_ps2_below_w, 15.0);
@@ -661,7 +598,6 @@ mod tests {
         assert_eq!(p.rapl().mode, RaplMode::Measured);
         // Uniform RAPL units: the Haswell DRAM quirk is gone.
         assert_eq!(p.rapl().dram_energy_unit_uj, p.rapl().pkg_energy_unit_uj);
-        assert!(!p.vr().has_fivr, "Skylake-SP dropped FIVR");
     }
 
     #[test]

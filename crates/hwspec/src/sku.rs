@@ -419,11 +419,6 @@ impl NodeSpec {
         }
     }
 
-    /// Total hardware threads across all sockets.
-    pub fn total_hw_threads(&self) -> usize {
-        self.sockets * self.sku.hw_threads()
-    }
-
     /// AC power predicted by the node's electrical design for a given total
     /// RAPL (package + DRAM, all sockets) power. This is the *design ground
     /// truth*; the Figure 2 experiment must re-discover it from noisy meter

@@ -251,7 +251,7 @@ fn covered_names(
 /// M4: every struct with a plain-data `<X>Snapshot` companion must account
 /// for each of its fields — captured by name in the snapshot (directly or
 /// inside a plane-image substruct the snapshot embeds — see
-/// [`covered_names`]), or marked with a justified `// snap:skip(<why>)` on
+/// `covered_names`), or marked with a justified `// snap:skip(<why>)` on
 /// the field's line or the line directly above. This is the determinism
 /// half of the warm-start contract: a stateful field silently missing
 /// from the snapshot — or from the plane image that claims its plane — is

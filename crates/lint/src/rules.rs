@@ -256,8 +256,8 @@ pub(crate) fn directive_findings(path: &str, allows: &[Allow], anns: &[PlaneAnn]
 }
 
 /// Run the tier-1 rules over one file and apply per-line suppressions.
-/// The workspace pass uses the pieces ([`tier1_findings`], [`suppressed`],
-/// [`directive_findings`]) directly so it can also track *stale* allows
+/// The workspace pass uses the pieces (`tier1_findings`, `suppressed`,
+/// `directive_findings`) directly so it can also track *stale* allows
 /// (A2); this wrapper is the single-file entry point (`--check-file`).
 pub fn scan_file(path: &str, src: &str, scope: FileScope) -> Vec<Finding> {
     let lexed = lex(src);

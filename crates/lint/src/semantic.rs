@@ -933,10 +933,7 @@ impl Sock {
 
     /// The acceptance gate for M6 against the production source it exists
     /// to guard: delete each `self.dirty |= …` mark from the *real*
-    /// `socket.rs` in turn and assert the rule catches every one. The sole
-    /// exception is `planes_mut`, whose mark is its entire body — a method
-    /// that mutates nothing else has nothing for M6 to see; its contract
-    /// is pinned by the runtime fork/restore tests instead.
+    /// `socket.rs` in turn and assert the rule catches every one.
     #[test]
     fn deleting_any_real_socket_mark_is_caught() {
         let root =
@@ -971,12 +968,7 @@ impl Sock {
         let mark_lines: Vec<usize> = lines
             .iter()
             .enumerate()
-            .filter(|(i, l)| {
-                l.trim_start().starts_with("self.dirty |=")
-                    && !lines[i.saturating_sub(3)..*i]
-                        .iter()
-                        .any(|p| p.contains("fn planes_mut"))
-            })
+            .filter(|(_, l)| l.trim_start().starts_with("self.dirty |="))
             .map(|(i, _)| i)
             .collect();
         assert!(

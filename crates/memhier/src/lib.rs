@@ -1,16 +1,7 @@
-//! # hsw-memhier — ring interconnect, caches, and memory bandwidth
+//! # hsw-memhier — ring interconnect and memory bandwidth
 //!
-//! Three layers, bottom-up:
+//! Two layers:
 //!
-//! * [`cache`]: a functional set-associative cache simulator (LRU) and a
-//!   three-level hierarchy used for microbenchmark-scale experiments and for
-//!   validating working-set classification.
-//! * [`ring`]: a message-level simulator of the partitioned ring
-//!   interconnect (paper Figure 1) with the buffered inter-partition
-//!   queues — the structural ground truth the analytic models are checked
-//!   against.
-//! * [`latency`]: load-to-use latencies per memory level as a function of
-//!   core and uncore frequency and the ring topology (paper Figure 1).
 //! * [`bandwidth`]: the analytic read-bandwidth model behind paper
 //!   Figures 7 and 8 — per-generation core-side and uncore-side service
 //!   terms that reproduce who scales with what: Haswell's L3 follows the
@@ -18,28 +9,24 @@
 //!   core-frequency independent, Sandy Bridge's DRAM tracks the core clock
 //!   because the uncore is core-coupled, Westmere's fixed uncore decouples
 //!   both.
+//! * [`ring`]: a message-level simulator of the partitioned ring
+//!   interconnect (paper Figure 1) with the buffered inter-partition
+//!   queues. Its tests check `DieLayout::mean_ring_hops`, which Figure 1
+//!   reports, against this structural model.
 //!
 //! ## Snapshot coverage
 //!
 //! The node model consumes only this crate's *analytic* surface
 //! ([`dram_read_bandwidth_gbs`] and friends), which is stateless — so
-//! `hsw-node`'s warm-start snapshots need nothing from here. The structural
-//! simulators ([`cache`], [`ring`]) hold state but are experiment-local
-//! scratch, never part of a `Node`.
+//! `hsw-node`'s warm-start snapshots need nothing from here. The ring
+//! simulator holds state but is test-local scratch, never part of a
+//! `Node`.
 
 pub mod bandwidth;
-pub mod cache;
-pub mod coherence;
-pub mod latency;
-pub mod prefetch;
 pub mod ring;
 
 pub use bandwidth::{
     dram_read_bandwidth_gbs, dram_read_bandwidth_gbs_ext, l3_read_bandwidth_gbs, BwParams,
     MemoryLevel,
 };
-pub use cache::{AccessResult, Cache, CacheHierarchy};
-pub use coherence::{Access, CoherenceDirectory, CoherenceResult, Mesi, Source};
-pub use latency::{dram_latency_ns, l3_latency_ns};
-pub use prefetch::{PrefetchedHierarchy, StreamPrefetcher};
 pub use ring::{Delivery, RingNetwork, Stop};

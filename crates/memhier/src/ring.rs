@@ -9,9 +9,9 @@
 //! The simulator advances in uncore cycles: messages occupy one link per
 //! cycle in their travel direction, links carry one message per cycle per
 //! direction, and the inter-ring queues add a fixed buffering delay plus
-//! congestion. It exists to *ground* the analytic latency/bandwidth model:
-//! tests cross-check the analytic mean-hop figures and the
-//! cross-partition penalty against this structural model.
+//! congestion. It exists to *ground* the analytic mean-hop figures: tests
+//! cross-check `DieLayout::mean_ring_hops` and the cross-partition penalty
+//! against this structural model.
 
 use hsw_hwspec::DieLayout;
 
@@ -328,8 +328,8 @@ mod tests {
 
     #[test]
     fn analytic_mean_hops_matches_the_structural_model() {
-        // The bandwidth/latency models use mean_ring_hops ≈ n/4; verify
-        // against the enumerated shortest paths of the real ring.
+        // Figure 1's mean_ring_hops ≈ n/4; verify against the enumerated
+        // shortest paths of the real ring.
         let die = DieLayout::die12();
         let net = RingNetwork::new(&die);
         for (p, part) in die.partitions.iter().enumerate() {

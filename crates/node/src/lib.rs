@@ -18,12 +18,13 @@
 //! resolution-classed sessions from it. Workloads are assigned per hardware
 //! thread as [`hsw_exec::WorkloadProfile`]s; measurement tools interact
 //! with the hardware through [`Node::rdmsr`]/[`Node::wrmsr`] exactly like
-//! their real counterparts.
+//! their real counterparts. [`Node::sockets`] is read-only: no
+//! `&mut Socket` leaves this crate, so every mutation goes through a
+//! `Node` method and the dirty-plane marks behind it.
 
 pub mod config;
 pub mod engine;
 pub mod node;
-pub mod script;
 pub mod session;
 pub mod socket;
 pub mod telemetry;
@@ -31,7 +32,6 @@ pub mod telemetry;
 pub use config::{CpuId, NodeConfig};
 pub use engine::{EngineMode, EngineStats};
 pub use node::{Node, NodeSnapshot};
-pub use script::{Action, WorkloadScript};
 pub use session::{Platform, PlatformKind, Resolution, Session, SessionBuilder};
 pub use socket::{PlaneMask, Socket, SocketSnapshot};
 pub use telemetry::{Snapshot, Trace};

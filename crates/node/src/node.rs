@@ -13,7 +13,7 @@ use hsw_power::{Lmg450, NodePowerModel};
 
 use crate::config::{CpuId, NodeConfig};
 use crate::engine::{EngineMode, EngineStats};
-use crate::socket::{Ns, PlaneMask, Socket, SocketSnapshot, SocketTick};
+use crate::socket::{Ns, Socket, SocketSnapshot, SocketTick};
 
 /// The simulated compute node (paper Table II).
 pub struct Node {
@@ -170,20 +170,6 @@ impl Node {
 
     pub fn sockets(&self) -> &[Socket] {
         &self.sockets
-    }
-
-    pub fn socket_mut(&mut self, s: usize) -> &mut Socket {
-        // Raw access can mutate anything; keep the dirty tracking sound.
-        self.sockets[s].mark_all_dirty();
-        self.socket_planes_mut(s, PlaneMask::NONE)
-    }
-
-    /// Plane-scoped raw socket access: like [`Node::socket_mut`] but dirties
-    /// only the declared `planes`, so a following [`Node::fork_from`] pays
-    /// for what the caller actually touched instead of a full restore. The
-    /// caller owns the declaration — see [`Socket::planes_mut`].
-    pub fn socket_planes_mut(&mut self, s: usize, planes: PlaneMask) -> &mut Socket {
-        self.sockets[s].planes_mut(planes)
     }
 
     /// Step counters of the time-advance engine.
@@ -524,13 +510,25 @@ mod tests {
         node.set_setting(0, 0, FreqSetting::from_mhz(1200));
         node.advance_s(0.05);
         let cpu = CpuId::new(0, 0, 0);
+        let perf_status_mhz = |node: &Node| {
+            let v = node.rdmsr(cpu, msra::IA32_PERF_STATUS).unwrap();
+            fields::decode_perf_status(v).mhz()
+        };
         node.wrmsr(
             cpu,
             msra::IA32_PERF_CTL,
             fields::encode_perf_ctl(hsw_hwspec::PState::from_mhz(1300)),
         )
         .unwrap();
-        node.advance_us(5_000);
+        // PERF_STATUS reports the effective ratio, not the request: well
+        // inside the opportunity window it still reads the old p-state.
+        node.advance_us(4);
+        assert_eq!(
+            perf_status_mhz(&node),
+            1200,
+            "PERF_STATUS must lag the request"
+        );
+        node.advance_us(4_996);
         node.advance_us(600); // PCU tick granularity
         let events = node.drain_transitions(0);
         let ev = events
@@ -542,6 +540,7 @@ mod tests {
             (21.0..=530.0).contains(&lat),
             "transition latency {lat} µs out of the Fig. 3 range"
         );
+        assert_eq!(perf_status_mhz(&node), 1300, "PERF_STATUS after the switch");
     }
 
     #[test]
@@ -589,12 +588,32 @@ mod tests {
         node.set_setting_all(FreqSetting::from_mhz(2500));
         node.advance_s(0.5);
         let cpu = CpuId::new(0, 0, 0);
-        let u0 = node.rdmsr(cpu, msra::MSR_U_PMON_UCLK_FIXED_CTR).unwrap();
-        node.advance_s(1.0);
-        let u1 = node.rdmsr(cpu, msra::MSR_U_PMON_UCLK_FIXED_CTR).unwrap();
-        let ghz = (u1 - u0) as f64 / 1e9;
+        let uncore_ghz = |node: &mut Node, window_s: f64| {
+            let u0 = node.rdmsr(cpu, msra::MSR_U_PMON_UCLK_FIXED_CTR).unwrap();
+            node.advance_s(window_s);
+            let u1 = node.rdmsr(cpu, msra::MSR_U_PMON_UCLK_FIXED_CTR).unwrap();
+            (u1 - u0) as f64 / 1e9 / window_s
+        };
         // Table III: 2.2 GHz uncore at the 2.5 GHz setting.
+        let ghz = uncore_ghz(&mut node, 1.0);
         assert!((ghz - 2.2).abs() < 0.08, "uncore = {ghz:.3} GHz");
+
+        // MSR_UNCORE_RATIO_LIMIT clamps the UFS grant to its window: a
+        // max ratio below the schedule caps it, a min ratio above it
+        // raises the floor.
+        let limited_ghz = |node: &mut Node, min_ratio: u8, max_ratio: u8| {
+            let v = fields::encode_uncore_ratio_limit(min_ratio, max_ratio);
+            node.wrmsr(cpu, msra::MSR_UNCORE_RATIO_LIMIT, v).unwrap();
+            node.advance_s(0.2);
+            uncore_ghz(node, 0.4)
+        };
+        let capped = limited_ghz(&mut node, 12, 15);
+        assert!(
+            (capped - 1.5).abs() < 0.08,
+            "max ratio 15: uncore = {capped:.3} GHz"
+        );
+        let floored = limited_ghz(&mut node, 28, 30);
+        assert!(floored > 2.7, "min ratio 28: uncore = {floored:.3} GHz");
     }
 
     #[test]
@@ -726,6 +745,20 @@ mod engine_tests {
         node
     }
 
+    /// An uncore ratio-limit write on a settled socket that no power
+    /// limit binds: the clamp must land at the next full step under
+    /// either engine, not wait for a PCU input to drift.
+    fn uncore_limit_on_a_settled_socket(mut node: Node) -> Node {
+        node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+        node.set_setting_all(FreqSetting::from_mhz(2500));
+        node.advance_s(0.5);
+        let v = fields::encode_uncore_ratio_limit(12, 15);
+        node.wrmsr(CpuId::new(0, 0, 0), msra::MSR_UNCORE_RATIO_LIMIT, v)
+            .unwrap();
+        node.advance_s(0.2);
+        node
+    }
+
     /// A settled snapshot restored into a chip with another spec: the
     /// restored grant and step outputs are the golden chip's, not its own.
     fn restore_into_a_varied_chip(node: Node) -> Node {
@@ -751,7 +784,7 @@ mod engine_tests {
 
     #[test]
     fn fixed_and_event_engines_are_bit_identical() {
-        let scenarios: [Scenario; 5] = [
+        let scenarios: [Scenario; 6] = [
             ("mixed", NodeConfig::paper_default(), scenario),
             (
                 "firestarter at TDP",
@@ -767,6 +800,11 @@ mod engine_tests {
                 "request on a passed opportunity",
                 NodeConfig::paper_default().with_tick_us(1),
                 request_on_a_passed_opportunity,
+            ),
+            (
+                "uncore limit on a settled socket",
+                NodeConfig::paper_default(),
+                uncore_limit_on_a_settled_socket,
             ),
             (
                 "restore into a varied chip",
@@ -1078,9 +1116,9 @@ mod engine_tests {
                 fresh.rdmsr(cpu, msra::IA32_ENERGY_PERF_BIAS).unwrap(),
                 "unmarked write should have leaked through the fork"
             );
-            // Marking the plane (what every real mutator does) repairs it —
-            // and the scoped accessor's MSR-only declaration is enough.
-            scratch.sockets[0].planes_mut(PlaneMask::MSR);
+            // Marking the plane (what every real mutator does) repairs it:
+            // the MSR choke point's mark is enough.
+            scratch.sockets[0].msr_mut();
             scratch.fork_from(&snap, 4243);
             fresh.reseed(4243);
             assert_eq!(

@@ -23,12 +23,15 @@
 //! ([`CorePlanes`]), the counter plane, thermal/VR, the transition log and
 //! the workload plane. Every mutation choke point marks the planes it
 //! touches in a bitmask, and [`Socket::restore_planes`] copies back only
-//! the marked planes — the warm-start fork fast path
-//! (`Node::fork_from`) rides on this to re-arm a scratch node in a small
-//! fraction of a full restore. Correctness is anchored two ways: the
-//! randomized fork/restore equivalence tests in `node.rs`, and the
-//! hsw-lint M4 rule, which flattens the plane images and verifies every
-//! socket field is still captured somewhere in the snapshot.
+//! the marked planes. `Node::fork_from` rides on this to re-arm a scratch
+//! node in a small fraction of a full restore; no survey path forks (every
+//! sweep point builds a fresh node and restores in full), but the
+//! benchmark tracer's `fork_path` probe times it. No `&mut Socket` leaves
+//! `hsw-node`, so the choke points are the only way in. Correctness is
+//! anchored two ways: the randomized fork/restore equivalence tests in
+//! `node.rs`, and the hsw-lint M4 rule, which flattens the plane images
+//! and verifies every socket field is still captured somewhere in the
+//! snapshot.
 
 use std::sync::Arc;
 
@@ -37,7 +40,7 @@ use hsw_exec::{DutyCycle, WorkloadProfile};
 use hsw_hwspec::clock::{domain, DomainNoise};
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
-use hsw_msr::{addresses as msra, fields, MsrBank, MsrBankSnapshot, MsrError};
+use hsw_msr::{addresses as msra, fields, MsrBank, MsrBankSnapshot};
 use hsw_pcu::{
     AvxLicense, EetController, PStateEngine, PStateEngineSnapshot, PcuController, PcuGrant,
     PcuInputs, TransitionEvent, TransitionLog,
@@ -58,7 +61,6 @@ const US: Ns = 1_000;
 pub struct PlaneMask(u16);
 
 impl PlaneMask {
-    pub const NONE: PlaneMask = PlaneMask(0);
     /// The MSR bank (per-thread and package registers, counters included).
     pub const MSR: PlaneMask = PlaneMask(1 << 0);
     /// P-state engine, EET, the PCU grant/schedule and the uncore clock.
@@ -82,16 +84,8 @@ impl PlaneMask {
         PlaneMask(self.0 | other.0)
     }
 
-    pub fn contains(self, other: PlaneMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-
     pub fn intersects(self, other: PlaneMask) -> bool {
         self.0 & other.0 != 0
-    }
-
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
     }
 
     pub fn bits(self) -> u16 {
@@ -220,13 +214,15 @@ struct PcuKey {
     duty_bucket: u64,
     /// EET's sampled stall in whole percent.
     stall_pct: u64,
+    /// The raw `MSR_UNCORE_RATIO_LIMIT` window the grant is clamped to.
+    uncore_limit: u64,
 }
 
 /// The per-core hot state as a structure of arrays: `Socket::tick`'s
 /// per-core stages walk these as contiguous slices instead of chasing one
 /// struct per core. `busy`/`smt`/`lead` are caches derived from the
 /// thread-indexed workload table, maintained at assignment time
-/// ([`CorePlanes::sync_core`]) so the hot loops never re-scan the threads
+/// (`CorePlanes::sync_core`) so the hot loops never re-scan the threads
 /// of a core.
 #[derive(Debug)]
 pub struct CorePlanes {
@@ -512,7 +508,7 @@ impl Socket {
             last_pcu_key: None,
             uncore_mhz: spec.freq.uncore_min_mhz as f64,
             thermal: ThermalState::new(ThermalParams::server_max_fans()),
-            mbvr: Mbvr::for_generation(spec.generation),
+            mbvr: Mbvr::new(),
             msr,
             noise_pstate: DomainNoise::new(socket_seed, domain::PSTATE),
             noise_rapl: DomainNoise::new(socket_seed, domain::RAPL),
@@ -581,33 +577,6 @@ impl Socket {
     /// Planes mutated since the last restore.
     pub fn dirty_planes(&self) -> PlaneMask {
         self.dirty
-    }
-
-    /// Conservative escape hatch for raw `&mut Socket` access: assume
-    /// everything may be mutated.
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty = PlaneMask::ALL;
-    }
-
-    /// Plane-scoped raw access: the caller declares up front which planes
-    /// it will touch, and the next fork restores only those instead of the
-    /// ALL that [`Node::socket_mut`](crate::Node::socket_mut) assumes.
-    /// Mutating state outside `planes` through the returned reference
-    /// breaks the fork contract the same way a forgotten `mark_dirty`
-    /// would — declare generously when unsure.
-    pub fn planes_mut(&mut self, planes: PlaneMask) -> &mut Socket {
-        self.dirty |= planes;
-        self.cached.wake_at = 0;
-        self
-    }
-
-    /// Store an MSR through the bank's gate checks, the per-thread
-    /// equivalent of [`Node::wrmsr`](crate::Node::wrmsr) for callers that
-    /// already hold a socket borrow (e.g. via [`Socket::planes_mut`]).
-    /// Routes through the marking choke point, so the MSR plane is dirtied
-    /// whether or not the caller declared it.
-    pub fn msr_store(&mut self, thread: usize, addr: u32, value: u64) -> Result<(), MsrError> {
-        self.msr_mut().write(thread, addr, value)
     }
 
     /// The PCU's re-evaluation cadence, from the generation's firmware
@@ -913,6 +882,10 @@ impl Socket {
             avx_level,
             duty_bucket: (duty * 20.0).round() as u64,
             stall_pct: (self.eet.sampled_stall() * 100.0) as u64,
+            uncore_limit: self
+                .msr
+                .read_package(msra::MSR_UNCORE_RATIO_LIMIT)
+                .unwrap_or(0),
         };
         let eet_limit = if self.eet_enabled {
             self.eet
@@ -920,7 +893,6 @@ impl Socket {
         } else {
             u32::MAX
         };
-        let _ = smt_any;
         let activity = if active > 0 {
             activity_sum / active as f64
         } else {
@@ -950,15 +922,13 @@ impl Socket {
             // Software-imposed uncore bounds (paper Section II-D: "it can
             // be specified via the MSR UNCORE_RATIO_LIMIT"): clamp the UFS
             // grant to the programmed window.
-            if let Ok(v) = self.msr.read_package(msra::MSR_UNCORE_RATIO_LIMIT) {
-                if v != 0 {
-                    let (min_ratio, max_ratio) = fields::decode_uncore_ratio_limit(v);
-                    let lo = (min_ratio as f64 * 100.0).max(spec.freq.uncore_min_mhz as f64);
-                    let hi = (max_ratio as f64 * 100.0)
-                        .min(spec.freq.uncore_max_mhz as f64)
-                        .max(lo);
-                    self.grant.uncore_mhz = self.grant.uncore_mhz.clamp(lo, hi);
-                }
+            if key.uncore_limit != 0 {
+                let (min_ratio, max_ratio) = fields::decode_uncore_ratio_limit(key.uncore_limit);
+                let lo = (min_ratio as f64 * 100.0).max(spec.freq.uncore_min_mhz as f64);
+                let hi = (max_ratio as f64 * 100.0)
+                    .min(spec.freq.uncore_max_mhz as f64)
+                    .max(lo);
+                self.grant.uncore_mhz = self.grant.uncore_mhz.clamp(lo, hi);
             }
         }
 

@@ -20,7 +20,7 @@
 //! power never decreases as a whole-MHz frequency rises. So each bisection
 //! first finds the one whole MHz where power crosses the budget, pricing a
 //! handful of frequencies instead of 24 midpoints, then replays the 24
-//! halvings against it for the same bits ([`first_over_budget`]).
+//! halvings against it for the same bits (`first_over_budget`).
 
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};

@@ -67,15 +67,6 @@ impl EetController {
     pub fn next_poll(&self) -> Ns {
         self.next_poll
     }
-
-    /// Whether a poll at the given stall level would change the sampled
-    /// state — i.e. whether replaying this controller over a constant
-    /// workload can alter anything downstream.
-    pub fn settled_at(&self, instantaneous_stall: f64) -> bool {
-        let before = self.sampled_stall > EET_STALL_CAP_THRESHOLD;
-        let after = instantaneous_stall > EET_STALL_CAP_THRESHOLD;
-        before == after
-    }
 }
 
 #[cfg(test)]

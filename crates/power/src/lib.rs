@@ -21,15 +21,13 @@
 //!
 //! ## Snapshot coverage
 //!
-//! Every stateful type here ([`RaplEngine`], [`ThermalState`], [`Mbvr`],
-//! the FIVR state) is plain data and `Clone`, so `hsw-node`'s warm-start
-//! snapshots capture them wholesale — no per-field snapshot companion is
-//! needed. The [`Lmg450`] meter is the exception by design: it holds no
+//! Every stateful type here ([`RaplEngine`], [`ThermalState`], [`Mbvr`])
+//! is plain data and `Clone`, so `hsw-node`'s warm-start snapshots capture
+//! them wholesale — no per-field snapshot companion is needed. The [`Lmg450`] meter is the exception by design: it holds no
 //! mutable state (samples are keyed by seed and instant), so forks rebuild
 //! it from the fork seed instead of restoring it.
 
 pub mod components;
-pub mod fivr;
 pub mod mbvr;
 pub mod meter;
 pub mod psu;
@@ -39,7 +37,6 @@ pub mod temperature;
 pub use components::{
     dram_power_w, package_power_of_runs, package_power_w, CoreElecState, PackagePower,
 };
-pub use fivr::Fivr;
 pub use mbvr::{Mbvr, MbvrPowerState, SupplyLane};
 pub use meter::Lmg450;
 pub use psu::NodePowerModel;

@@ -9,11 +9,10 @@
 //! (phase shedding).
 //!
 //! The phase-shedding thresholds, nominal rail voltage and legal SVID
-//! command range come from the generation's [`hsw_hwspec::VrPolicy`]; the
-//! per-state efficiency-curve shapes stay here (they are board, not
-//! firmware, properties).
+//! command range come from [`BOARD_VR`]; the per-state efficiency-curve
+//! shapes stay here.
 
-use hsw_hwspec::CpuGeneration;
+use hsw_hwspec::policy::BOARD_VR;
 use serde::{Deserialize, Serialize};
 
 /// The three MBVR power states (full-phase, reduced-phase, light-load).
@@ -64,15 +63,9 @@ impl Default for Mbvr {
 }
 
 impl Mbvr {
-    /// An MBVR with the paper system's (Haswell-EP) thresholds.
+    /// An MBVR with the board's phase-shedding thresholds and SVID range.
     pub fn new() -> Self {
-        Self::for_generation(CpuGeneration::HaswellEp)
-    }
-
-    /// An MBVR with `generation`'s phase-shedding thresholds and SVID
-    /// range.
-    pub fn for_generation(generation: CpuGeneration) -> Self {
-        let vr = generation.policy().vr();
+        let vr = BOARD_VR;
         Mbvr {
             state: MbvrPowerState::Ps0,
             vccin: vr.vccin_v,

@@ -89,11 +89,6 @@ impl RaplEngine {
         self
     }
 
-    /// The chip's metering trim gain (1.0 = reference calibration).
-    pub fn unit_trim(&self) -> f64 {
-        self.trim_gain
-    }
-
     /// Reinstate dynamic state (counters and the limiter average) from a
     /// snapshot, keeping construction-derived configuration — mode and the
     /// per-chip trim — as built. This is what lets a warm-start fork

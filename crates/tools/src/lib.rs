@@ -7,6 +7,8 @@
 //! * [`perfctr`]: LIKWID-style counter sampling — TSC/APERF/MPERF, fixed
 //!   counters, the U-box uncore clock counter (`UNCORE_CLOCK:UBOXFIX`,
 //!   paper Section V-A footnote 3) and RAPL energy deltas.
+//! * [`groups`]: LIKWID's named event groups (ENERGY, CLOCK, UNCORE_CLOCK,
+//!   CSTATES) measured over a window and rendered as a metric table.
 //! * [`ftalat`]: the modified FTaLaT of paper Section VI-A — frequency
 //!   verification via hardware cycle counters (not `scaling_cur_freq`),
 //!   1000-sample campaigns, controlled delay after the previous transition.
@@ -16,18 +18,14 @@
 //!   extract the 1-minute maximum-average window and the measured core
 //!   frequency.
 
-pub mod cpufreq;
 pub mod cstate_lat;
 pub mod ftalat;
 pub mod groups;
 pub mod perfctr;
 pub mod stress;
-pub mod x86_adapt;
 
-pub use cpufreq::CpuFreq;
 pub use cstate_lat::{measure_wake_latency_us, CStateLatencyPoint};
 pub use ftalat::{DelayRegime, FtaLat, LatencySample};
 pub use groups::{measure_group, EventGroup, GroupReport};
 pub use perfctr::{CounterSample, Derived, PerfCtr};
 pub use stress::{assign_stress_load, measure_stress, run_stress, StressResult};
-pub use x86_adapt::{Knob, KnobError};

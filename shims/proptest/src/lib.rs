@@ -185,7 +185,7 @@ pub mod collection {
     use std::ops::{Range, RangeInclusive};
 
     /// Inclusive bounds on a generated collection's length. Mirrors real
-    /// proptest's `SizeRange` so integer-literal ranges passed to [`vec`]
+    /// proptest's `SizeRange` so integer-literal ranges passed to [`vec()`]
     /// infer `usize` (a plain `Strategy<Value = usize>` bound would not
     /// drive literal inference).
     #[derive(Debug, Clone, Copy)]

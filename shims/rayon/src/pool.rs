@@ -209,7 +209,7 @@ pub fn current_num_threads() -> usize {
 }
 
 /// An owned worker pool. The process-wide pool used by `par_iter` outside
-/// any pool is created lazily with [`default_threads`]; explicit pools are
+/// any pool is created lazily with `default_threads`; explicit pools are
 /// for tests and benches that pin a size.
 pub struct ThreadPool {
     registry: Arc<Registry>,
