@@ -9,20 +9,17 @@
 //!   100 MHz setting from 2.5 GHz down to 1.2 GHz, 15 points) behind one
 //!   FIRESTARTER bring-up at turbo — the paper's Table IV methodology,
 //!   where each point is a short re-settle after a setting change.
-//! - Fork cost: cold (node build + full restore) vs. full restore vs.
-//!   dirty-plane restore on both firmware platforms, with an advancing
-//!   identity pass proving all three strategies produce the same bits.
-//!   The sweep executor forks cold: its points advance time, which dirties
-//!   nearly every plane, so the dirty-plane `Node::fork_from` measured
-//!   here is a node-level API the executor does not use.
+//! - Fork cost: cold (node build + restore, what the sweep executor does
+//!   per point) vs. `Node::fork_from` (re-seed + restore of a reused node)
+//!   on both firmware platforms, with an advancing identity pass proving
+//!   both strategies produce the same bits.
 //!
 //! Both sweep shapes run the real node simulator through the real warm
 //! executor (`RunCtx::sweep_warm`) under both modes and assert the digests
 //! are bit-identical — the executor's byte-identity contract — before
 //! timing. The full run also asserts the headline claims: warm start cuts
 //! the fig2-class sweep's wall time by at least 2x and the table4-class
-//! ladder's by at least 6x, and a dirty-plane fork costs less than a
-//! quarter of a full restore. Set `HSW_BENCH_SMOKE=1` to run one pass per
+//! ladder's by at least 6x. Set `HSW_BENCH_SMOKE=1` to run one pass per
 //! shape (digest and identity assertions included, criterion timing loops
 //! and the ratio assertions skipped) — the CI smoke mode.
 //!
@@ -130,28 +127,24 @@ fn smoke_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Per-fork wall cost of the three restore strategies on one platform,
-/// after proving they are interchangeable bit-for-bit.
+/// Per-fork wall cost of the two fork strategies on one platform, after
+/// proving they are interchangeable bit-for-bit.
 struct ForkCost {
     cold_us: f64,
     full_us: f64,
-    dirty_us: f64,
 }
 
 /// Measure what one warm-start fork costs under each strategy:
 ///
 /// - `cold`: construct a fresh node and restore the snapshot into it
 ///   (what the sweep executor does for every point),
-/// - `full`: re-seed a scratch node and restore every plane,
-/// - `dirty`: `Node::fork_from` — restore only the planes the scratch
-///   node's previous point dirtied.
+/// - `full`: `Node::fork_from` — re-seed a reused node and restore the
+///   snapshot into it.
 ///
-/// The timed point touches only the WORK plane (a thread assignment and a
-/// power read, no time advance), the shape the dirty fast path exists
-/// for. A separate identity pass runs advancing points — which
-/// dirty essentially every plane — through all three strategies and
-/// asserts the digests match bit-for-bit, so the fast path never trades
-/// correctness for speed.
+/// The timed point is a thread assignment and a power read, with no time
+/// advance, so the timing is the fork's own cost. A separate identity pass
+/// runs advancing points through both strategies and asserts the digests
+/// match bit-for-bit.
 fn fork_cost(cfg: &NodeConfig, iters: usize) -> ForkCost {
     let cores = cfg.spec.sku.cores;
     let tpc = cfg.spec.sku.threads_per_core;
@@ -164,7 +157,7 @@ fn fork_cost(cfg: &NodeConfig, iters: usize) -> ForkCost {
     golden.advance_s(0.3);
     let img = golden.snapshot();
 
-    // Identity: advancing points (these dirty nearly every plane).
+    // Identity: advancing points.
     let advancing_point = |node: &mut Node, k: usize| {
         node.set_setting_all(FreqSetting::from_mhz(1200 + 100 * (k as u32 % 9)));
         node.advance_s(0.02);
@@ -179,28 +172,16 @@ fn fork_cost(cfg: &NodeConfig, iters: usize) -> ForkCost {
     let mut scratch = Node::new(cfg.clone());
     let mut full_vals = Vec::new();
     for k in 0..8 {
-        scratch.reseed(9000 + k as u64);
-        scratch.restore(&img);
+        scratch.fork_from(&img, 9000 + k as u64);
         full_vals.push(advancing_point(&mut scratch, k));
-    }
-    let mut scratch2 = Node::new(cfg.clone());
-    let mut dirty_vals = Vec::new();
-    for k in 0..8 {
-        scratch2.fork_from(&img, 9000 + k as u64);
-        dirty_vals.push(advancing_point(&mut scratch2, k));
     }
     assert_eq!(
         digest(&cold_vals).to_bits(),
         digest(&full_vals).to_bits(),
-        "full-restore fork diverged from cold fork"
-    );
-    assert_eq!(
-        digest(&cold_vals).to_bits(),
-        digest(&dirty_vals).to_bits(),
-        "dirty-plane fork diverged from cold fork"
+        "fork_from diverged from cold fork"
     );
 
-    // Timing: WORK-plane-only points, the dirty fast path's target shape.
+    // Timing: a thread assignment and a power read per point.
     let work_point = |node: &mut Node, i: usize| {
         let w = if i.is_multiple_of(2) {
             Some(WorkloadProfile::busy_wait())
@@ -223,27 +204,12 @@ fn fork_cost(cfg: &NodeConfig, iters: usize) -> ForkCost {
     scratch.restore(&img);
     let t0 = Instant::now();
     for i in 0..iters {
-        scratch.reseed(20_000 + i as u64);
-        scratch.restore(&img);
+        scratch.fork_from(&img, 20_000 + i as u64);
         work_point(&mut scratch, i);
     }
     let full_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    let mut scratch = Node::new(cfg.clone());
-    scratch.fork_from(&img, 19_999); // flush the initial all-dirty state
-    work_point(&mut scratch, 1);
-    let t0 = Instant::now();
-    for i in 0..iters {
-        scratch.fork_from(&img, 20_000 + i as u64);
-        work_point(&mut scratch, i);
-    }
-    let dirty_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    ForkCost {
-        cold_us,
-        full_us,
-        dirty_us,
-    }
+    ForkCost { cold_us, full_us }
 }
 
 fn warmstart_ratios(c: &mut Criterion) {
@@ -268,8 +234,8 @@ fn warmstart_ratios(c: &mut Criterion) {
             let skx = fork_cost(&skx_cfg, iters);
 
             if !smoke {
-                // The headline acceptance claims. The settle-dominated
-                // sweeps must actually realize the shared-settle savings...
+                // The headline acceptance claims: the settle-dominated
+                // sweeps must actually realize the shared-settle savings.
                 assert!(
                     ratio_f2 >= 2.0,
                     "fig2-class warm-start speedup {ratio_f2:.2}x < 2x \
@@ -280,17 +246,6 @@ fn warmstart_ratios(c: &mut Criterion) {
                     "table4-class warm-start speedup {ratio_t4:.2}x < 6x \
                      (cold {cold_t4:.2} s, warm {warm_t4:.2} s)"
                 );
-                // ...and a dirty-plane fork must stay well under a full
-                // restore on both firmware platforms.
-                for (name, f) in [("haswell", &hsw), ("skylake-sp", &skx)] {
-                    assert!(
-                        f.dirty_us < 0.25 * f.full_us,
-                        "{name}: dirty-plane fork {:.1} us >= 25% of full \
-                         restore {:.1} us",
-                        f.dirty_us,
-                        f.full_us
-                    );
-                }
             }
             hsw_bench::write_report(
                 "warmstart",
@@ -301,22 +256,18 @@ fn warmstart_ratios(c: &mut Criterion) {
                     BenchVariant::new("table4_class_warm", warm_t4, y),
                     BenchVariant::new("fork_cold_haswell", hsw.cold_us * 1e-6, 0.0),
                     BenchVariant::new("fork_full_haswell", hsw.full_us * 1e-6, 0.0),
-                    BenchVariant::new("fork_dirty_haswell", hsw.dirty_us * 1e-6, 0.0),
                     BenchVariant::new("fork_cold_skylake_sp", skx.cold_us * 1e-6, 0.0),
                     BenchVariant::new("fork_full_skylake_sp", skx.full_us * 1e-6, 0.0),
-                    BenchVariant::new("fork_dirty_skylake_sp", skx.dirty_us * 1e-6, 0.0),
                 ],
             );
             format!(
                 "Fig 2-class:    cold {cold_f2:.2} s, warm {warm_f2:.2} s -> {ratio_f2:.1}x\n\
                  Table IV-class: cold {cold_t4:.2} s, warm {warm_t4:.2} s -> {ratio_t4:.1}x\n\
-                 Fork cost (haswell):    cold {:.1} us, full restore {:.1} us, \
-                 dirty planes {:.1} us\n\
-                 Fork cost (skylake-sp): cold {:.1} us, full restore {:.1} us, \
-                 dirty planes {:.1} us\n\
+                 Fork cost (haswell):    cold {:.1} us, fork_from {:.1} us\n\
+                 Fork cost (skylake-sp): cold {:.1} us, fork_from {:.1} us\n\
                  (digests bit-identical across modes and fork strategies; \
                  report: BENCH_warmstart.json)",
-                hsw.cold_us, hsw.full_us, hsw.dirty_us, skx.cold_us, skx.full_us, skx.dirty_us
+                hsw.cold_us, hsw.full_us, skx.cold_us, skx.full_us
             )
         },
     );

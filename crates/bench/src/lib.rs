@@ -22,18 +22,19 @@ use serde::Value;
 /// regression tests (e.g. "the socket tick hot loop must not allocate").
 /// Install it with `#[global_allocator]` in a dedicated test binary, then
 /// bracket the measured region with [`CountingAlloc::reset`] and
-/// [`CountingAlloc::allocs`]. Counters are process-global and relaxed —
+/// [`CountingAlloc::allocs`]. The counter is process-global and relaxed —
 /// good enough for single-threaded regression bounds, not for profiling.
+/// Give each counted test a binary of its own: `cargo test` runs the tests
+/// of one binary on parallel threads, and a second test's allocations
+/// land in the first one's measured window.
 pub struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 impl CountingAlloc {
-    /// Zero both counters.
+    /// Zero the counter.
     pub fn reset() {
         ALLOC_CALLS.store(0, Ordering::Relaxed);
-        ALLOC_BYTES.store(0, Ordering::Relaxed);
     }
 
     /// Allocation calls (alloc, alloc_zeroed, and growing reallocs) since
@@ -41,21 +42,15 @@ impl CountingAlloc {
     pub fn allocs() -> u64 {
         ALLOC_CALLS.load(Ordering::Relaxed)
     }
-
-    /// Bytes requested since the last reset.
-    pub fn bytes() -> u64 {
-        ALLOC_BYTES.load(Ordering::Relaxed)
-    }
 }
 
 // SAFETY: pure pass-through to `System` — every pointer/layout contract is
-// forwarded unchanged, the counters are side-effect-only atomics.
+// forwarded unchanged, the counter is a side-effect-only atomic.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout handed to `System.alloc`; counting has no effect
     // on the returned allocation.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -68,7 +63,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout handed to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -76,7 +70,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // verbatim to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -41,37 +41,3 @@ fn settled_tick_loop_is_allocation_free() {
          ({per_tick:.3}/tick; bound 0.2/tick)"
     );
 }
-
-#[test]
-fn dirty_plane_fork_allocates_less_than_a_node_build() {
-    // The scratch-node fork path exists to avoid per-point construction;
-    // verify the allocator agrees. A fork of a snapshot into a node that
-    // only dirtied its WORK plane must stay well under what constructing
-    // and restoring a fresh node costs.
-    let cfg = NodeConfig::paper_default().with_seed(7);
-    let mut golden = Node::new(cfg.clone());
-    golden.run_on_socket(0, &WorkloadProfile::compute(), 8, 1);
-    golden.advance_s(0.1);
-    let snap = golden.snapshot();
-
-    let mut scratch = Node::new(cfg.clone());
-    // First fork clears the new node's everything-dirty state; then dirty
-    // only the WORK plane, as a settings-sweep point would.
-    scratch.fork_from(&snap, 1001);
-    scratch.run_on_socket(0, &WorkloadProfile::busy_wait(), 4, 1);
-
-    CountingAlloc::reset();
-    scratch.fork_from(&snap, 1002);
-    let fork_allocs = CountingAlloc::allocs();
-
-    CountingAlloc::reset();
-    let mut fresh = Node::new(cfg.with_seed(1002));
-    fresh.restore(&snap);
-    let build_allocs = CountingAlloc::allocs();
-
-    assert!(
-        fork_allocs * 4 < build_allocs,
-        "WORK-plane fork allocated {fork_allocs} times vs {build_allocs} for \
-         build+restore — expected under a quarter"
-    );
-}

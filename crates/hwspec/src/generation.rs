@@ -29,7 +29,7 @@ pub enum CpuGeneration {
     /// p-state domains.
     HaswellHe,
     /// Skylake-SP (e.g. Xeon Platinum 8170; arXiv 1905.12468): mesh uncore
-    /// with per-core UFS requests, HWP autonomous p-states, AVX-512
+    /// with its own UFS schedule, HWP autonomous p-states, AVX-512
     /// frequency-license levels, uniform-unit RAPL, mainboard VRs. Not part
     /// of [`CpuGeneration::ALL`] — the survey's cross-generation figures
     /// cover the paper's five parts.

@@ -35,7 +35,7 @@ pub use memcfg::MemSpec;
 pub use microarch::MicroArch;
 pub use policy::{
     policy_for, CStateExitPolicy, FirmwarePolicy, LicensePolicy, PStatePolicy, RaplPolicy,
-    UncoreFabric, UncorePolicy, VrPolicy,
+    UncorePolicy, VrPolicy,
 };
 pub use product_line::{e5_2600_v3_line, haswell_ep_sku};
 pub use sku::{CacheSpec, NodeSpec, SkuSpec};

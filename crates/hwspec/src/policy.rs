@@ -19,14 +19,6 @@
 use crate::calib;
 use crate::generation::{CpuGeneration, PStateTransitionMode, RaplMode, UncoreClockSource};
 
-/// Interconnect fabric carrying L3 and the memory controllers: the ring
-/// of paper Figure 1, or the Skylake-SP mesh (1905.12468 Section II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UncoreFabric {
-    Ring,
-    Mesh,
-}
-
 /// How p-state change requests are serviced (paper Section VI-A;
 /// 1905.12468 Section II-D for HWP).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +36,12 @@ pub struct PStatePolicy {
 }
 
 /// Uncore clock management (paper Sections II-D and V-A; 1905.12468
-/// Section II-B for the per-core-requested mesh UFS).
+/// Section II-B for the mesh UFS). On every generation the UFS target
+/// follows the fastest active core chip-wide (Haswell-EP Table III); the
+/// Skylake-SP mesh differs only by its schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UncorePolicy {
     pub source: UncoreClockSource,
-    pub fabric: UncoreFabric,
-    /// Whether UFS requests are tracked per core (Skylake-SP) or derived
-    /// from the fastest active core chip-wide (Haswell-EP Table III).
-    pub per_core_requests: bool,
     /// UFS schedule, indexed by core-frequency setting (0 = Turbo, then
     /// base downward in 100 MHz bins), for a socket with active cores.
     pub active_schedule_mhz: &'static [u32],
@@ -81,8 +71,8 @@ pub struct LicensePolicy {
     pub ramp_throughput_factor: f64,
 }
 
-/// RAPL semantics: backing, counter geometry, and units (paper Section
-/// III; 1905.12468 Section II-E).
+/// RAPL semantics: backing, domains and units (paper Section III;
+/// 1905.12468 Section II-E).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaplPolicy {
     pub mode: RaplMode,
@@ -92,8 +82,6 @@ pub struct RaplPolicy {
     /// this at 15.3 µJ regardless of `MSR_RAPL_POWER_UNIT`; Skylake-SP
     /// returns to the uniform package unit.
     pub dram_energy_unit_uj: f64,
-    /// Width of the energy status counters in bits.
-    pub counter_bits: u32,
     /// Relative noise amplitude of the measured (FIVR/IMON) readout.
     pub measured_noise_frac: f64,
     /// Relative noise amplitude of the modeled readout.
@@ -224,7 +212,6 @@ fn modeled_rapl() -> RaplPolicy {
         mode: RaplMode::Modeled,
         pkg_energy_unit_uj: calib::PKG_ENERGY_UNIT_UJ,
         dram_energy_unit_uj: calib::DRAM_ENERGY_UNIT_UJ,
-        counter_bits: 32,
         measured_noise_frac: 0.004,
         modeled_noise_frac: 0.01,
         has_dram_domain: true,
@@ -258,8 +245,6 @@ impl FirmwarePolicy for WestmereEpPolicy {
     fn uncore(&self) -> UncorePolicy {
         UncorePolicy {
             source: UncoreClockSource::Fixed,
-            fabric: UncoreFabric::Ring,
-            per_core_requests: false,
             active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
             passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
             stall_ramp_full: 0.85,
@@ -300,8 +285,6 @@ impl FirmwarePolicy for SandyBridgeEpPolicy {
     fn uncore(&self) -> UncorePolicy {
         UncorePolicy {
             source: UncoreClockSource::CoreCoupled,
-            fabric: UncoreFabric::Ring,
-            per_core_requests: false,
             active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
             passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
             stall_ramp_full: 0.85,
@@ -373,8 +356,6 @@ impl FirmwarePolicy for HaswellEpPolicy {
     fn uncore(&self) -> UncorePolicy {
         UncorePolicy {
             source: UncoreClockSource::Independent,
-            fabric: UncoreFabric::Ring,
-            per_core_requests: false,
             active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
             passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
             stall_ramp_full: 0.85,
@@ -436,7 +417,7 @@ impl FirmwarePolicy for HaswellHePolicy {
     }
 }
 
-/// Skylake-SP (1905.12468): mesh uncore with per-core UFS requests, HWP
+/// Skylake-SP (1905.12468): mesh uncore with its own UFS schedule, HWP
 /// autonomous p-states, AVX-512 license levels, uniform-unit RAPL, and
 /// voltage regulation back on the mainboard.
 pub struct SkylakeSpPolicy;
@@ -459,8 +440,6 @@ impl FirmwarePolicy for SkylakeSpPolicy {
     fn uncore(&self) -> UncorePolicy {
         UncorePolicy {
             source: UncoreClockSource::Independent,
-            fabric: UncoreFabric::Mesh,
-            per_core_requests: true,
             active_schedule_mhz: &calib::skx::UFS_ACTIVE_SCHEDULE_MHZ,
             passive_schedule_mhz: &calib::skx::UFS_PASSIVE_SCHEDULE_MHZ,
             stall_ramp_full: 0.85,
@@ -592,25 +571,10 @@ mod tests {
         assert!(p.pstate().per_core_domains);
         let u = p.uncore();
         assert_eq!(u.source, UncoreClockSource::Independent);
-        assert_eq!(u.fabric, UncoreFabric::Mesh);
-        assert!(u.per_core_requests);
         assert_eq!(p.license().levels, 2);
         assert_eq!(p.rapl().mode, RaplMode::Measured);
         // Uniform RAPL units: the Haswell DRAM quirk is gone.
         assert_eq!(p.rapl().dram_energy_unit_uj, p.rapl().pkg_energy_unit_uj);
-    }
-
-    #[test]
-    fn only_haswell_ring_uses_the_mesh_free_fabric() {
-        for gen in all_with_skx() {
-            let fabric = policy_for(gen).uncore().fabric;
-            assert_eq!(
-                fabric == UncoreFabric::Mesh,
-                gen == CpuGeneration::SkylakeSp,
-                "{}",
-                gen.name()
-            );
-        }
     }
 
     #[test]

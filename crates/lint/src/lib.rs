@@ -10,14 +10,14 @@
 //! entropy in a result path, unordered-collection iteration,
 //! scheduler-ordered float reductions — at the source level, plus the
 //! cross-file invariants no compiler pass or test checks: snapshot field
-//! coverage (M4), generation dispatch outside the policy layer (M5),
-//! dirty-plane marking (M6) and panic paths under the tick (P1).
+//! coverage (M4), generation dispatch outside the policy layer (M5) and
+//! panic paths under the tick (P1).
 //!
 //! No `syn`, no crates.io: a small token-level lexer ([`lexer`]) feeds the
 //! textual rules ([`rules`]), the snapshot model ([`model`]) and an
 //! item/call-graph parser ([`parser`], [`semantic`]);
-//! [`workspace::lint_workspace`] runs all of them over every file on each
-//! run. Suppressions are per-line `// lint:allow(rule): <justification>`
+//! [`workspace::lint_workspace`] lexes every file once per run and runs
+//! all of them over it. Suppressions are per-line `// lint:allow(rule): <justification>`
 //! comments; an allow without a justification suppresses nothing.
 
 pub mod lexer;

@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use hsw_lint::{find_workspace_root, lint_workspace, rules, FileScope, Finding};
 
 const USAGE: &str = "\
-hsw-lint — determinism-contract, snapshot and dirty-plane static analysis
+hsw-lint — determinism-contract, snapshot and panic-path static analysis
 
 USAGE:
     hsw-lint [--root <dir>]
@@ -26,16 +26,12 @@ RULES:
     D3  no float reductions over parallel sources in result crates, and no
         partial_cmp().unwrap() comparators (use f64::total_cmp)
     S1  every `unsafe` needs a preceding `// SAFETY:` comment
-    A1  malformed `// lint:allow(…)` or `// plane:dirty(…)` directive,
-        or a plane:dirty naming an unknown plane
-    A2  stale directives: a justified lint:allow, snap:skip, or plane:dirty
-        that no longer suppresses/declares anything must be deleted
+    A1  malformed `// lint:allow(…)` directive
+    A2  stale directives: a justified lint:allow or snap:skip that no
+        longer suppresses/declares anything must be deleted
     M4  every field of a struct with an `XSnapshot` companion is captured
         or carries a justified `// snap:skip(<why>)`
     M5  no match/if-let/matches! on CpuGeneration outside hwspec's policy layer
-    M6  every `&mut self` method of a plane-tracked type (Socket) that
-        mutates plane-mapped state must mark it dirty — directly, through a
-        marking method, or via `// plane:dirty(<MASK>): <why>`
     P1  no .unwrap()/.expect()/computed indexing in result-crate code
         reachable from Socket::tick / Node::step (a panic there poisons
         every sweep point sharing the worker pool)

@@ -1,17 +1,17 @@
 //! Tier-2 (model) rule M4: every `XSnapshot` struct accounts for each
-//! field of its source struct `X` — captured, directly or inside a
-//! plane-image substruct, or marked with a justified `// snap:skip(<why>)`.
+//! field of its source struct `X` — captured by name, or marked with a
+//! justified `// snap:skip(<why>)`.
 //!
 //! The check reads struct definitions and `snap:skip` comments through the
-//! same lexer the textual rules use, not arbitrary Rust. It takes source
-//! text (not paths) so tests can feed seeded inconsistencies straight in.
-//! The MSR tables and the experiment registry are not linted: tests in
-//! `hsw-msr` (`fields`, `gate`) and `tests/survey_registry.rs` hold their
+//! same lexer the textual rules use, not arbitrary Rust; the workspace pass
+//! lexes each file once and hands M4 its `SnapshotScan`. The MSR tables
+//! and the experiment registry are not linted: tests in `hsw-msr`
+//! (`fields`, `gate`) and `tests/survey_registry.rs` hold their
 //! invariants.
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::lexer::{Comment, Lexed, Token, TokenKind};
 use crate::rules::Finding;
 
 fn as_ident(t: &Token) -> Option<&str> {
@@ -25,15 +25,10 @@ fn is_punct(t: &Token, p: &str) -> bool {
     matches!(&t.kind, TokenKind::Punct(q) if *q == p)
 }
 
-/// A named struct field: its name, line, and every identifier appearing in
-/// its type (`grant: PcuGrant` → `["PcuGrant"]`,
-/// `rates: Option<CounterRates>` → `["Option", "CounterRates"]`). The type
-/// identifiers let [`check_snapshots`] flatten snapshots that partition
-/// their fields into plane-image substructs.
+/// A named struct field: its name and line.
 pub(crate) struct FieldDef {
     pub(crate) name: String,
     pub(crate) line: u32,
-    pub(crate) type_idents: Vec<String>,
 }
 
 /// A struct definition: name, line, and its named fields.
@@ -47,8 +42,7 @@ pub(crate) struct StructDef {
 /// structs have no named fields and are skipped. Field names are the
 /// identifiers followed by a single `:` at struct-brace depth 1 outside any
 /// parens/brackets/generics — unambiguous because the lexer joins `::`
-/// into one token. Identifiers between a field's `:` and its terminating
-/// `,` are recorded as the field's type identifiers.
+/// into one token — and a field's type runs to its terminating `,`.
 pub(crate) fn struct_defs(tokens: &[Token]) -> Vec<StructDef> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -92,8 +86,7 @@ pub(crate) fn struct_defs(tokens: &[Token]) -> Vec<StructDef> {
         };
         let mut fields: Vec<FieldDef> = Vec::new();
         let (mut depth, mut paren, mut bracket, mut fangle) = (1usize, 0i32, 0i32, 0i32);
-        // Whether we are between a field's `:` and its terminating `,` —
-        // identifiers seen there belong to the field's type.
+        // Whether we are between a field's `:` and its terminating `,`.
         let mut in_type = false;
         let mut k = open + 1;
         while k < tokens.len() && depth > 0 {
@@ -139,15 +132,10 @@ pub(crate) fn struct_defs(tokens: &[Token]) -> Vec<StructDef> {
                 fields.push(FieldDef {
                     name: as_ident(t).unwrap().to_string(),
                     line: t.line,
-                    type_idents: Vec::new(),
                 });
                 in_type = true;
                 k += 2;
                 continue;
-            } else if in_type {
-                if let (Some(id), Some(f)) = (as_ident(t), fields.last_mut()) {
-                    f.type_idents.push(id.to_string());
-                }
             }
             k += 1;
         }
@@ -165,7 +153,7 @@ pub(crate) struct SkipMarker {
     pub(crate) justified: bool,
 }
 
-pub(crate) fn snap_skip_markers(comments: &[Comment]) -> Vec<SkipMarker> {
+fn snap_skip_markers(comments: &[Comment]) -> Vec<SkipMarker> {
     comments
         .iter()
         .filter_map(|c| {
@@ -182,17 +170,26 @@ pub(crate) fn snap_skip_markers(comments: &[Comment]) -> Vec<SkipMarker> {
         .collect()
 }
 
-/// Per-file parse results for [`check_snapshots`].
-struct SnapshotScan {
-    structs: Vec<StructDef>,
-    markers: Vec<SkipMarker>,
+/// One file's struct definitions and `snap:skip` markers — what M4 reads.
+pub(crate) struct SnapshotScan {
+    pub(crate) structs: Vec<StructDef>,
+    pub(crate) markers: Vec<SkipMarker>,
+}
+
+impl SnapshotScan {
+    pub(crate) fn of(lexed: &Lexed) -> SnapshotScan {
+        SnapshotScan {
+            structs: struct_defs(&lexed.tokens),
+            markers: snap_skip_markers(&lexed.comments),
+        }
+    }
 }
 
 /// Resolve the source struct `stem` for a snapshot defined in file
 /// `snap_fi`: same file first, then the same crate, then anywhere (files
 /// arrive path-sorted, so ties resolve deterministically).
 fn find_source_struct<'a>(
-    files: &[(String, String)],
+    paths: &[&str],
     scans: &'a [SnapshotScan],
     snap_fi: usize,
     stem: &str,
@@ -208,7 +205,7 @@ fn find_source_struct<'a>(
             _ => String::new(),
         }
     };
-    let snap_crate = crate_of(&files[snap_fi].0);
+    let snap_crate = crate_of(paths[snap_fi]);
     let candidates: Vec<(usize, &StructDef)> = scans
         .iter()
         .enumerate()
@@ -217,71 +214,31 @@ fn find_source_struct<'a>(
         .collect();
     candidates
         .iter()
-        .find(|(fi, _)| crate_of(&files[*fi].0) == snap_crate)
+        .find(|(fi, _)| crate_of(paths[*fi]) == snap_crate)
         .or_else(|| candidates.first())
         .copied()
 }
 
-/// Collect every field name reachable from `def` — its own fields plus,
-/// transitively, the fields of any workspace struct named in a field's
-/// type. This is what lets a snapshot partition its fields into plane
-/// images (`SocketSnapshot { pstate: PStatePlaneImage { grant, … } }`)
-/// and still count `grant` as captured. The visited set guards cycles.
-fn covered_names(
-    files: &[(String, String)],
-    scans: &[SnapshotScan],
-    fi: usize,
-    def: &StructDef,
-    visited: &mut BTreeSet<String>,
-    out: &mut BTreeSet<String>,
-) {
-    if !visited.insert(def.name.clone()) {
-        return;
-    }
-    for f in &def.fields {
-        out.insert(f.name.clone());
-        for ty in &f.type_idents {
-            if let Some((tfi, tdef)) = find_source_struct(files, scans, fi, ty) {
-                covered_names(files, scans, tfi, tdef, visited, out);
-            }
-        }
-    }
-}
-
 /// M4: every struct with a plain-data `<X>Snapshot` companion must account
-/// for each of its fields — captured by name in the snapshot (directly or
-/// inside a plane-image substruct the snapshot embeds — see
-/// `covered_names`), or marked with a justified `// snap:skip(<why>)` on
-/// the field's line or the line directly above. This is the determinism
-/// half of the warm-start contract: a stateful field silently missing
-/// from the snapshot — or from the plane image that claims its plane — is
+/// for each of its fields — captured by name in the snapshot, or marked
+/// with a justified `// snap:skip(<why>)` on the field's line or the line
+/// directly above. This is the determinism half of the warm-start
+/// contract: a stateful field silently missing from the snapshot is
 /// exactly how a forked sweep point diverges from its cold re-run.
-pub fn check_snapshots(files: &[(String, String)]) -> Vec<Finding> {
-    check_snapshots_with_usage(files).0
-}
-
-/// [`check_snapshots`], also reporting which justified `snap:skip`
-/// markers suppressed a missing-field finding — `(file index, marker end
-/// line)` pairs. The workspace pass flags justified markers that
-/// suppressed nothing as stale (A2).
-pub(crate) fn check_snapshots_with_usage(
-    files: &[(String, String)],
+///
+/// `paths[i]` is the workspace-relative path of the file `scans[i]` was
+/// read from. Also returns which justified `snap:skip` markers suppressed
+/// a missing-field finding — `(file index, marker end line)` pairs; the
+/// workspace pass flags justified markers that suppressed nothing as
+/// stale (A2).
+pub(crate) fn check_snapshots(
+    paths: &[&str],
+    scans: &[SnapshotScan],
 ) -> (Vec<Finding>, BTreeSet<(usize, u32)>) {
     let mut findings = Vec::new();
     let mut used = BTreeSet::new();
-    let scans: Vec<SnapshotScan> = files
-        .iter()
-        .map(|(_, src)| {
-            let lexed = lex(src);
-            SnapshotScan {
-                structs: struct_defs(&lexed.tokens),
-                markers: snap_skip_markers(&lexed.comments),
-            }
-        })
-        .collect();
-
     let mut any_snapshot = false;
-    for (snap_fi, (snap_path, _)) in files.iter().enumerate() {
+    for (snap_fi, snap_path) in paths.iter().enumerate() {
         for snap in &scans[snap_fi].structs {
             // A bare `Snapshot` (empty stem) names no source struct — the
             // telemetry sample type, not a state image.
@@ -289,7 +246,7 @@ pub(crate) fn check_snapshots_with_usage(
                 continue;
             };
             any_snapshot = true;
-            let Some((src_fi, src_def)) = find_source_struct(files, &scans, snap_fi, stem) else {
+            let Some((src_fi, src_def)) = find_source_struct(paths, scans, snap_fi, stem) else {
                 findings.push(Finding::new(
                     snap_path,
                     snap.line,
@@ -302,23 +259,14 @@ pub(crate) fn check_snapshots_with_usage(
                 ));
                 continue;
             };
-            let mut snap_fields = BTreeSet::new();
-            covered_names(
-                files,
-                &scans,
-                snap_fi,
-                snap,
-                &mut BTreeSet::new(),
-                &mut snap_fields,
-            );
-            let src_path = &files[src_fi].0;
+            let snap_fields: BTreeSet<&str> = snap.fields.iter().map(|f| f.name.as_str()).collect();
+            let src_path = paths[src_fi];
             for FieldDef {
                 name: fname,
                 line: fline,
-                ..
             } in &src_def.fields
             {
-                if snap_fields.contains(fname) {
+                if snap_fields.contains(fname.as_str()) {
                     continue;
                 }
                 let marker = scans[src_fi].markers.iter().find(|m| {
@@ -370,6 +318,17 @@ pub(crate) fn check_snapshots_with_usage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+
+    /// M4 over `(path, source)` pairs: lex each file, then check.
+    fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
+        let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
+        let scans: Vec<SnapshotScan> = files
+            .iter()
+            .map(|(_, src)| SnapshotScan::of(&lex(src)))
+            .collect();
+        check_snapshots(&paths, &scans).0
+    }
 
     // A clean source/snapshot pair: one captured field, one justified
     // skip, one field whose capture the seeded tests remove.
@@ -398,14 +357,14 @@ pub struct EngineSnapshot {
 
     #[test]
     fn m4_accepts_a_clean_pair() {
-        let f = check_snapshots(&snap_files(&[("x.rs", SNAP_OK)]));
+        let f = check_sources(&snap_files(&[("x.rs", SNAP_OK)]));
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn m4_catches_an_uncaptured_unmarked_field() {
         let src = SNAP_OK.replace("    pub queue: Vec<(u32, u64)>,\n", "");
-        let f = check_snapshots(&snap_files(&[("x.rs", &src)]));
+        let f = check_sources(&snap_files(&[("x.rs", &src)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "M4");
         assert!(f[0].message.contains("`Engine.queue`"), "{f:?}");
@@ -417,7 +376,7 @@ pub struct EngineSnapshot {
             "snap:skip(construction-time constant, rebuilt by Engine::new)",
             "snap:skip()",
         );
-        let f = check_snapshots(&snap_files(&[("x.rs", &src)]));
+        let f = check_sources(&snap_files(&[("x.rs", &src)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "M4");
         assert!(f[0].message.contains("without a justification"), "{f:?}");
@@ -426,7 +385,7 @@ pub struct EngineSnapshot {
     #[test]
     fn m4_catches_a_snapshot_without_a_source_struct() {
         let src = SNAP_OK.replace("pub struct Engine<", "pub struct Motor<");
-        let f = check_snapshots(&snap_files(&[("x.rs", &src)]));
+        let f = check_sources(&snap_files(&[("x.rs", &src)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "M4");
         assert!(f[0].message.contains("no source struct `Engine`"), "{f:?}");
@@ -436,7 +395,7 @@ pub struct EngineSnapshot {
     fn m4_resolves_the_source_struct_across_files() {
         let source = "pub struct Engine {\n    ticks: u64,\n    scratch: Vec<u8>,\n}\n";
         let snap = "pub struct EngineSnapshot {\n    ticks: u64,\n}\n";
-        let f = check_snapshots(&snap_files(&[("a.rs", source), ("b.rs", snap)]));
+        let f = check_sources(&snap_files(&[("a.rs", source), ("b.rs", snap)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].path, "a.rs");
         assert!(f[0].message.contains("`Engine.scratch`"), "{f:?}");
@@ -461,7 +420,7 @@ pub struct ChipVariationSnapshot {
     pub vcorner_v: f64,
 }
 ";
-        let f = check_snapshots(&snap_files(&[
+        let f = check_sources(&snap_files(&[
             ("crates/fleet/src/variation.rs", variation),
             ("crates/node/src/node.rs", snap),
         ]));
@@ -475,7 +434,7 @@ pub struct ChipVariationSnapshot {
             "    scratch: Vec<f64>,",
             "    // snap:skip(per-step scratch, rebuilt by the fork)\n    scratch: Vec<f64>,",
         );
-        let f = check_snapshots(&snap_files(&[
+        let f = check_sources(&snap_files(&[
             ("crates/fleet/src/variation.rs", &fixed),
             ("crates/node/src/node.rs", snap),
         ]));
@@ -485,89 +444,8 @@ pub struct ChipVariationSnapshot {
     #[test]
     fn m4_accepts_a_trailing_skip_marker() {
         let src = "struct E {\n    a: u64,\n    b: u8, // snap:skip(scratch, rebuilt per step)\n}\nstruct ESnapshot {\n    a: u64,\n}\n";
-        let f = check_snapshots(&snap_files(&[("x.rs", src)]));
+        let f = check_sources(&snap_files(&[("x.rs", src)]));
         assert!(f.is_empty(), "{f:?}");
-    }
-
-    // A snapshot partitioned into plane-image substructs, as the node's
-    // dirty-plane layout does: `grant` and `queue` are captured one level
-    // down, `cores` through a `*Snapshot`-named plane of its own.
-    const SNAP_PLANES: &str = "\
-pub struct Engine {
-    ticks: u64,
-    grant: f64,
-    queue: Vec<(u32, u64)>,
-    cores: CorePlanes,
-    // snap:skip(per-step scratch, rebuilt every tick)
-    scratch: Vec<u8>,
-}
-
-pub struct CorePlanes {
-    mhz: Vec<f64>,
-    // snap:skip(cache derived from ticks, resynced on restore)
-    busy: Vec<bool>,
-}
-
-pub struct CorePlanesSnapshot {
-    mhz: Vec<f64>,
-}
-
-pub struct EngineSnapshot {
-    ticks: u64,
-    pstate: PStatePlaneImage,
-    cores: CorePlanesSnapshot,
-}
-
-pub struct PStatePlaneImage {
-    grant: f64,
-    queue: Vec<(u32, u64)>,
-}
-";
-
-    #[test]
-    fn m4_flattens_plane_image_substructs() {
-        let f = check_snapshots(&snap_files(&[("x.rs", SNAP_PLANES)]));
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn m4_catches_a_field_missing_from_a_plane_image() {
-        // Dropping `queue` from the plane image must fire on the *source*
-        // field, exactly like dropping it from a flat snapshot: the plane
-        // claimed the field's plane and silently stopped capturing it.
-        let src = SNAP_PLANES.replace(
-            "pub struct PStatePlaneImage {\n    grant: f64,\n    queue: Vec<(u32, u64)>,\n}",
-            "pub struct PStatePlaneImage {\n    grant: f64,\n}",
-        );
-        let f = check_snapshots(&snap_files(&[("x.rs", &src)]));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "M4");
-        assert!(f[0].message.contains("`Engine.queue`"), "{f:?}");
-    }
-
-    #[test]
-    fn m4_plane_flattening_survives_type_cycles() {
-        // Mutually recursive plane types must not hang the flattener —
-        // and must still surface the genuinely uncaptured field.
-        let src = "\
-pub struct Engine {
-    ticks: u64,
-    lost: u8,
-}
-pub struct EngineSnapshot {
-    a: PlaneA,
-}
-pub struct PlaneA {
-    ticks: u64,
-    b: PlaneB,
-}
-pub struct PlaneB {
-    a: PlaneA,
-}
-";
-        let f = check_snapshots(&snap_files(&[("x.rs", src)]));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`Engine.lost`"), "{f:?}");
     }
 
     #[test]
@@ -575,14 +453,14 @@ pub struct PlaneB {
         // `Snapshot` (empty stem) is the telemetry sample type, and tuple
         // structs have no named fields to audit.
         let src = "pub struct Snapshot {\n    watts: f64,\n}\npub struct Pair(u32, u64);\n";
-        let f = check_snapshots(&snap_files(&[("x.rs", src)]));
+        let f = check_sources(&snap_files(&[("x.rs", src)]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("no `*Snapshot` structs"), "{f:?}");
     }
 
     #[test]
     fn m4_reports_divergence_when_no_snapshots_exist() {
-        let f = check_snapshots(&snap_files(&[("x.rs", "fn main() {}")]));
+        let f = check_sources(&snap_files(&[("x.rs", "fn main() {}")]));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "M4");
         assert!(f[0].message.contains("diverged"), "{f:?}");

@@ -1,14 +1,13 @@
 //! A lightweight item/body parser on top of the token stream.
 //!
-//! The semantic rules (M6/D3/P1) need more than token patterns but far
-//! less than a parse tree: which functions exist, which type each method
-//! belongs to, whether the receiver is `&mut self`, and a flat summary of
-//! what each body *does* — calls, method calls, `self.<field>` accesses
-//! with their effect (read / assign / `&mut` borrow / method receiver),
-//! and indexing sites. No expression grammar: bodies are reduced to those
-//! op sequences, closures are attributed to their enclosing function, and
-//! macro invocations stay opaque (their argument tokens are still scanned,
-//! which errs on the side of reporting).
+//! The P1 panic-path audit needs more than token patterns but far less
+//! than a parse tree: which functions exist, which type each method
+//! belongs to, whether it takes `self`, and a flat summary of what each
+//! body *does* — calls, method calls, and indexing sites. No expression
+//! grammar: bodies are reduced to those op sequences, closures are
+//! attributed to their enclosing function, and macro invocations stay
+//! opaque (their argument tokens are still scanned, which errs on the side
+//! of reporting).
 //!
 //! Test code is invisible to the model: `#[cfg(test)]` modules and
 //! `#[test]` functions are skipped entirely, so unwraps in tests never
@@ -16,40 +15,15 @@
 
 use crate::lexer::{Token, TokenKind};
 
-/// A `const NAME: Ty = rhs;` item (top-level or in an impl block), with
-/// the right-hand side summarized just enough to expand plane masks.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    pub name: String,
-    pub line: u32,
-    /// Identifiers in the declared type (`PlaneMask`, `u32`, …).
-    pub ty: Vec<String>,
-    /// Identifiers on the right-hand side (path segments, const names,
-    /// method names like `union`).
-    pub rhs_idents: Vec<String>,
-    /// Integer literals on the right-hand side.
-    pub rhs_ints: Vec<u128>,
-    /// The right-hand side contains a `<<` (single-bit definitions).
-    pub rhs_shift: bool,
-}
-
 /// One function or method, with its body reduced to a [`BodyOp`] list.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     pub name: String,
-    /// Line of the `fn` name token.
-    pub line: u32,
     /// Last path segment of the impl target type; `None` for free
     /// functions. Trait definitions use the trait's own name.
     pub self_ty: Option<String>,
-    /// `Some(trait)` when the fn lives in an `impl Trait for Type` block.
-    pub trait_name: Option<String>,
-    /// Signature takes `&mut self`.
-    pub mut_self: bool,
     /// Signature takes any flavor of `self`.
     pub has_self: bool,
-    /// Declared `pub` (any visibility restriction counts).
-    pub is_pub: bool,
     pub ops: Vec<BodyOp>,
 }
 
@@ -58,28 +32,8 @@ pub struct FnItem {
 pub enum Recv {
     /// `self.m(…)`.
     SelfDirect,
-    /// `self.<field>…m(…)` — the named root field.
-    SelfField(String),
-    /// Anything else (`x.m(…)`, `f().m(…)`, …).
+    /// Anything else (`self.field.m(…)`, `x.m(…)`, `f().m(…)`, …).
     Other,
-}
-
-/// What a `self.<field>` use site does to the field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldEffect {
-    Read,
-    /// `self.f = …` (plain) or `self.f op= …` (compound). `op` is the
-    /// operator punct (`=`, `|=`, `+=`, …); `rhs_idents` are the
-    /// identifiers up to the end of the statement.
-    Assign {
-        op: &'static str,
-        rhs_idents: Vec<String>,
-    },
-    /// `&mut self.f` — a mutable borrow escapes the access site.
-    MutBorrow,
-    /// `self.f.…m(…)` — `m` may or may not mutate; resolution is the
-    /// semantic model's job (it knows every method's `&mut self`-ness).
-    MethodRecv(String),
 }
 
 /// One reduced body operation.
@@ -90,15 +44,6 @@ pub enum BodyOp {
     Call { path: Vec<String>, line: u32 },
     /// `.name(…)` method call.
     Method { name: String, recv: Recv, line: u32 },
-    /// A `self.<field>` access. `guards` carries the identifiers of the
-    /// enclosing `if`/`while` conditions — how the semantic model learns
-    /// the field→plane partition from `restore_planes`-style bodies.
-    SelfField {
-        field: String,
-        effect: FieldEffect,
-        guards: Vec<String>,
-        line: u32,
-    },
     /// A postfix `expr[…]` indexing site; `arith` when the index tokens
     /// contain `+`/`-`/`*` (a computed index, the panicky kind).
     Index { arith: bool, line: u32 },
@@ -107,7 +52,6 @@ pub enum BodyOp {
 /// Parser output for one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
-    pub consts: Vec<ConstItem>,
     pub fns: Vec<FnItem>,
 }
 
@@ -131,7 +75,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 /// Parse a whole file's token stream into items.
 pub fn parse(tokens: &[Token]) -> ParsedFile {
     let mut out = ParsedFile::default();
-    parse_items(tokens, 0, tokens.len(), None, None, &mut out);
+    parse_items(tokens, 0, tokens.len(), None, &mut out);
     out
 }
 
@@ -197,22 +141,19 @@ fn index_arith(tokens: &[Token], lo: usize, hi: usize) -> bool {
     })
 }
 
-/// Parse items in `tokens[start..end]`. `self_ty`/`trait_name` are set
-/// when inside an `impl` (or trait) block.
+/// Parse items in `tokens[start..end]`. `self_ty` is set when inside an
+/// `impl` (or trait) block.
 fn parse_items(
     tokens: &[Token],
     start: usize,
     end: usize,
     self_ty: Option<&str>,
-    trait_name: Option<&str>,
     out: &mut ParsedFile,
 ) {
     let mut i = start;
     // Set when the most recent attribute batch mentioned `test`
     // (`#[test]`, `#[cfg(test)]`); the next item is then skipped.
     let mut pending_test = false;
-    // Visibility of the item being scanned.
-    let mut pending_pub = false;
     while i < end {
         let t = &tokens[i];
         if is_punct(t, "#") {
@@ -237,14 +178,6 @@ fn parse_items(
             continue;
         };
         match word {
-            "pub" => {
-                pending_pub = true;
-                i += 1;
-                // `pub(crate)` / `pub(super)` restriction.
-                if i < end && is_punct(&tokens[i], "(") {
-                    i = skip_balanced(tokens, i, "(", ")");
-                }
-            }
             "macro_rules" if i + 1 < end && is_punct(&tokens[i + 1], "!") => {
                 // A macro definition's body is token soup, not items —
                 // skip `macro_rules ! name { … }` wholesale so rule arms
@@ -258,7 +191,6 @@ fn parse_items(
                 } else {
                     j
                 };
-                pending_pub = false;
                 pending_test = false;
             }
             "impl" if !pending_test => {
@@ -293,17 +225,12 @@ fn parse_items(
                 }
                 if j < end && is_punct(&tokens[j], "{") {
                     let close = skip_balanced(tokens, j, "{", "}");
-                    let (ty, tr) = if saw_for {
-                        (second, first)
-                    } else {
-                        (first, None)
-                    };
-                    parse_items(tokens, j + 1, close - 1, ty.as_deref(), tr.as_deref(), out);
+                    let ty = if saw_for { second } else { first };
+                    parse_items(tokens, j + 1, close - 1, ty.as_deref(), out);
                     i = close;
                 } else {
                     i = j + 1;
                 }
-                pending_pub = false;
             }
             "trait" if !pending_test => {
                 // Default method bodies belong to the trait's name.
@@ -318,12 +245,11 @@ fn parse_items(
                 }
                 if j < end && is_punct(&tokens[j], "{") {
                     let close = skip_balanced(tokens, j, "{", "}");
-                    parse_items(tokens, j + 1, close - 1, name.as_deref(), None, out);
+                    parse_items(tokens, j + 1, close - 1, name.as_deref(), out);
                     i = close;
                 } else {
                     i = j + 1;
                 }
-                pending_pub = false;
             }
             "mod" => {
                 // `mod name;` or `mod name { … }`. Test modules are
@@ -335,17 +261,16 @@ fn parse_items(
                 if j < end && is_punct(&tokens[j], "{") {
                     let close = skip_balanced(tokens, j, "{", "}");
                     if !pending_test {
-                        parse_items(tokens, j + 1, close - 1, None, None, out);
+                        parse_items(tokens, j + 1, close - 1, None, out);
                     }
                     i = close;
                 } else {
                     i = j + 1;
                 }
                 pending_test = false;
-                pending_pub = false;
             }
             "fn" => {
-                let (item, next) = parse_fn(tokens, i, end, self_ty, trait_name, pending_pub);
+                let (item, next) = parse_fn(tokens, i, end, self_ty);
                 if !pending_test {
                     if let Some(f) = item {
                         out.fns.push(f);
@@ -353,24 +278,25 @@ fn parse_items(
                 }
                 i = next;
                 pending_test = false;
-                pending_pub = false;
             }
-            "const" | "static" => {
-                // `const NAME: Ty = rhs;` — but `const fn` falls through
-                // to the `fn` arm on the next iteration.
-                if tokens.get(i + 1).and_then(as_ident) == Some("fn") {
-                    i += 1;
-                    continue;
-                }
-                let (item, next) = parse_const(tokens, i, end);
-                if !pending_test {
-                    if let Some(c) = item {
-                        out.consts.push(c);
+            "const" | "static" if tokens.get(i + 1).and_then(as_ident) != Some("fn") => {
+                // `const NAME: Ty = rhs;` holds no fns: skip past the `;`
+                // that ends it (a `const fn` falls through to the `fn` arm).
+                let mut depth = 0i32;
+                let mut j = i + 1;
+                while j < end {
+                    let t = &tokens[j];
+                    if is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{") {
+                        depth += 1;
+                    } else if is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}") {
+                        depth -= 1;
+                    } else if depth == 0 && is_punct(t, ";") {
+                        break;
                     }
+                    j += 1;
                 }
-                i = next;
+                i = j + 1;
                 pending_test = false;
-                pending_pub = false;
             }
             "struct" | "enum" | "union" => {
                 // Skip the definition body; struct fields are extracted by
@@ -395,75 +321,10 @@ fn parse_items(
                     j + 1
                 };
                 pending_test = false;
-                pending_pub = false;
             }
-            "unsafe" | "async" | "extern" | "default" => {
-                // Qualifiers before `fn`/`impl`; `extern "C"` carries a
-                // string literal the scan steps over naturally.
-                i += 1;
-            }
-            _ => {
-                i += 1;
-                pending_pub = false;
-            }
+            _ => i += 1,
         }
     }
-}
-
-/// Parse `const NAME: Ty = rhs;` starting at the `const` keyword.
-fn parse_const(tokens: &[Token], i: usize, end: usize) -> (Option<ConstItem>, usize) {
-    let Some(name) = tokens.get(i + 1).and_then(as_ident) else {
-        return (None, i + 1);
-    };
-    let line = tokens[i + 1].line;
-    let mut j = i + 2;
-    let mut ty = Vec::new();
-    let mut seen_colon = false;
-    while j < end && !is_punct(&tokens[j], "=") && !is_punct(&tokens[j], ";") {
-        if is_punct(&tokens[j], ":") {
-            seen_colon = true;
-        } else if seen_colon {
-            if let Some(id) = as_ident(&tokens[j]) {
-                ty.push(id.to_string());
-            }
-        }
-        j += 1;
-    }
-    let mut rhs_idents = Vec::new();
-    let mut rhs_ints = Vec::new();
-    let mut rhs_shift = false;
-    if j < end && is_punct(&tokens[j], "=") {
-        j += 1;
-        let mut depth = 0i32;
-        while j < end {
-            let t = &tokens[j];
-            if is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{") {
-                depth += 1;
-            } else if is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}") {
-                depth -= 1;
-            } else if depth == 0 && is_punct(t, ";") {
-                break;
-            } else if is_punct(t, "<<") {
-                rhs_shift = true;
-            } else if let Some(id) = as_ident(t) {
-                rhs_idents.push(id.to_string());
-            } else if let TokenKind::Int(v) = t.kind {
-                rhs_ints.push(v);
-            }
-            j += 1;
-        }
-    }
-    (
-        Some(ConstItem {
-            name: name.to_string(),
-            line,
-            ty,
-            rhs_idents,
-            rhs_ints,
-            rhs_shift,
-        }),
-        j + 1,
-    )
 }
 
 /// Parse a fn item starting at the `fn` keyword. Returns the item (None
@@ -473,13 +334,8 @@ fn parse_fn(
     i: usize,
     end: usize,
     self_ty: Option<&str>,
-    trait_name: Option<&str>,
-    is_pub: bool,
 ) -> (Option<FnItem>, usize) {
-    let Some(name_tok) = tokens.get(i + 1) else {
-        return (None, i + 1);
-    };
-    let Some(name) = as_ident(name_tok) else {
+    let Some(name) = tokens.get(i + 1).and_then(as_ident) else {
         return (None, i + 1);
     };
     let mut j = i + 2;
@@ -490,32 +346,19 @@ fn parse_fn(
         return (None, j);
     }
     let params_end = skip_balanced(tokens, j, "(", ")");
-    // First-parameter self detection: look at tokens up to the first `,`
-    // at paren depth 1.
-    let (mut has_self, mut saw_amp, mut saw_mut, mut mut_self) = (false, false, false, false);
-    {
-        let mut depth = 0i32;
-        for t in &tokens[j..params_end] {
-            if is_punct(t, "(") || is_punct(t, "[") {
-                depth += 1;
-            } else if is_punct(t, ")") || is_punct(t, "]") {
-                depth -= 1;
-            } else if depth == 1 && is_punct(t, ",") {
-                break;
-            } else if depth == 1 {
-                match as_ident(t) {
-                    Some("self") => {
-                        has_self = true;
-                        mut_self = saw_amp && saw_mut;
-                        break;
-                    }
-                    Some("mut") => saw_mut = true,
-                    _ => {}
-                }
-                if is_punct(t, "&") {
-                    saw_amp = true;
-                }
-            }
+    // A receiver is a `self` before the first `,` at paren depth 1.
+    let mut has_self = false;
+    let mut depth = 0i32;
+    for t in &tokens[j..params_end] {
+        if is_punct(t, "(") || is_punct(t, "[") {
+            depth += 1;
+        } else if is_punct(t, ")") || is_punct(t, "]") {
+            depth -= 1;
+        } else if depth == 1 && is_punct(t, ",") {
+            break;
+        } else if depth == 1 && as_ident(t) == Some("self") {
+            has_self = true;
+            break;
         }
     }
     // Scan past return type / where clause to the body `{` or a `;`.
@@ -533,48 +376,20 @@ fn parse_fn(
     }
     let body_end = skip_balanced(tokens, k, "{", "}");
     let mut ops = Vec::new();
-    scan_body(tokens, k + 1, body_end - 1, &mut Vec::new(), &mut ops);
+    scan_body(tokens, k + 1, body_end - 1, &mut ops);
     (
         Some(FnItem {
             name: name.to_string(),
-            line: name_tok.line,
             self_ty: self_ty.map(str::to_string),
-            trait_name: trait_name.map(str::to_string),
-            mut_self,
             has_self,
-            is_pub,
             ops,
         }),
         body_end,
     )
 }
 
-/// Assignment-operator puncts (the lexer joins them).
-fn is_op_assign(t: &Token) -> bool {
-    matches!(
-        &t.kind,
-        TokenKind::Punct(p)
-            if matches!(
-                *p,
-                "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "|=" | "&=" | "<<=" | ">>="
-            )
-    )
-}
-
-/// Scan a body token range into ops. `guards` is the enclosing-condition
-/// ident stack (shared across nesting); ops append to `out`.
-fn scan_body(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-    guards: &mut Vec<(i32, Vec<String>)>,
-    out: &mut Vec<BodyOp>,
-) {
-    let mut depth = 0i32;
-    // While Some, idents are collected into a pending guard that attaches
-    // at the next `{`; the i32 is the paren depth at collection start.
-    let mut collecting: Option<(i32, Vec<String>)> = None;
-    let mut paren = 0i32;
+/// Scan a body token range into ops, appended to `out`.
+fn scan_body(tokens: &[Token], start: usize, end: usize, out: &mut Vec<BodyOp>) {
     let mut j = start;
     while j < end {
         let t = &tokens[j];
@@ -583,48 +398,12 @@ fn scan_body(
             j = skip_balanced(tokens, j + 1, "[", "]");
             continue;
         }
-        if is_punct(t, "(") {
-            paren += 1;
-            j += 1;
-            continue;
-        }
-        if is_punct(t, ")") {
-            paren -= 1;
-            j += 1;
-            continue;
-        }
-        if is_punct(t, "{") {
-            if let Some((p, idents)) = collecting.take() {
-                if p == paren {
-                    guards.push((depth, idents));
-                } // else: a block opened inside the condition; drop it.
-            }
-            depth += 1;
-            j += 1;
-            continue;
-        }
-        if is_punct(t, "}") {
-            depth -= 1;
-            while guards.last().is_some_and(|(d, _)| *d >= depth) {
-                guards.pop();
-            }
-            j += 1;
-            continue;
-        }
         match as_ident(t) {
-            Some("if") | Some("while") => {
-                collecting = Some((paren, Vec::new()));
-                j += 1;
-                continue;
-            }
             Some("self") if j + 2 < end && is_punct(&tokens[j + 1], ".") => {
-                j = scan_self_chain(tokens, j, end, guards, &mut collecting, out);
+                j = scan_self_chain(tokens, j, end, out);
                 continue;
             }
             Some(word) => {
-                if let Some((_, idents)) = collecting.as_mut() {
-                    idents.push(word.to_string());
-                }
                 // Free/associated call: `word(` not preceded by `.`, not a
                 // macro `word!(`, not a keyword.
                 let prev_dot = j > start && is_punct(&tokens[j - 1], ".");
@@ -655,19 +434,11 @@ fn scan_body(
             if let (Some(name_tok), Some(paren_tok)) = (tokens.get(j + 1), tokens.get(j + 2)) {
                 if let Some(name) = as_ident(name_tok) {
                     if is_punct(paren_tok, "(") {
-                        if let Some((_, idents)) = collecting.as_mut() {
-                            idents.push(name.to_string());
-                        }
                         out.push(BodyOp::Method {
                             name: name.to_string(),
                             recv: Recv::Other,
                             line: name_tok.line,
                         });
-                        j += 2;
-                        continue;
-                    }
-                    if let Some((_, idents)) = collecting.as_mut() {
-                        idents.push(name.to_string());
                     }
                     j += 2;
                     continue;
@@ -691,7 +462,7 @@ fn scan_body(
                 });
             }
             // Scan the bracketed tokens for nested ops (calls, self uses).
-            scan_body(tokens, j + 1, close - 1, guards, out);
+            scan_body(tokens, j + 1, close - 1, out);
             j = close;
             continue;
         }
@@ -699,27 +470,11 @@ fn scan_body(
     }
 }
 
-/// Scan a `self.…` chain starting at the `self` token. Records the field
-/// access (with its effect) plus any method ops, and returns the index to
-/// resume the main scan at.
-fn flat_guards(guards: &[(i32, Vec<String>)]) -> Vec<String> {
-    guards
-        .iter()
-        .flat_map(|(_, ids)| ids.iter().cloned())
-        .collect()
-}
-
-fn scan_self_chain(
-    tokens: &[Token],
-    i: usize,
-    end: usize,
-    guards: &mut Vec<(i32, Vec<String>)>,
-    collecting: &mut Option<(i32, Vec<String>)>,
-    out: &mut Vec<BodyOp>,
-) -> usize {
-    // `&mut self.f` — look back past nothing: tokens[i-2..i] == [&, mut].
-    let mut_borrow =
-        i >= 2 && is_punct(&tokens[i - 2], "&") && as_ident(&tokens[i - 1]) == Some("mut");
+/// Scan a `self.…` chain starting at the `self` token: `self.m(` is a
+/// direct method call, `self.f….m(` a method on another receiver, and
+/// `self.f[…]` an indexing site. Returns the index to resume the main
+/// scan at.
+fn scan_self_chain(tokens: &[Token], i: usize, end: usize, out: &mut Vec<BodyOp>) -> usize {
     // First segment after `self.`.
     let seg = &tokens[i + 2];
     let (field, mut j) = match &seg.kind {
@@ -727,10 +482,6 @@ fn scan_self_chain(
         TokenKind::Int(v) => (v.to_string(), i + 3),
         _ => return i + 1,
     };
-    if let Some((_, idents)) = collecting.as_mut() {
-        idents.push("self".to_string());
-        idents.push(field.clone());
-    }
     // `self.m(` — method on self, no field involved.
     if j < end && is_punct(&tokens[j], "(") {
         out.push(BodyOp::Method {
@@ -746,21 +497,12 @@ fn scan_self_chain(
             let Some(next) = tokens.get(j + 1) else { break };
             match &next.kind {
                 TokenKind::Ident(sub) => {
-                    if let Some((_, idents)) = collecting.as_mut() {
-                        idents.push(sub.clone());
-                    }
                     if tokens.get(j + 2).is_some_and(|t| is_punct(t, "(")) {
                         // Method call rooted at self.field.
                         out.push(BodyOp::Method {
                             name: sub.clone(),
-                            recv: Recv::SelfField(field.clone()),
+                            recv: Recv::Other,
                             line: next.line,
-                        });
-                        out.push(BodyOp::SelfField {
-                            field,
-                            effect: FieldEffect::MethodRecv(sub.clone()),
-                            guards: flat_guards(guards),
-                            line: seg.line,
                         });
                         return j + 2; // resume inside the argument list
                     }
@@ -781,48 +523,12 @@ fn scan_self_chain(
                 arith,
                 line: tokens[j].line,
             });
-            scan_body(tokens, j + 1, close - 1, guards, out);
+            scan_body(tokens, j + 1, close - 1, out);
             j = close;
             continue;
         }
         break;
     }
-    // Chain ended; classify the effect from what follows.
-    let effect = if mut_borrow {
-        FieldEffect::MutBorrow
-    } else if j < end && (is_punct(&tokens[j], "=") || is_op_assign(&tokens[j])) {
-        let TokenKind::Punct(op) = tokens[j].kind else {
-            unreachable!("assignment operators are Punct tokens")
-        };
-        let mut rhs_idents = Vec::new();
-        let mut k = j + 1;
-        let mut depth = 0i32;
-        while k < end {
-            let t = &tokens[k];
-            if is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{") {
-                depth += 1;
-            } else if is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}") {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if depth == 0 && is_punct(t, ";") {
-                break;
-            } else if let Some(id) = as_ident(t) {
-                rhs_idents.push(id.to_string());
-            }
-            k += 1;
-        }
-        FieldEffect::Assign { op, rhs_idents }
-    } else {
-        FieldEffect::Read
-    };
-    out.push(BodyOp::SelfField {
-        field,
-        effect,
-        guards: flat_guards(guards),
-        line: seg.line,
-    });
     j
 }
 
@@ -846,98 +552,34 @@ mod tests {
         p.fns.iter().filter(|f| f.name == name).collect()
     }
 
+    fn calls_method(f: &FnItem, method: &str, want: Recv) -> bool {
+        f.ops.iter().any(
+            |o| matches!(o, BodyOp::Method { name, recv, .. } if name == method && *recv == want),
+        )
+    }
+
     #[test]
-    fn methods_get_their_impl_type_and_mut_selfness() {
+    fn methods_get_their_impl_type_and_receiver() {
         let p = parse_src(
             "struct S { x: u32 }\n\
              impl S {\n\
                  pub fn get(&self) -> u32 { self.x }\n\
-                 fn set(&mut self, v: u32) { self.x = v; }\n\
+                 fn set(&mut self, v: u32) { self.x = v; self.touch(); }\n\
                  pub(crate) fn fresh() -> S { S { x: 0 } }\n\
              }\n\
              fn free(s: &mut S) { s.set(3); }",
         );
         let get = fn_named(&p, "get");
         assert_eq!(get.self_ty.as_deref(), Some("S"));
-        assert!(!get.mut_self && get.has_self && get.is_pub);
+        assert!(get.has_self);
         let set = fn_named(&p, "set");
-        assert!(set.mut_self && !set.is_pub);
+        assert!(set.has_self);
+        assert!(calls_method(set, "touch", Recv::SelfDirect));
         let fresh = fn_named(&p, "fresh");
-        assert!(!fresh.has_self && fresh.is_pub);
+        assert!(!fresh.has_self);
         let free = fn_named(&p, "free");
         assert_eq!(free.self_ty, None);
-        assert!(free
-            .ops
-            .iter()
-            .any(|o| matches!(o, BodyOp::Method { name, recv: Recv::Other, .. } if name == "set")));
-    }
-
-    #[test]
-    fn self_field_effects_are_classified() {
-        let p = parse_src(
-            "impl S {\n\
-                 fn m(&mut self) {\n\
-                     self.a = 1;\n\
-                     self.b |= FLAG;\n\
-                     self.c.push(2);\n\
-                     let r = &mut self.d;\n\
-                     let v = self.e;\n\
-                     self.tick();\n\
-                 }\n\
-             }",
-        );
-        let m = fn_named(&p, "m");
-        let field = |name: &str| {
-            m.ops
-                .iter()
-                .find_map(|o| match o {
-                    BodyOp::SelfField { field, effect, .. } if field == name => Some(effect),
-                    _ => None,
-                })
-                .unwrap_or_else(|| panic!("no access to {name}"))
-        };
-        assert!(matches!(field("a"), FieldEffect::Assign { op: "=", .. }));
-        match field("b") {
-            FieldEffect::Assign {
-                op: "|=",
-                rhs_idents,
-            } => assert_eq!(rhs_idents, &["FLAG".to_string()]),
-            other => panic!("b: {other:?}"),
-        }
-        assert!(matches!(field("c"), FieldEffect::MethodRecv(m) if m == "push"));
-        assert!(matches!(field("d"), FieldEffect::MutBorrow));
-        assert!(matches!(field("e"), FieldEffect::Read));
-        assert!(m.ops.iter().any(
-            |o| matches!(o, BodyOp::Method { name, recv: Recv::SelfDirect, .. } if name == "tick")
-        ));
-    }
-
-    #[test]
-    fn guards_attach_to_field_writes() {
-        let p = parse_src(
-            "impl S {\n\
-                 fn restore(&mut self, planes: Mask) {\n\
-                     if planes.intersects(Mask::MSR) {\n\
-                         self.msr = 0;\n\
-                     }\n\
-                     self.unguarded = 1;\n\
-                 }\n\
-             }",
-        );
-        let f = fn_named(&p, "restore");
-        let guards_of = |name: &str| {
-            f.ops
-                .iter()
-                .find_map(|o| match o {
-                    BodyOp::SelfField { field, guards, .. } if field == name => {
-                        Some(guards.clone())
-                    }
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert!(guards_of("msr").contains(&"MSR".to_string()));
-        assert!(guards_of("unguarded").is_empty());
+        assert!(calls_method(free, "set", Recv::Other));
     }
 
     #[test]
@@ -958,25 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn const_rhs_is_summarized() {
-        let p = parse_src(
-            "impl Mask {\n\
-                 pub const MSR: Mask = Mask(1 << 0);\n\
-                 pub const ALL: Mask = Mask(0xFF);\n\
-             }\n\
-             const TICK: Mask = Mask::MSR.union(Mask::WORK);",
-        );
-        let c = |n: &str| p.consts.iter().find(|c| c.name == n).unwrap();
-        assert!(c("MSR").rhs_shift);
-        assert_eq!(c("ALL").rhs_ints, vec![0xFF]);
-        let tick = c("TICK");
-        assert!(!tick.rhs_shift);
-        assert!(tick.rhs_idents.contains(&"MSR".to_string()));
-        assert!(tick.rhs_idents.contains(&"WORK".to_string()));
-        assert_eq!(tick.ty, vec!["Mask".to_string()]);
-    }
-
-    #[test]
     fn generic_impls_with_where_clauses_keep_their_type() {
         let p = parse_src(
             "impl<T: Clone + Send, const N: usize> Ring<T, N>\n\
@@ -985,18 +608,15 @@ mod tests {
                  [T; N]: Default,\n\
              {\n\
                  pub fn push(&mut self, v: T) { self.slots.push(v); }\n\
-                 fn drain<F>(&mut self, f: F) where F: FnMut(T) -> bool { self.n = 0; }\n\
+                 fn drain<F>(&mut self, f: F) where F: FnMut(T) -> bool { self.reset(); }\n\
              }",
         );
         let push = fn_named(&p, "push");
         assert_eq!(push.self_ty.as_deref(), Some("Ring"));
-        assert!(push.mut_self);
+        assert!(push.has_self);
         let drain = fn_named(&p, "drain");
         assert_eq!(drain.self_ty.as_deref(), Some("Ring"));
-        assert!(drain
-            .ops
-            .iter()
-            .any(|o| matches!(o, BodyOp::SelfField { field, .. } if field == "n")));
+        assert!(calls_method(drain, "reset", Recv::SelfDirect));
     }
 
     #[test]
@@ -1014,14 +634,10 @@ mod tests {
         );
         let feed = fn_named(&p, "feed");
         assert_eq!(feed.self_ty.as_deref(), Some("S"));
-        assert!(feed.mut_self);
-        // The mutation inside the nested closure is still attributed to
+        assert!(feed.has_self);
+        // The call inside the nested closure is still attributed to
         // `feed`: `self.table.insert(…)`.
-        assert!(feed.ops.iter().any(|o| matches!(
-            o,
-            BodyOp::SelfField { field, effect: FieldEffect::MethodRecv(m), .. }
-                if field == "table" && m == "insert"
-        )));
+        assert!(calls_method(feed, "insert", Recv::Other));
     }
 
     #[test]
@@ -1059,17 +675,14 @@ mod tests {
         // once truncated the model's struct scanner; pin the parser on it.
         let p = parse_src(
             "impl S {\n\
-                 fn a(&mut self, xs: Vec<Option<u32>>) -> Option<Vec<u8>> { self.n = 1; None }\n\
+                 fn a(&mut self, xs: Vec<Option<u32>>) -> Option<Vec<u8>> { self.n.push(1); None }\n\
                  fn b(&mut self) { self.m = 2; }\n\
              }",
         );
-        assert!(fn_named(&p, "a")
-            .ops
-            .iter()
-            .any(|o| matches!(o, BodyOp::SelfField { field, .. } if field == "n")));
+        assert!(calls_method(fn_named(&p, "a"), "push", Recv::Other));
         // `b` must still be visible after `a`'s `>>`-heavy signature.
         let b = fn_named(&p, "b");
         assert_eq!(b.self_ty.as_deref(), Some("S"));
-        assert!(b.mut_self);
+        assert!(b.has_self);
     }
 }

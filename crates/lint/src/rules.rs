@@ -7,11 +7,11 @@
 //! | D2 | no `HashMap`/`HashSet` in result-producing crates |
 //! | D3 | no order-sensitive float reduction over a parallel source |
 //! | S1 | every `unsafe` must be preceded by a `// SAFETY:` comment |
-//! | A1 | malformed `lint:allow` / `plane:dirty` directive |
+//! | A1 | malformed `lint:allow` directive |
 //! | M5 | no pattern-match on `CpuGeneration` outside hwspec's policy layer |
 //!
 //! The rest of [`KNOWN_RULES`] need the whole workspace: M4 lives in
-//! [`crate::model`], M6 and P1 in [`crate::semantic`], A2 in
+//! [`crate::model`], P1 in [`crate::semantic`], A2 in
 //! [`crate::workspace`].
 //!
 //! D1–D3 guard the determinism contract: `survey.json` must be
@@ -28,7 +28,7 @@
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
 /// Every rule the engine knows, for allow-directive validation.
-pub const KNOWN_RULES: &[&str] = &["D1", "D2", "D3", "S1", "A1", "A2", "M4", "M5", "M6", "P1"];
+pub const KNOWN_RULES: &[&str] = &["D1", "D2", "D3", "S1", "A1", "A2", "M4", "M5", "P1"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,82 +113,6 @@ pub(crate) fn parse_allows(comments: &[Comment]) -> Vec<Allow> {
     allows
 }
 
-/// A parsed `// plane:dirty(MSR|WORK): justification` annotation — a
-/// method-level declaration (for rule M6) that the function's mutations
-/// are covered by an external marking of the named planes. Plane-*name*
-/// validation needs the workspace mask-const table and happens in the
-/// semantic pass; syntax validation happens here.
-#[derive(Debug, Clone)]
-pub(crate) struct PlaneAnn {
-    pub(crate) line: u32,
-    /// The `|`-separated plane names inside the parentheses.
-    pub(crate) planes: Vec<String>,
-    pub(crate) justified: bool,
-    /// Syntax error text when the directive is malformed (A1).
-    pub(crate) malformed: Option<String>,
-    /// Set by the semantic pass when the annotation covered a mutation
-    /// that would otherwise be an M6 finding.
-    pub(crate) used: bool,
-}
-
-/// Extract `plane:dirty(…)` annotations from comments. Like allows, the
-/// directive must start the comment.
-pub(crate) fn parse_plane_anns(comments: &[Comment]) -> Vec<PlaneAnn> {
-    let mut anns = Vec::new();
-    for c in comments {
-        let t = c.text.trim_start_matches(['/', '!']).trim_start();
-        let Some(rest) = t.strip_prefix("plane:dirty") else {
-            continue;
-        };
-        let mut ann = PlaneAnn {
-            line: c.end_line,
-            planes: Vec::new(),
-            justified: false,
-            malformed: None,
-            used: false,
-        };
-        let body = rest
-            .strip_prefix('(')
-            .and_then(|r| r.find(')').map(|close| (&r[..close], &r[close + 1..])));
-        match body {
-            None => {
-                ann.malformed = Some(
-                    "plane:dirty needs a parenthesized mask: \
-                     `// plane:dirty(MSR|WORK): <why the marking happens elsewhere>`"
-                        .to_string(),
-                );
-            }
-            Some((mask, tail)) => {
-                let names: Vec<&str> = mask.split('|').map(str::trim).collect();
-                let bad = names.iter().find(|n| {
-                    n.is_empty() || !n.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '_')
-                });
-                if let Some(bad) = bad {
-                    ann.malformed = Some(format!(
-                        "plane:dirty mask has a malformed segment `{bad}`; \
-                         use `|`-separated plane-const names like `MSR|WORK`"
-                    ));
-                } else {
-                    ann.planes = names.iter().map(|n| n.to_string()).collect();
-                }
-                ann.justified = tail
-                    .strip_prefix(':')
-                    .map(|j| !j.trim().is_empty())
-                    .unwrap_or(false);
-                if ann.malformed.is_none() && !ann.justified {
-                    ann.malformed = Some(
-                        "plane:dirty without a justification declares nothing; \
-                         write `// plane:dirty(<MASK>): <why the marking happens elsewhere>`"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        anns.push(ann);
-    }
-    anns
-}
-
 /// Run the tier-1 rules over one file, *without* applying suppressions.
 pub(crate) fn tier1_findings(path: &str, lexed: &Lexed, scope: FileScope) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -220,7 +144,7 @@ pub(crate) fn suppressed(f: &Finding, allows: &mut [Allow]) -> bool {
 }
 
 /// A1 findings for malformed directives — never themselves suppressible.
-pub(crate) fn directive_findings(path: &str, allows: &[Allow], anns: &[PlaneAnn]) -> Vec<Finding> {
+pub(crate) fn directive_findings(path: &str, allows: &[Allow]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for a in allows {
         if !KNOWN_RULES.contains(&a.rule.as_str()) {
@@ -247,11 +171,6 @@ pub(crate) fn directive_findings(path: &str, allows: &[Allow], anns: &[PlaneAnn]
             ));
         }
     }
-    for ann in anns {
-        if let Some(err) = &ann.malformed {
-            findings.push(Finding::new(path, ann.line, "A1", err.clone()));
-        }
-    }
     findings
 }
 
@@ -262,10 +181,9 @@ pub(crate) fn directive_findings(path: &str, allows: &[Allow], anns: &[PlaneAnn]
 pub fn scan_file(path: &str, src: &str, scope: FileScope) -> Vec<Finding> {
     let lexed = lex(src);
     let mut allows = parse_allows(&lexed.comments);
-    let anns = parse_plane_anns(&lexed.comments);
     let mut findings = tier1_findings(path, &lexed, scope);
     findings.retain(|f| !suppressed(f, &mut allows));
-    findings.extend(directive_findings(path, &allows, &anns));
+    findings.extend(directive_findings(path, &allows));
     findings.sort();
     findings
 }
@@ -864,42 +782,5 @@ mod tests {
         // `total_cmp` itself is the fix and must pass.
         let fixed = "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.total_cmp(b)); }";
         assert!(scan_file("x.rs", fixed, RESULT).is_empty());
-    }
-
-    #[test]
-    fn malformed_plane_dirty_annotations_are_a1() {
-        // No parenthesized mask at all.
-        let f = scan_file("x.rs", "// plane:dirty MSR: prose\nlet x = 1;", RESULT);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "A1" && f.message.contains("parenthesized")),
-            "{f:?}"
-        );
-        // A bad segment inside the mask.
-        let f = scan_file(
-            "x.rs",
-            "// plane:dirty(MSR|): trailing pipe\nlet x = 1;",
-            RESULT,
-        );
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "A1" && f.message.contains("malformed segment")),
-            "{f:?}"
-        );
-        // A mask without a justification declares nothing.
-        let f = scan_file("x.rs", "// plane:dirty(MSR)\nlet x = 1;", RESULT);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "A1" && f.message.contains("justification")),
-            "{f:?}"
-        );
-        // The well-formed full syntax is silent at file scope (staleness is
-        // the workspace pass's A2 business, not A1's).
-        let f = scan_file(
-            "x.rs",
-            "// plane:dirty(MSR|WORK): marked by the caller\nlet x = 1;",
-            RESULT,
-        );
-        assert!(f.is_empty(), "{f:?}");
     }
 }

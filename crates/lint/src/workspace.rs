@@ -1,7 +1,8 @@
 //! Workspace discovery and the one scan path: which files to scan and
 //! under which rule scope, the tier-1 textual rules, M4 snapshot
-//! coverage, the semantic tier (M6/P1), and central suppression with
-//! stale-directive detection (A2). Every run reads and lints every file.
+//! coverage, the semantic tier (P1), and central suppression with
+//! stale-directive detection (A2). Every run reads, lexes and lints every
+//! file once.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -9,7 +10,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::lex;
-use crate::model;
+use crate::model::{self, SnapshotScan};
 use crate::parser;
 use crate::rules::{self, FileScope, Finding, KNOWN_RULES};
 use crate::semantic::{SemFile, Semantic};
@@ -134,36 +135,29 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         ));
     }
 
-    let mut raw = Vec::new();
+    let mut findings = Vec::new();
     let mut allows = Vec::new();
-    let mut anns = Vec::new();
-    let mut markers = Vec::new();
+    let mut scans = Vec::new();
     let mut sem_files = Vec::new();
     for (rel, src) in &sources {
         let lexed = lex(src);
         allows.push(rules::parse_allows(&lexed.comments));
-        anns.push(rules::parse_plane_anns(&lexed.comments));
-        markers.push(model::snap_skip_markers(&lexed.comments));
-        raw.extend(rules::tier1_findings(rel, &lexed, scope_of(rel)));
+        scans.push(SnapshotScan::of(&lexed));
+        findings.extend(rules::tier1_findings(rel, &lexed, scope_of(rel)));
         sem_files.push(SemFile {
             path: rel.clone(),
             result_crate: scope_of(rel).result_crate,
             parsed: parser::parse(&lexed.tokens),
-            structs: model::struct_defs(&lexed.tokens),
         });
     }
 
     // Tier 2: snapshot field coverage across every scanned file.
-    let (m4, used_markers) = model::check_snapshots_with_usage(&sources);
-    raw.extend(m4);
+    let paths: Vec<&str> = sources.iter().map(|(rel, _)| rel.as_str()).collect();
+    let (m4, used_markers) = model::check_snapshots(&paths, &scans);
+    findings.extend(m4);
 
-    // Tier 3: the semantic model — M6 dirty-plane coverage and the P1
-    // panic-path audit. `check_m6` also marks which `plane:dirty`
-    // annotations actually covered something.
-    let sem = Semantic::build(&sem_files);
-    raw.extend(sem.check_m6(&mut anns));
-    raw.extend(sem.check_p1(P1_ROOTS));
-    let mut findings = sem.validate_ann_names(&anns);
+    // Tier 3: the semantic model and the P1 panic-path audit.
+    findings.extend(Semantic::build(&sem_files).check_p1(P1_ROOTS));
 
     // Central suppression: justified allows remove findings of their rule
     // on their line or the line below, and get marked used.
@@ -172,16 +166,15 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         .enumerate()
         .map(|(i, (rel, _))| (rel.as_str(), i))
         .collect();
-    raw.retain(|f| match file_index.get(f.path.as_str()) {
+    findings.retain(|f| match file_index.get(f.path.as_str()) {
         Some(&fi) => !rules::suppressed(f, &mut allows[fi]),
         None => true,
     });
-    findings.extend(raw);
 
     // A1 (malformed directives) and A2 (stale suppressions) — never
     // themselves suppressible.
     for (fi, (rel, _)) in sources.iter().enumerate() {
-        findings.extend(rules::directive_findings(rel, &allows[fi], &anns[fi]));
+        findings.extend(rules::directive_findings(rel, &allows[fi]));
         for a in &allows[fi] {
             if a.justified && KNOWN_RULES.contains(&a.rule.as_str()) && !a.used {
                 findings.push(Finding::new(
@@ -196,7 +189,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                 ));
             }
         }
-        for m in &markers[fi] {
+        for m in &scans[fi].markers {
             if m.justified && !used_markers.contains(&(fi, m.end_line)) {
                 findings.push(Finding::new(
                     rel,
@@ -205,19 +198,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                     "snap:skip marks nothing — no snapshot-missing field sits on the \
                      line below; the field was captured, renamed, or removed; delete \
                      the stale marker"
-                        .to_string(),
-                ));
-            }
-        }
-        for ann in &anns[fi] {
-            if ann.malformed.is_none() && !ann.used {
-                findings.push(Finding::new(
-                    rel,
-                    ann.line,
-                    "A2",
-                    "plane:dirty covers nothing — every plane the method mutates \
-                     is already marked (or the annotation is not attached to a \
-                     `&mut self` method); delete the stale annotation"
                         .to_string(),
                 ));
             }
@@ -285,9 +265,8 @@ mod tests {
 
     #[test]
     fn stale_suppressions_are_a2_on_a_synthetic_root() {
-        // A justified allow for a finding that no longer exists, and a
-        // well-formed plane annotation covering nothing, must both rot
-        // into A2 findings; a *working* allow must not.
+        // A justified allow for a finding that no longer exists must rot
+        // into an A2 finding; a *working* allow must not.
         let dir = std::env::temp_dir().join(format!("hsw-lint-a2-{}", std::process::id()));
         let src_dir = dir.join("crates/core/src");
         fs::create_dir_all(&src_dir).expect("mkdir");
@@ -296,9 +275,7 @@ mod tests {
             "// lint:allow(D1): stale — the Instant::now this silenced is long gone\n\
              fn quiet() {}\n\
              // lint:allow(D2): live — suppresses the map below\n\
-             fn live() { let m = HashMap::new(); }\n\
-             // plane:dirty(MSR): covers nothing here\n\
-             fn unannotated() {}\n",
+             fn live() { let m = HashMap::new(); }\n",
         )
         .expect("write fixture");
 
@@ -308,10 +285,6 @@ mod tests {
             a2.iter()
                 .any(|f| f.line == 1 && f.message.contains("lint:allow(D1)")),
             "stale allow not flagged: {findings:?}"
-        );
-        assert!(
-            a2.iter().any(|f| f.message.contains("plane:dirty")),
-            "stale plane annotation not flagged: {findings:?}"
         );
         assert!(
             !findings

@@ -20,7 +20,12 @@
 //! with the hardware through [`Node::rdmsr`]/[`Node::wrmsr`] exactly like
 //! their real counterparts. [`Node::sockets`] is read-only: no
 //! `&mut Socket` leaves this crate, so every mutation goes through a
-//! `Node` method and the dirty-plane marks behind it.
+//! `Node` method.
+//!
+//! [`Node::snapshot`] captures the whole simulator state as a plain-data
+//! [`NodeSnapshot`], and [`Node::restore`] writes all of it back: every
+//! restore is a full one. The warm-start sweeps build a fresh node per
+//! point and restore the settled image into it.
 
 pub mod config;
 pub mod engine;

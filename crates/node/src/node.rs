@@ -38,11 +38,12 @@ pub struct Node {
 }
 
 /// Plain-data image of an entire [`Node`]'s mutable simulator state —
-/// sockets (PCU, FIVR/MBVR, MSR bank, RAPL accumulators, c-state and
-/// counter planes, thermal), the per-socket tick outputs, the engine's
-/// step statistics, and the simulation clock itself. The event engine's
-/// replay cache is not captured: the first step after a restore is always
-/// a full one, which rebuilds it for the restoring node's own spec.
+/// sockets (PCU, MBVR, MSR bank, RAPL accumulators, c-state and counter
+/// planes, thermal, transition log), the per-socket tick outputs, the
+/// engine's step statistics, and the simulation clock itself. The event
+/// engine's replay cache is not captured: the first step after a restore
+/// is always a full one, which rebuilds it for the restoring node's own
+/// spec.
 ///
 /// Restoring a snapshot into a freshly constructed node continues
 /// bit-identically to the uninterrupted run because every noise stream is
@@ -134,26 +135,12 @@ impl Node {
         }
     }
 
-    /// Warm-start fork fast path: re-arm this node as a fork of `snap`
-    /// under `seed`, copying back only the planes the node has dirtied
-    /// since it last restored `snap`. Equivalent to `reseed(seed)` +
-    /// `restore(snap)` — and bit-identical to it, which the randomized
-    /// fork/restore tests pin down — but a scratch node that cycles
-    /// against one warm image pays only for what its last point touched.
+    /// Re-arm this node as a fork of `snap` under `seed`: `reseed(seed)`,
+    /// then `restore(snap)`. It exists for the benchmark tracer's
+    /// `fork_path` probe and goes when that probe does.
     pub fn fork_from(&mut self, snap: &NodeSnapshot, seed: u64) {
-        assert_eq!(
-            self.sockets.len(),
-            snap.sockets.len(),
-            "snapshot geometry mismatch"
-        );
         self.reseed(seed);
-        self.time_ns = snap.time_ns;
-        self.last.clone_from(&snap.last);
-        self.stats = snap.stats;
-        for (socket, s) in self.sockets.iter_mut().zip(&snap.sockets) {
-            let dirty = socket.dirty_planes();
-            socket.restore_planes(s, dirty);
-        }
+        self.restore(snap);
     }
 
     pub fn config(&self) -> &NodeConfig {
@@ -945,6 +932,47 @@ mod engine_tests {
     }
 
     #[test]
+    fn restore_and_fork_reproduce_the_snapshot_and_step_fully_next() {
+        // Every `Socket::restore` statement lands: a fresh node restored
+        // from a settled, loaded image and a node that ran something else
+        // re-armed by `fork_from` both snapshot back to the image.
+        let cfg = NodeConfig::paper_default();
+        let mut src = Node::new(cfg.clone());
+        src.run_on_socket(0, &WorkloadProfile::compute(), 8, 2);
+        src.set_setting_all(FreqSetting::from_mhz(2000));
+        src.advance_s(0.3);
+        let snap = src.snapshot();
+        let image = format!("{snap:?}");
+
+        let mut fresh = Node::new(cfg.clone().with_seed(11));
+        fresh.restore(&snap);
+        assert_eq!(format!("{:?}", fresh.snapshot()), image, "fresh restore");
+
+        let mut reused = Node::new(cfg.clone().with_seed(12));
+        let fs = WorkloadProfile::firestarter();
+        reused.run_on_socket(1, &fs, 12, 2);
+        reused.set_epb_all(EpbClass::Performance);
+        reused.advance_s(0.2);
+        reused.fork_from(&snap, 13);
+        assert_eq!(format!("{:?}", reused.snapshot()), image, "fork_from");
+
+        // Re-armed to its own image from a few steps back, the source's
+        // replay cache reaches past the restored instant: the first step
+        // after the fork must still be a full one.
+        let tick = cfg.tick_us;
+        let light = src.engine_stats().light_steps;
+        src.advance_us(5 * tick);
+        assert!(
+            src.engine_stats().light_steps > light,
+            "settled span must step lightly"
+        );
+        src.fork_from(&snap, cfg.seed);
+        let full = src.engine_stats().full_steps;
+        src.advance_us(tick);
+        assert_eq!(src.engine_stats().full_steps, full + 1);
+    }
+
+    #[test]
     fn time_ledger_credits_simulated_time_on_drop() {
         let ledger = Arc::new(AtomicU64::new(0));
         {
@@ -1016,7 +1044,7 @@ mod engine_tests {
         }
     }
 
-    mod dirty_fork_props {
+    mod fork_props {
         use super::*;
         use proptest::prelude::*;
 
@@ -1029,11 +1057,13 @@ mod engine_tests {
             (node.snapshot(), cfg)
         }
 
-        /// One step of a randomized mutation program, spanning every
-        /// dirty-marking choke point: workload plane, p-state requests,
-        /// MSR stores, the transition log, and plain time advance.
+        /// One step of a randomized mutation program over the node's
+        /// mutators: workload assignment, p-state requests, MSR stores
+        /// (EPB, turbo, `PERF_CTL`, the uncore ratio limit), the
+        /// transition log, and plain time advance.
         fn mutate(node: &mut Node, op: u8, v: u16) {
-            match op % 6 {
+            let cpu = CpuId::new(usize::from(v % 2), usize::from(v / 2 % 12), 0);
+            match op % 8 {
                 0 => node.set_setting_all(FreqSetting::from_mhz(1200 + u32::from(v % 14) * 100)),
                 1 => node.run_on_socket(
                     usize::from(v % 2),
@@ -1048,8 +1078,20 @@ mod engine_tests {
                 }),
                 3 => node.set_turbo(v.is_multiple_of(2)),
                 4 => node.advance_us(500 + u64::from(v % 2000)),
-                _ => {
+                5 => {
                     let _ = node.drain_transitions(usize::from(v % 2));
+                }
+                6 => {
+                    let p = hsw_hwspec::PState::from_mhz(1200 + u32::from(v % 14) * 100);
+                    node.wrmsr(cpu, msra::IA32_PERF_CTL, fields::encode_perf_ctl(p))
+                        .expect("writable MSR");
+                }
+                _ => {
+                    let min = 12 + (v % 8) as u8;
+                    let max = min + (v % 10) as u8;
+                    let limit = fields::encode_uncore_ratio_limit(min, max);
+                    node.wrmsr(cpu, msra::MSR_UNCORE_RATIO_LIMIT, limit)
+                        .expect("writable MSR");
                 }
             }
         }
@@ -1057,18 +1099,17 @@ mod engine_tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
             #[test]
-            fn prop_dirty_plane_fork_equals_full_restore(
+            fn prop_reused_fork_equals_a_fresh_restore(
                 programs in proptest::collection::vec(
                     proptest::collection::vec((any::<u8>(), any::<u16>()), 0..6),
                     1..4,
                 ),
                 seed_base in any::<u32>(),
             ) {
-                // A scratch node cycling against one warm image with
-                // dirty-plane forks must stay bit-identical to a fresh
-                // node fully restoring the same image, whatever the
-                // previous point mutated (including the fingerprint's own
-                // measurement advance).
+                // A node re-armed by `fork_from` against one warm image
+                // must stay bit-identical to a fresh node restoring the
+                // same image, whatever the previous point mutated
+                // (including the fingerprint's own measurement advance).
                 let (snap, cfg) = warm_image();
                 let mut scratch = Node::new(cfg.clone());
                 scratch.restore(&snap);
@@ -1090,42 +1131,6 @@ mod engine_tests {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn unmarked_mutation_breaks_dirty_fork_equivalence() {
-            // Prove the dirty tracking is load-bearing: a mutation that
-            // bypasses the marking choke points survives the fork and
-            // makes the scratch node diverge from a true restore. (The
-            // production surface cannot do this — `msr_mut_unmarked` is a
-            // test-only escape hatch.)
-            let (snap, cfg) = warm_image();
-            let mut scratch = Node::new(cfg.clone());
-            scratch.restore(&snap);
-            scratch.sockets[0].msr_mut_unmarked().store(
-                0,
-                msra::IA32_ENERGY_PERF_BIAS,
-                fields::encode_epb(EpbClass::Performance),
-            );
-            scratch.fork_from(&snap, 4242);
-            let mut fresh = Node::new(cfg.with_seed(4242));
-            fresh.restore(&snap);
-            let cpu = CpuId::new(0, 0, 0);
-            assert_ne!(
-                scratch.rdmsr(cpu, msra::IA32_ENERGY_PERF_BIAS).unwrap(),
-                fresh.rdmsr(cpu, msra::IA32_ENERGY_PERF_BIAS).unwrap(),
-                "unmarked write should have leaked through the fork"
-            );
-            // Marking the plane (what every real mutator does) repairs it:
-            // the MSR choke point's mark is enough.
-            scratch.sockets[0].msr_mut();
-            scratch.fork_from(&snap, 4243);
-            fresh.reseed(4243);
-            assert_eq!(
-                fingerprint(&mut scratch),
-                fingerprint(&mut fresh),
-                "full-plane fork must reconverge"
-            );
         }
     }
 }

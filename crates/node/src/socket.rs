@@ -16,22 +16,16 @@
 //! fully — the property the `--engine fixed|event` equivalence tests pin
 //! down.
 //!
-//! ## Dirty planes and the SoA core plane
+//! ## Snapshot layout and the SoA core plane
 //!
-//! Snapshot state is partitioned into **planes** ([`PlaneMask`]): the MSR
-//! bank, the p-state/PCU engine, RAPL, the per-core SoA plane
-//! ([`CorePlanes`]), the counter plane, thermal/VR, the transition log and
-//! the workload plane. Every mutation choke point marks the planes it
-//! touches in a bitmask, and [`Socket::restore_planes`] copies back only
-//! the marked planes. `Node::fork_from` rides on this to re-arm a scratch
-//! node in a small fraction of a full restore; no survey path forks (every
-//! sweep point builds a fresh node and restores in full), but the
-//! benchmark tracer's `fork_path` probe times it. No `&mut Socket` leaves
-//! `hsw-node`, so the choke points are the only way in. Correctness is
-//! anchored two ways: the randomized fork/restore equivalence tests in
-//! `node.rs`, and the hsw-lint M4 rule, which flattens the plane images
-//! and verifies every socket field is still captured somewhere in the
-//! snapshot.
+//! [`SocketSnapshot`] is flat: one field per captured [`Socket`] field,
+//! named after it, plus the per-core SoA plane's own image
+//! ([`CorePlanesSnapshot`]). [`Socket::restore`] copies every field back,
+//! so every restore is a full one. Correctness is anchored two ways: the
+//! restore tests in `node.rs` (a restored or re-armed node's snapshot
+//! equals its source, and the next step is a full one), and the hsw-lint
+//! M4 rule, which verifies every socket field is captured in the snapshot
+//! or carries a justified `snap:skip`.
 
 use std::sync::Arc;
 
@@ -54,76 +48,22 @@ use hsw_power::{
 pub type Ns = u64;
 const US: Ns = 1_000;
 
-/// A set of snapshot planes — the unit of dirty tracking and partial
-/// restore. A plane groups fields that the same mutation choke points
-/// touch, so the mask stays honest with a handful of `|=` sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The snapshot planes a fork copies, one bit each: the MSR bank, the
+/// p-state/PCU engine, RAPL, the core planes, the counter plane,
+/// thermal/VR, the transition log and the workload table. Every restore
+/// copies all eight, so [`PlaneMask::ALL`] is the only value. It exists for
+/// the benchmark tracer's `fork_path` probe, which counts the planes each
+/// fork copies, and goes when that probe does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaneMask(u16);
 
 impl PlaneMask {
-    /// The MSR bank (per-thread and package registers, counters included).
-    pub const MSR: PlaneMask = PlaneMask(1 << 0);
-    /// P-state engine, EET, the PCU grant/schedule and the uncore clock.
-    pub const PSTATE: PlaneMask = PlaneMask(1 << 1);
-    /// RAPL accumulators and the limiter's running average.
-    pub const RAPL: PlaneMask = PlaneMask(1 << 2);
-    /// The per-core SoA plane: requested settings, effective MHz,
-    /// c-states, AVX licenses and their cached inputs.
-    pub const CORES: PlaneMask = PlaneMask(1 << 3);
-    /// Counter-plane bookkeeping: package c-state, rate set, pending span.
-    pub const COUNTER: PlaneMask = PlaneMask(1 << 4);
-    /// Thermal integrator and the mainboard VR state machine.
-    pub const THERMAL: PlaneMask = PlaneMask(1 << 5);
-    /// The bounded p-state transition log.
-    pub const LOG: PlaneMask = PlaneMask(1 << 6);
-    /// Workload assignments.
-    pub const WORK: PlaneMask = PlaneMask(1 << 7);
     pub const ALL: PlaneMask = PlaneMask(0xFF);
-
-    pub const fn union(self, other: PlaneMask) -> PlaneMask {
-        PlaneMask(self.0 | other.0)
-    }
-
-    pub fn intersects(self, other: PlaneMask) -> bool {
-        self.0 & other.0 != 0
-    }
 
     pub fn bits(self) -> u16 {
         self.0
     }
 }
-
-impl std::ops::BitOr for PlaneMask {
-    type Output = PlaneMask;
-    fn bitor(self, rhs: PlaneMask) -> PlaneMask {
-        self.union(rhs)
-    }
-}
-
-impl std::ops::BitOrAssign for PlaneMask {
-    fn bitor_assign(&mut self, rhs: PlaneMask) {
-        self.0 |= rhs.0;
-    }
-}
-
-/// Planes a full tick always touches (the transition log is added only
-/// when an event actually lands).
-const TICK_PLANES: PlaneMask = PlaneMask::MSR
-    .union(PlaneMask::PSTATE)
-    .union(PlaneMask::RAPL)
-    .union(PlaneMask::CORES)
-    .union(PlaneMask::COUNTER)
-    .union(PlaneMask::THERMAL)
-    .union(PlaneMask::WORK);
-
-/// Planes a light tick touches (the MSR bank is added only when the
-/// thermal readout crosses a digitization step).
-const LIGHT_TICK_PLANES: PlaneMask = PlaneMask::PSTATE
-    .union(PlaneMask::RAPL)
-    .union(PlaneMask::CORES)
-    .union(PlaneMask::COUNTER)
-    .union(PlaneMask::THERMAL)
-    .union(PlaneMask::WORK);
 
 /// Per-tick result handed to the node for aggregation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -238,19 +178,19 @@ pub struct CorePlanes {
     /// tick's replay input).
     avx_input: Vec<bool>,
     /// Whether any thread of the core has a workload.
-    // snap:skip(cache derived from the workload plane, resynced by the WORK-plane restore)
+    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     busy: Vec<bool>,
     /// Whether ≥ 2 threads of the core have workloads.
-    // snap:skip(cache derived from the workload plane, resynced by the WORK-plane restore)
+    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     smt: Vec<bool>,
     /// Index of the core's first busy hardware thread (`usize::MAX` when
     /// idle) — the thread whose profile speaks for the core.
-    // snap:skip(cache derived from the workload plane, resynced by the WORK-plane restore)
+    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     lead: Vec<usize>,
 }
 
 /// Plain-data image of the [`CorePlanes`] snapshot fields. The
-/// `busy`/`smt`/`lead` caches are derived from the workload plane and
+/// `busy`/`smt`/`lead` caches are derived from the workload table and
 /// resynced on restore.
 #[derive(Debug, Clone)]
 pub struct CorePlanesSnapshot {
@@ -315,8 +255,8 @@ impl CorePlanes {
         }
     }
 
-    /// Restore the snapshot fields; the derived caches are resynced by the
-    /// WORK-plane restore (they are functions of the workload table).
+    /// Restore the snapshot fields; `Socket::restore` resyncs the derived
+    /// caches (they are functions of the workload table).
     fn restore(&mut self, snap: &CorePlanesSnapshot) {
         self.requested.clone_from(&snap.requested);
         self.mhz.clone_from(&snap.mhz);
@@ -397,18 +337,14 @@ pub struct Socket {
     grant_restored: bool,
     rates: Option<CounterRates>,
     pending_ns: Ns,
-    /// Planes mutated since the last (full or partial) restore — what a
-    /// dirty-plane fork must copy back to return to the restored snapshot.
-    // snap:skip(fork bookkeeping relative to the last restored snapshot, not simulator state)
-    dirty: PlaneMask,
     /// Reused per-tick buffers.
     // snap:skip(per-tick scratch, rebuilt from socket state every tick)
     scratch: TickScratch,
 }
 
-/// Plain-data image of a [`Socket`]'s mutable state, partitioned into the
-/// restore planes of [`PlaneMask`]. Identity and configuration (`id`,
-/// `spec`, `power_mult`, `eet_enabled`) and the keyed noise streams are
+/// Plain-data image of a [`Socket`]'s mutable state, one field per
+/// captured socket field. Identity and configuration (`id`, `spec`,
+/// `power_mult`, `eet_enabled`) and the keyed noise streams are
 /// re-established by the constructor; everything a tick can change is
 /// captured here, including the counter plane's pending span, so a
 /// restored socket continues bit-identically under either engine mode. The
@@ -417,49 +353,21 @@ pub struct Socket {
 #[derive(Debug, Clone)]
 pub struct SocketSnapshot {
     msr: MsrBankSnapshot,
-    pstate: PStatePlaneImage,
-    rapl: RaplEngine,
-    cores: CorePlanesSnapshot,
-    counters: CounterPlaneImage,
-    thermal: ThermalPlaneImage,
-    transition_log: TransitionLog,
-    work: WorkPlaneImage,
-}
-
-/// The [`PlaneMask::PSTATE`] plane: transition engine, EET, the PCU
-/// grant/schedule and the uncore clock — everything the equilibrium solve
-/// and its gating move together.
-#[derive(Debug, Clone)]
-pub struct PStatePlaneImage {
     pstate: PStateEngineSnapshot,
     eet: EetController,
+    rapl: RaplEngine,
+    cores: CorePlanesSnapshot,
+    threads: Vec<Option<WorkloadProfile>>,
+    pkg_cstate: PkgCState,
     grant: PcuGrant,
     next_pcu: Ns,
     last_pcu_key: Option<PcuKey>,
     uncore_mhz: f64,
-}
-
-/// The [`PlaneMask::COUNTER`] plane: package c-state, the active rate set
-/// and the pending flush span.
-#[derive(Debug, Clone)]
-pub struct CounterPlaneImage {
-    pkg_cstate: PkgCState,
-    rates: Option<CounterRates>,
-    pending_ns: Ns,
-}
-
-/// The [`PlaneMask::THERMAL`] plane: die-thermal integrator and the
-/// mainboard VR state machine.
-#[derive(Debug, Clone)]
-pub struct ThermalPlaneImage {
     thermal: ThermalState,
     mbvr: Mbvr,
-}
-
-/// The [`PlaneMask::WORK`] plane: workload assignments.
-#[derive(Debug, Clone)]
-pub struct WorkPlaneImage {
-    threads: Vec<Option<WorkloadProfile>>,
+    transition_log: TransitionLog,
+    rates: Option<CounterRates>,
+    pending_ns: Ns,
 }
 
 impl Socket {
@@ -518,8 +426,6 @@ impl Socket {
             pending_ns: 0,
             spec: Arc::new(spec),
             transition_log: TransitionLog::new(),
-            // A fresh socket is not synced with any snapshot yet.
-            dirty: PlaneMask::ALL,
             scratch: TickScratch::new(),
         }
     }
@@ -550,20 +456,10 @@ impl Socket {
     }
 
     /// Mutable MSR bank access — the *only* way to write the bank from
-    /// outside the socket, so every external store marks the MSR plane and
-    /// forces the next step to be a full one (a write may steer the model).
+    /// outside the socket, so every external store forces the next step to
+    /// be a full one (a write may steer the model).
     pub(crate) fn msr_mut(&mut self) -> &mut MsrBank {
-        self.dirty |= PlaneMask::MSR;
         self.cached.wake_at = 0;
-        &mut self.msr
-    }
-
-    /// Test-only escape hatch that deliberately does NOT mark the MSR
-    /// plane: used by the forgot-to-mark-dirty regression test to prove
-    /// the tracking is load-bearing (an unmarked mutation makes the
-    /// dirty-plane fork diverge from a full restore).
-    #[cfg(test)]
-    pub(crate) fn msr_mut_unmarked(&mut self) -> &mut MsrBank {
         &mut self.msr
     }
 
@@ -574,9 +470,11 @@ impl Socket {
         self.pstate.next_opportunity()
     }
 
-    /// Planes mutated since the last restore.
+    /// The planes the next fork copies back: all of them, since every
+    /// restore is a full one. It exists for the benchmark tracer's
+    /// `fork_path` probe and goes when that probe does.
     pub fn dirty_planes(&self) -> PlaneMask {
-        self.dirty
+        PlaneMask::ALL
     }
 
     /// The PCU's re-evaluation cadence, from the generation's firmware
@@ -589,92 +487,57 @@ impl Socket {
     pub fn snapshot(&self) -> SocketSnapshot {
         SocketSnapshot {
             msr: self.msr.snapshot(),
-            pstate: PStatePlaneImage {
-                pstate: self.pstate.snapshot(),
-                eet: self.eet.clone(),
-                grant: self.grant,
-                next_pcu: self.next_pcu,
-                last_pcu_key: self.last_pcu_key,
-                uncore_mhz: self.uncore_mhz,
-            },
+            pstate: self.pstate.snapshot(),
+            eet: self.eet.clone(),
             rapl: self.rapl.clone(),
             cores: self.cores.snapshot(),
-            counters: CounterPlaneImage {
-                pkg_cstate: self.pkg_cstate,
-                rates: self.rates.clone(),
-                pending_ns: self.pending_ns,
-            },
-            thermal: ThermalPlaneImage {
-                thermal: self.thermal,
-                mbvr: self.mbvr.clone(),
-            },
+            threads: self.threads.clone(),
+            pkg_cstate: self.pkg_cstate,
+            grant: self.grant,
+            next_pcu: self.next_pcu,
+            last_pcu_key: self.last_pcu_key,
+            uncore_mhz: self.uncore_mhz,
+            thermal: self.thermal,
+            mbvr: self.mbvr.clone(),
             transition_log: self.transition_log.clone(),
-            work: WorkPlaneImage {
-                threads: self.threads.clone(),
-            },
+            rates: self.rates.clone(),
+            pending_ns: self.pending_ns,
         }
     }
 
     /// Reinstate a previously captured state. The socket must have the
     /// geometry it was snapshotted with; its identity, spec and noise
-    /// streams are left untouched (they are seed/config-derived).
+    /// streams are left untouched (they are seed/config-derived). The
+    /// grant is now `snap`'s, and the next step must be a full one.
     pub fn restore(&mut self, snap: &SocketSnapshot) {
-        self.restore_planes(snap, PlaneMask::ALL);
-    }
-
-    /// Copy back only the selected planes from `snap` and clear their
-    /// dirty bits. Sound exactly when every plane *not* selected is
-    /// bit-identical between the socket and `snap` — the invariant the
-    /// dirty mask maintains for a scratch node cycling against one warm
-    /// image (`Node::fork_from`). Either way the grant is now `snap`'s,
-    /// and the next step must be a full one.
-    pub fn restore_planes(&mut self, snap: &SocketSnapshot, planes: PlaneMask) {
         assert_eq!(
             self.cores.len(),
             snap.cores.mhz.len(),
             "snapshot geometry mismatch"
         );
-        if planes.intersects(PlaneMask::MSR) {
-            self.msr.restore(&snap.msr);
-        }
-        if planes.intersects(PlaneMask::PSTATE) {
-            self.pstate.restore(&snap.pstate.pstate);
-            self.eet = snap.pstate.eet.clone();
-            self.grant = snap.pstate.grant;
-            self.next_pcu = snap.pstate.next_pcu;
-            self.last_pcu_key = snap.pstate.last_pcu_key;
-            self.uncore_mhz = snap.pstate.uncore_mhz;
-        }
-        if planes.intersects(PlaneMask::RAPL) {
-            // Counters and limiter average are dynamic state; the chip's
-            // metering trim is calibration and stays as constructed, so a
-            // varied fleet chip restoring a golden snapshot keeps its own
-            // trim.
-            self.rapl.restore_from(&snap.rapl);
-        }
-        if planes.intersects(PlaneMask::CORES) {
-            self.cores.restore(&snap.cores);
-        }
-        if planes.intersects(PlaneMask::COUNTER) {
-            self.pkg_cstate = snap.counters.pkg_cstate;
-            self.rates.clone_from(&snap.counters.rates);
-            self.pending_ns = snap.counters.pending_ns;
-        }
-        if planes.intersects(PlaneMask::THERMAL) {
-            self.thermal = snap.thermal.thermal;
-            self.mbvr = snap.thermal.mbvr.clone();
-        }
-        if planes.intersects(PlaneMask::LOG) {
-            self.transition_log.clone_from(&snap.transition_log);
-        }
-        if planes.intersects(PlaneMask::WORK) {
-            self.threads.clone_from(&snap.work.threads);
-            let tpc = self.spec.threads_per_core;
-            self.cores.sync_from_threads(&self.threads, tpc);
-        }
+        self.msr.restore(&snap.msr);
+        self.pstate.restore(&snap.pstate);
+        self.eet = snap.eet.clone();
+        // Counters and limiter average are dynamic state; the chip's
+        // metering trim is calibration and stays as constructed, so a
+        // varied fleet chip restoring a golden snapshot keeps its own trim.
+        self.rapl.restore_from(&snap.rapl);
+        self.cores.restore(&snap.cores);
+        self.threads.clone_from(&snap.threads);
+        self.cores
+            .sync_from_threads(&self.threads, self.spec.threads_per_core);
+        self.pkg_cstate = snap.pkg_cstate;
+        self.grant = snap.grant;
+        self.next_pcu = snap.next_pcu;
+        self.last_pcu_key = snap.last_pcu_key;
+        self.uncore_mhz = snap.uncore_mhz;
+        self.thermal = snap.thermal;
+        self.mbvr = snap.mbvr.clone();
+        self.transition_log.clone_from(&snap.transition_log);
+        self.rates.clone_from(&snap.rates);
+        self.pending_ns = snap.pending_ns;
         self.cached.wake_at = 0;
         self.grant_restored = true;
-        self.dirty = PlaneMask(self.dirty.bits() & !planes.bits());
     }
 
     /// Assign (or clear) a workload on a hardware thread.
@@ -684,13 +547,11 @@ impl Socket {
         self.threads[idx] = w;
         self.cores.sync_core(core, &self.threads, tpc);
         self.cached.wake_at = 0;
-        self.dirty |= PlaneMask::WORK;
     }
 
     /// OS request: set the frequency setting of one core.
     pub fn set_core_setting(&mut self, core: usize, setting: FreqSetting, now: Ns) {
         self.cached.wake_at = 0;
-        self.dirty |= PlaneMask::CORES | PlaneMask::PSTATE | PlaneMask::MSR | PlaneMask::WORK;
         self.cores.requested[core] = setting;
         let target = match setting {
             FreqSetting::Fixed(p) => p,
@@ -710,7 +571,6 @@ impl Socket {
     /// request (per-core domain on Haswell-EP).
     pub fn perf_ctl_written(&mut self, thread: usize, value: u64, now: Ns) {
         self.cached.wake_at = 0;
-        self.dirty |= PlaneMask::CORES | PlaneMask::PSTATE | PlaneMask::WORK;
         let core = thread / self.spec.threads_per_core;
         let target = fields::decode_perf_ctl(value);
         self.cores.requested[core] = FreqSetting::Fixed(target);
@@ -788,17 +648,11 @@ impl Socket {
         let spec = Arc::clone(&self.spec);
         let spec: &SkuSpec = &spec;
         let tpc = spec.threads_per_core;
-        self.dirty |= TICK_PLANES;
 
         // 1. P-state engine (transition latencies). Events append straight
-        //    into the bounded log — no per-tick intermediate Vec — and the
-        //    LOG plane only dirties when something actually landed.
-        let log_recorded = self.transition_log.recorded();
+        //    into the bounded log — no per-tick intermediate Vec.
         self.pstate.tick(now, &self.noise_pstate);
         self.pstate.drain_events_into_log(&mut self.transition_log);
-        if self.transition_log.recorded() != log_recorded {
-            self.dirty |= PlaneMask::LOG;
-        }
 
         // 2. Workload aggregation — heterogeneous per core: each core
         //    contributes its own profile's duty, activity, stalls and AVX
@@ -1205,7 +1059,6 @@ impl Socket {
             "light_tick past the wake horizon"
         );
         let dt_s = dt as f64 * 1e-9;
-        self.dirty |= LIGHT_TICK_PLANES;
         self.pstate.pass_opportunities(now, &self.noise_pstate);
         for c in 0..self.spec.cores {
             let on = self.cores.avx_input[c];
@@ -1225,7 +1078,6 @@ impl Socket {
         let readout = (96.0 - self.thermal.t_die_c).clamp(0.0, 127.0) as u64;
         if readout != self.cached.therm_readout {
             self.cached.therm_readout = readout;
-            self.dirty |= PlaneMask::MSR;
             for t in 0..self.spec.hw_threads() {
                 self.msr.store(t, msra::IA32_THERM_STATUS, readout << 16);
             }
@@ -1247,12 +1099,10 @@ impl Socket {
     /// see current counters.
     pub(crate) fn flush_counters(&mut self) {
         let span = std::mem::replace(&mut self.pending_ns, 0) as f64;
-        self.dirty |= PlaneMask::COUNTER;
         let Some(rates) = self.rates.take() else {
             return;
         };
         if span > 0.0 {
-            self.dirty |= PlaneMask::MSR;
             let nominal_ghz = self.spec.freq.base_mhz as f64 / 1000.0;
             let tpc = self.spec.threads_per_core;
             self.msr
@@ -1334,7 +1184,6 @@ impl Socket {
     }
 
     pub fn drain_transitions(&mut self) -> Vec<TransitionEvent> {
-        self.dirty |= PlaneMask::LOG;
         self.transition_log.drain()
     }
 

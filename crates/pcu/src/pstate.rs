@@ -37,19 +37,15 @@ impl TransitionEvent {
 /// displace the oldest. Far above what any experiment accumulates between
 /// drains (fig4 drains every round), so in practice nothing is ever lost —
 /// the cap exists so a long undrained settle phase cannot make snapshot
-/// and fork cost grow without bound.
+/// and restore cost grow without bound.
 pub const TRANSITION_LOG_CAP: usize = 4096;
 
 /// Bounded log of completed p-state transitions: a drop-oldest ring so the
 /// memory held — and therefore the cost of snapshotting or restoring the
-/// log plane — stays flat no matter how long a settle phase runs between
-/// drains. `recorded` counts every event ever offered (kept across drains),
-/// which gives the dirty-plane bookkeeping a cheap "did anything land?"
-/// probe without comparing contents.
+/// log — stays flat no matter how long a settle phase runs between drains.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransitionLog {
     events: std::collections::VecDeque<TransitionEvent>,
-    recorded: u64,
 }
 
 impl TransitionLog {
@@ -63,12 +59,10 @@ impl TransitionLog {
             self.events.pop_front();
         }
         self.events.push_back(ev);
-        self.recorded += 1;
     }
 
     /// Take the retained events in arrival order.
     pub fn drain(&mut self) -> Vec<TransitionEvent> {
-        self.recorded += 1; // a drain mutates the log like a record does
         self.events.drain(..).collect()
     }
 
@@ -79,12 +73,6 @@ impl TransitionLog {
 
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Monotonic mutation counter: bumps on every record *and* drain, so
-    /// two equal readings bracket a span that provably left the log alone.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &TransitionEvent> {
@@ -461,12 +449,10 @@ mod tests {
             log.record(ev(i));
         }
         assert_eq!(log.len(), TRANSITION_LOG_CAP);
-        assert_eq!(log.recorded(), total);
         let kept = log.drain();
         assert_eq!(kept.first().unwrap().requested_at, 100);
         assert_eq!(kept.last().unwrap().requested_at, total - 1);
         assert!(log.is_empty());
-        assert_eq!(log.recorded(), total + 1, "drain counts as a mutation");
     }
 
     #[test]
