@@ -72,6 +72,8 @@
 //! [`ChipVariation::apply`](hsw_fleet::ChipVariation::apply), keeping a
 //! chip's analytic identity equal to its simulated identity.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod model;
 
 pub use model::{

@@ -74,16 +74,6 @@ impl std::fmt::Display for Fig7 {
     }
 }
 
-fn sku_for(generation: CpuGeneration) -> SkuSpec {
-    // The comparison plot pairs each generation with its test chip.
-    // lint:allow(M5): SKU selection is experiment fixture data, not firmware behavior.
-    match generation {
-        CpuGeneration::WestmereEp => SkuSpec::xeon_x5670(),
-        CpuGeneration::SandyBridgeEp | CpuGeneration::IvyBridgeEp => SkuSpec::xeon_e5_2690(),
-        _ => SkuSpec::xeon_e5_2680_v3(),
-    }
-}
-
 /// Working sets from the paper (Section VII).
 pub const L3_WORKING_SET: usize = 17 * 1024 * 1024;
 pub const DRAM_WORKING_SET: usize = 350 * 1024 * 1024;
@@ -143,7 +133,7 @@ pub fn run(ctx: &RunCtx) -> Fig7 {
         .collect();
     let all = ctx.sweep_warm_shared(
         &jobs,
-        || -> Vec<SkuSpec> { GENERATIONS.iter().map(|g| sku_for(*g)).collect() },
+        || -> Vec<SkuSpec> { GENERATIONS.iter().map(|g| SkuSpec::test_chip(*g)).collect() },
         |skus, &(g, l3), _seed| {
             let idx = GENERATIONS
                 .iter()

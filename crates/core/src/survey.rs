@@ -966,7 +966,10 @@ pub fn run_survey(cfg: &SurveyConfig) -> Result<SurveyRun, String> {
                 .with_warm_start(cfg.warm_start)
                 .with_fleet_size(cfg.fleet_size)
                 .with_platform(cfg.platform);
-                // lint:allow(D1): wall time is stderr progress reporting only, never survey.json
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall time feeds the stderr scoreboard only, never survey.json"
+                )]
                 let t0 = Instant::now();
                 let result = exp.run(&ctx);
                 let wall_s = t0.elapsed().as_secs_f64();

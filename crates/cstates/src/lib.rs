@@ -17,6 +17,8 @@
 //! snapshot. [`select_core_state`] and [`resolve_package_state`] are pure
 //! functions of that state, so nothing else needs capturing here.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod governor;
 pub mod latency;
 pub mod residency;

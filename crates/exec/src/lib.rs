@@ -16,6 +16,8 @@
 //!   compute, dgemm, sqrt, FIRESTARTER, LINPACK, mprime) whose activity,
 //!   AVX usage, stall fraction and IPC models drive the node simulator.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod encoding;
 pub mod firestarter;
 pub mod isa;

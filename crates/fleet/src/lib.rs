@@ -24,6 +24,8 @@
 //! id), never of pool width, `--jobs`, or sampling order — so a fleet is
 //! byte-identical however it is scheduled.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod stats;
 pub mod variation;
 

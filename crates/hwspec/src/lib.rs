@@ -11,6 +11,8 @@
 //! queries; the mechanisms that *use* these specifications live in `hsw-pcu`,
 //! `hsw-power`, `hsw-cstates`, `hsw-memhier` and `hsw-node`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod acpi;
 pub mod calib;
 pub mod clock;
@@ -32,7 +34,7 @@ pub use epb::EpbClass;
 pub use freq::{FrequencyTable, PState, MHZ_PER_RATIO};
 pub use generation::{CpuGeneration, PStateTransitionMode, RaplMode, UncoreClockSource};
 pub use memcfg::MemSpec;
-pub use microarch::MicroArch;
+pub use microarch::{BwParams, MicroArch};
 pub use policy::{
     policy_for, CStateExitPolicy, FirmwarePolicy, LicensePolicy, PStatePolicy, RaplPolicy,
     UncorePolicy, VrPolicy,

@@ -1,10 +1,12 @@
 //! Microarchitecture parameters (paper Table I).
 //!
 //! These are used both to print the Table I comparison and to parameterize
-//! the port-level pipeline model in `hsw-exec`.
+//! the port-level pipeline model in `hsw-exec`. [`BwParams`] holds the
+//! per-generation parameters of `hsw-memhier`'s read-bandwidth model.
 
 use serde::{Deserialize, Serialize};
 
+use crate::calib::bandwidth as cal;
 use crate::generation::CpuGeneration;
 
 /// Core microarchitecture parameters as compared in paper Table I.
@@ -215,6 +217,106 @@ impl MicroArch {
             self.fp_add_ports
         } else {
             self.fp_mul_ports.max(self.fp_add_ports)
+        }
+    }
+}
+
+/// Parameters of `hsw-memhier`'s read-bandwidth model (paper Figures 7
+/// and 8) for one generation; the formulas that read them live there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BwParams {
+    /// L3: core-clock cycles per 64 B line (miss issue, fill).
+    pub l3_core_cycles: f64,
+    /// L3: uncore-clock cycles per 64 B line (ring + slice, pipelined).
+    pub l3_uncore_cycles: f64,
+    /// L3 aggregate cap in bytes per uncore cycle per slice.
+    pub l3_slice_bytes_per_cycle: f64,
+    /// Ring arbitration loss per additional active core.
+    pub ring_contention: f64,
+    /// Amortization of fixed ring-arbitration overhead as more cores keep
+    /// the slices busy — the source of the paper's "slightly better than
+    /// linear" core scaling at low concurrency.
+    pub ring_amortization: f64,
+    /// DRAM: outstanding line fills per core (MSHRs / LFBs).
+    pub dram_outstanding: f64,
+    /// DRAM: device latency in ns.
+    pub dram_device_ns: f64,
+    /// DRAM: core-clock cycles per line on the demand side.
+    pub dram_core_cycles: f64,
+    /// DRAM: uncore-clock cycles per line (ring + IMC).
+    pub dram_uncore_cycles: f64,
+    /// DRAM channel peak (effective) in GB/s per socket.
+    pub dram_peak_gbs: f64,
+    /// IMC front-end service in bytes per uncore cycle — the cap that binds
+    /// on Sandy Bridge-EP when the (core-coupled) uncore clock drops.
+    pub imc_bytes_per_uncore_cycle: f64,
+    /// Hyper-Threading bandwidth gain at low concurrency.
+    pub ht_gain: f64,
+}
+
+impl BwParams {
+    /// The bandwidth-model parameters for a generation.
+    pub fn for_generation(generation: CpuGeneration) -> Self {
+        match generation {
+            CpuGeneration::HaswellEp | CpuGeneration::HaswellHe => BwParams {
+                l3_core_cycles: 6.4,
+                l3_uncore_cycles: 2.0,
+                l3_slice_bytes_per_cycle: cal::L3_SLICE_BYTES_PER_UNCORE_CYCLE,
+                ring_contention: 0.004,
+                ring_amortization: 0.03,
+                dram_outstanding: 10.0,
+                dram_device_ns: 70.0,
+                dram_core_cycles: 15.0,
+                dram_uncore_cycles: 24.0,
+                dram_peak_gbs: cal::HSW_DRAM_PEAK_GBS,
+                imc_bytes_per_uncore_cycle: 30.0,
+                ht_gain: cal::HT_LOW_CONCURRENCY_GAIN,
+            },
+            CpuGeneration::SandyBridgeEp | CpuGeneration::IvyBridgeEp => BwParams {
+                l3_core_cycles: 10.0,
+                l3_uncore_cycles: 4.0,
+                l3_slice_bytes_per_cycle: 12.0,
+                ring_contention: 0.004,
+                ring_amortization: 0.0,
+                dram_outstanding: 10.0,
+                dram_device_ns: 75.0,
+                dram_core_cycles: 15.0,
+                dram_uncore_cycles: 30.0,
+                dram_peak_gbs: cal::SNB_DRAM_PEAK_GBS,
+                // 41 GB/s at the 2.9 GHz base clock: binds exactly at base.
+                imc_bytes_per_uncore_cycle: 14.14,
+                ht_gain: 1.12,
+            },
+            CpuGeneration::WestmereEp => BwParams {
+                l3_core_cycles: 5.0,
+                l3_uncore_cycles: 9.0,
+                l3_slice_bytes_per_cycle: 10.0,
+                ring_contention: 0.006,
+                ring_amortization: 0.0,
+                dram_outstanding: 6.0,
+                dram_device_ns: 95.0,
+                dram_core_cycles: 10.0,
+                dram_uncore_cycles: 35.0,
+                dram_peak_gbs: cal::WSM_DRAM_PEAK_GBS,
+                imc_bytes_per_uncore_cycle: 20.0,
+                ht_gain: 1.10,
+            },
+            // Mesh interconnect: flatter L3 latency than the ring, more
+            // outstanding fills (larger LFB pool), 6-channel DDR4-2666.
+            CpuGeneration::SkylakeSp => BwParams {
+                l3_core_cycles: 7.0,
+                l3_uncore_cycles: 2.5,
+                l3_slice_bytes_per_cycle: cal::L3_SLICE_BYTES_PER_UNCORE_CYCLE,
+                ring_contention: 0.002,
+                ring_amortization: 0.02,
+                dram_outstanding: 12.0,
+                dram_device_ns: 72.0,
+                dram_core_cycles: 15.0,
+                dram_uncore_cycles: 20.0,
+                dram_peak_gbs: 115.0,
+                imc_bytes_per_uncore_cycle: 48.0,
+                ht_gain: cal::HT_LOW_CONCURRENCY_GAIN,
+            },
         }
     }
 }

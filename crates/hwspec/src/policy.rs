@@ -8,9 +8,9 @@
 //! collects those mechanisms into plain-data policy descriptors returned
 //! by a [`FirmwarePolicy`] implementation per [`CpuGeneration`], so the
 //! model crates (`hsw-pcu`, `hsw-cstates`, `hsw-power`, `hsw-msr`) consume
-//! the policy instead of matching on the generation enum. hsw-lint rule M5
-//! enforces that no generation matching happens outside this module and
-//! [`crate::generation`].
+//! the policy instead of matching on the generation enum. The root test
+//! `tests/generation_dispatch.rs` fails on generation matching anywhere
+//! outside hwspec.
 //!
 //! Everything here is pure data; the Haswell values are bit-for-bit the
 //! calibration constants from [`crate::calib`], so the refactor leaves

@@ -315,6 +315,17 @@ impl SkuSpec {
         }
     }
 
+    /// The chip the survey measured for a generation (the paper's Fig. 7
+    /// pairs each generation with it).
+    pub fn test_chip(generation: CpuGeneration) -> Self {
+        match generation {
+            CpuGeneration::WestmereEp => Self::xeon_x5670(),
+            CpuGeneration::SandyBridgeEp | CpuGeneration::IvyBridgeEp => Self::xeon_e5_2690(),
+            CpuGeneration::HaswellEp | CpuGeneration::HaswellHe => Self::xeon_e5_2680_v3(),
+            CpuGeneration::SkylakeSp => Self::xeon_platinum_8170(),
+        }
+    }
+
     /// Logical CPUs (hardware threads) on this SKU.
     pub fn hw_threads(&self) -> usize {
         self.cores * self.threads_per_core

@@ -3,7 +3,8 @@
 //! Per-core service time for one 64-byte line is split into a core-clock
 //! term and an uncore-clock term; the socket-level aggregate is capped by
 //! the uncore's service capability (slice/ring for L3, IMC/channels for
-//! DRAM). The per-generation parameters encode the architectural story:
+//! DRAM). The per-generation parameters ([`BwParams`], in hsw-hwspec)
+//! encode the architectural story:
 //!
 //! * **Haswell-EP**: independent uncore, pinned at 3.0 GHz under memory
 //!   stalls → the DRAM cap is constant (frequency-independent bandwidth at
@@ -15,7 +16,7 @@
 //! * **Westmere-EP**: fixed uncore clock → DRAM cap constant, L3 weakly
 //!   dependent on the core clock.
 
-use hsw_hwspec::{calib::bandwidth as cal, CpuGeneration, SkuSpec};
+use hsw_hwspec::{BwParams, SkuSpec};
 
 /// Which level of the hierarchy a working set is served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,105 +40,6 @@ impl MemoryLevel {
             MemoryLevel::L3
         } else {
             MemoryLevel::Dram
-        }
-    }
-}
-
-/// Bandwidth-model parameters of one generation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BwParams {
-    /// L3: core-clock cycles per 64 B line (miss issue, fill).
-    pub l3_core_cycles: f64,
-    /// L3: uncore-clock cycles per 64 B line (ring + slice, pipelined).
-    pub l3_uncore_cycles: f64,
-    /// L3 aggregate cap in bytes per uncore cycle per slice.
-    pub l3_slice_bytes_per_cycle: f64,
-    /// Ring arbitration loss per additional active core.
-    pub ring_contention: f64,
-    /// Amortization of fixed ring-arbitration overhead as more cores keep
-    /// the slices busy — the source of the paper's "slightly better than
-    /// linear" core scaling at low concurrency.
-    pub ring_amortization: f64,
-    /// DRAM: outstanding line fills per core (MSHRs / LFBs).
-    pub dram_outstanding: f64,
-    /// DRAM: device latency in ns.
-    pub dram_device_ns: f64,
-    /// DRAM: core-clock cycles per line on the demand side.
-    pub dram_core_cycles: f64,
-    /// DRAM: uncore-clock cycles per line (ring + IMC).
-    pub dram_uncore_cycles: f64,
-    /// DRAM channel peak (effective) in GB/s per socket.
-    pub dram_peak_gbs: f64,
-    /// IMC front-end service in bytes per uncore cycle — the cap that binds
-    /// on Sandy Bridge-EP when the (core-coupled) uncore clock drops.
-    pub imc_bytes_per_uncore_cycle: f64,
-    /// Hyper-Threading bandwidth gain at low concurrency.
-    pub ht_gain: f64,
-}
-
-impl BwParams {
-    pub fn for_generation(generation: CpuGeneration) -> Self {
-        // lint:allow(M5): per-generation calibration table, data not firmware policy.
-        match generation {
-            CpuGeneration::HaswellEp | CpuGeneration::HaswellHe => BwParams {
-                l3_core_cycles: 6.4,
-                l3_uncore_cycles: 2.0,
-                l3_slice_bytes_per_cycle: cal::L3_SLICE_BYTES_PER_UNCORE_CYCLE,
-                ring_contention: 0.004,
-                ring_amortization: 0.03,
-                dram_outstanding: 10.0,
-                dram_device_ns: 70.0,
-                dram_core_cycles: 15.0,
-                dram_uncore_cycles: 24.0,
-                dram_peak_gbs: cal::HSW_DRAM_PEAK_GBS,
-                imc_bytes_per_uncore_cycle: 30.0,
-                ht_gain: cal::HT_LOW_CONCURRENCY_GAIN,
-            },
-            CpuGeneration::SandyBridgeEp | CpuGeneration::IvyBridgeEp => BwParams {
-                l3_core_cycles: 10.0,
-                l3_uncore_cycles: 4.0,
-                l3_slice_bytes_per_cycle: 12.0,
-                ring_contention: 0.004,
-                ring_amortization: 0.0,
-                dram_outstanding: 10.0,
-                dram_device_ns: 75.0,
-                dram_core_cycles: 15.0,
-                dram_uncore_cycles: 30.0,
-                dram_peak_gbs: cal::SNB_DRAM_PEAK_GBS,
-                // 41 GB/s at the 2.9 GHz base clock: binds exactly at base.
-                imc_bytes_per_uncore_cycle: 14.14,
-                ht_gain: 1.12,
-            },
-            CpuGeneration::WestmereEp => BwParams {
-                l3_core_cycles: 5.0,
-                l3_uncore_cycles: 9.0,
-                l3_slice_bytes_per_cycle: 10.0,
-                ring_contention: 0.006,
-                ring_amortization: 0.0,
-                dram_outstanding: 6.0,
-                dram_device_ns: 95.0,
-                dram_core_cycles: 10.0,
-                dram_uncore_cycles: 35.0,
-                dram_peak_gbs: cal::WSM_DRAM_PEAK_GBS,
-                imc_bytes_per_uncore_cycle: 20.0,
-                ht_gain: 1.10,
-            },
-            // Mesh interconnect: flatter L3 latency than the ring, more
-            // outstanding fills (larger LFB pool), 6-channel DDR4-2666.
-            CpuGeneration::SkylakeSp => BwParams {
-                l3_core_cycles: 7.0,
-                l3_uncore_cycles: 2.5,
-                l3_slice_bytes_per_cycle: cal::L3_SLICE_BYTES_PER_UNCORE_CYCLE,
-                ring_contention: 0.002,
-                ring_amortization: 0.02,
-                dram_outstanding: 12.0,
-                dram_device_ns: 72.0,
-                dram_core_cycles: 15.0,
-                dram_uncore_cycles: 20.0,
-                dram_peak_gbs: 115.0,
-                imc_bytes_per_uncore_cycle: 48.0,
-                ht_gain: cal::HT_LOW_CONCURRENCY_GAIN,
-            },
         }
     }
 }
@@ -205,37 +107,6 @@ pub fn dram_read_bandwidth_gbs(
         .dram_peak_gbs
         .min(p.imc_bytes_per_uncore_cycle * f_unc_ghz);
     demand.min(cap)
-}
-
-/// Remote-socket package-c-state coupling (paper Section VII): "the memory
-/// bandwidth on Sandy Bridge-EP depends on the package c-state of the other
-/// socket. This is no longer the case on Haswell-EP, presumably due to the
-/// interlocked uncore frequencies." On SNB, snoops to a package-sleeping
-/// remote socket stall the local pipeline; Haswell's always-clocked uncore
-/// answers promptly.
-pub fn remote_sleep_dram_factor(spec: &SkuSpec, other_socket_package_sleeping: bool) -> f64 {
-    use hsw_hwspec::CpuGeneration::*;
-    if !other_socket_package_sleeping {
-        return 1.0;
-    }
-    match spec.generation {
-        SandyBridgeEp | IvyBridgeEp => 0.82,
-        _ => 1.0,
-    }
-}
-
-/// [`dram_read_bandwidth_gbs`] extended with the remote-socket package
-/// state (paper Section VII's cross-socket observation).
-pub fn dram_read_bandwidth_gbs_ext(
-    spec: &SkuSpec,
-    cores: usize,
-    threads_per_core: usize,
-    f_core_ghz: f64,
-    f_unc_ghz: f64,
-    other_socket_package_sleeping: bool,
-) -> f64 {
-    dram_read_bandwidth_gbs(spec, cores, threads_per_core, f_core_ghz, f_unc_ghz)
-        * remote_sleep_dram_factor(spec, other_socket_package_sleeping)
 }
 
 /// The uncore frequency the hardware runs during a bandwidth benchmark
@@ -384,21 +255,6 @@ mod tests {
         // Approximately linear later on (within a few percent per step).
         let r = (b12 / b8) / (12.0 / 8.0);
         assert!((0.93..=1.05).contains(&r), "high-concurrency ratio {r}");
-    }
-
-    #[test]
-    fn remote_package_sleep_hurts_snb_but_not_haswell() {
-        // Paper Section VII: SNB's memory bandwidth depends on the other
-        // socket's package c-state; Haswell-EP's does not.
-        let s = snb();
-        let awake = dram_read_bandwidth_gbs_ext(&s, 8, 2, 2.9, 2.9, false);
-        let asleep = dram_read_bandwidth_gbs_ext(&s, 8, 2, 2.9, 2.9, true);
-        assert!(asleep < awake * 0.9, "SNB: {asleep} vs {awake}");
-
-        let h = hsw();
-        let awake = dram_read_bandwidth_gbs_ext(&h, 12, 2, 2.5, 3.0, false);
-        let asleep = dram_read_bandwidth_gbs_ext(&h, 12, 2, 2.5, 3.0, true);
-        assert!((asleep - awake).abs() < 1e-9, "HSW must be unaffected");
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! simulator holds state but is test-local scratch, never part of a
 //! `Node`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bandwidth;
 pub mod ring;
 
-pub use bandwidth::{
-    dram_read_bandwidth_gbs, dram_read_bandwidth_gbs_ext, l3_read_bandwidth_gbs, BwParams,
-    MemoryLevel,
-};
+pub use bandwidth::{dram_read_bandwidth_gbs, l3_read_bandwidth_gbs, MemoryLevel};
 pub use ring::{Delivery, RingNetwork, Stop};

@@ -144,9 +144,7 @@ fn implemented(addr: u32, generation: CpuGeneration) -> bool {
 /// exactly.
 #[derive(Debug)]
 pub struct MsrBank {
-    // snap:skip(construction-time constant, rebuilt by MsrBank::new)
     generation: CpuGeneration,
-    // snap:skip(construction-time constant, rebuilt by MsrBank::new)
     threads: usize,
     package: BTreeMap<u32, u64>,
     per_thread: Vec<BTreeMap<u32, u64>>,
@@ -267,10 +265,18 @@ impl MsrBank {
 
     /// Capture the bank's mutable state as plain data.
     pub fn snapshot(&self) -> MsrBankSnapshot {
+        let MsrBank {
+            // Construction-time constants, rebuilt by MsrBank::new.
+            generation: _,
+            threads: _,
+            package,
+            per_thread,
+            residue,
+        } = self;
         MsrBankSnapshot {
-            package: self.package.clone(),
-            per_thread: self.per_thread.clone(),
-            residue: self.residue.clone(),
+            package: package.clone(),
+            per_thread: per_thread.clone(),
+            residue: residue.clone(),
         }
     }
 

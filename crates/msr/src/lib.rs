@@ -14,6 +14,8 @@
 //! tools in `hsw-tools` interact with the simulated hardware the same way
 //! `likwid`/`ftalat` interact with real hardware.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod addresses;
 pub mod device;
 pub mod energy;

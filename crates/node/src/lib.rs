@@ -27,6 +27,8 @@
 //! restore is a full one. The warm-start sweeps build a fresh node per
 //! point and restore the settled image into it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod config;
 pub mod engine;
 pub mod node;

@@ -17,23 +17,18 @@ use crate::socket::{Ns, Socket, SocketSnapshot, SocketTick};
 
 /// The simulated compute node (paper Table II).
 pub struct Node {
-    // snap:skip(configuration, supplied to Node::new by the forking caller)
     cfg: NodeConfig,
     time_ns: Ns,
     sockets: Vec<Socket>,
-    // snap:skip(stateless map from RAPL power to AC power, rebuilt from spec)
     power_model: NodePowerModel,
-    // snap:skip(seed-derived, samples are keyed by instant — rebuilt by Node::new)
     meter: Lmg450,
     last: Vec<SocketTick>,
     stats: EngineStats,
     /// Optional shared ledger credited with this node's simulated time on
     /// drop (the survey's simulated-time accounting).
-    // snap:skip(host-side accounting handle, attached per node by the executor)
     time_ledger: Option<Arc<AtomicU64>>,
     /// Scratch: per-socket activity flags, reused across steps so the hot
     /// loop never allocates.
-    // snap:skip(per-step scratch, rebuilt from socket state every step)
     actives: Vec<bool>,
 }
 
@@ -94,11 +89,27 @@ impl Node {
     /// Capture the entire simulator state as plain data (see
     /// [`NodeSnapshot`]).
     pub fn snapshot(&self) -> NodeSnapshot {
+        let Node {
+            // Configuration, supplied to Node::new by the forking caller.
+            cfg: _,
+            time_ns,
+            sockets,
+            // Stateless map from RAPL power to AC power, rebuilt from spec.
+            power_model: _,
+            // Seed-derived, samples are keyed by instant: rebuilt by Node::new.
+            meter: _,
+            last,
+            stats,
+            // Host-side accounting handle, attached per node by the executor.
+            time_ledger: _,
+            // Per-step scratch, rebuilt from socket state every step.
+            actives: _,
+        } = self;
         NodeSnapshot {
-            time_ns: self.time_ns,
-            sockets: self.sockets.iter().map(Socket::snapshot).collect(),
-            last: self.last.clone(),
-            stats: self.stats,
+            time_ns: *time_ns,
+            sockets: sockets.iter().map(Socket::snapshot).collect(),
+            last: last.clone(),
+            stats: *stats,
         }
     }
 
@@ -999,12 +1010,12 @@ mod engine_tests {
                 1 => node.wrmsr(cpu, msra::IA32_ENERGY_PERF_BIAS, u64::from(v % 16)),
                 2 => node.wrmsr(cpu, msra::IA32_CLOCK_MODULATION, u64::from(v % 32)),
                 _ => {
-                    let min = 12 + v % 8;
-                    let max = min + v % 10;
+                    let min = 12 + (v % 8) as u8;
+                    let max = min + (v % 10) as u8;
                     node.wrmsr(
                         cpu,
                         msra::MSR_UNCORE_RATIO_LIMIT,
-                        u64::from(min) | (u64::from(max) << 8),
+                        fields::encode_uncore_ratio_limit(min, max),
                     )
                 }
             };

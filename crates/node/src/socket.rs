@@ -23,9 +23,10 @@
 //! ([`CorePlanesSnapshot`]). [`Socket::restore`] copies every field back,
 //! so every restore is a full one. Correctness is anchored two ways: the
 //! restore tests in `node.rs` (a restored or re-armed node's snapshot
-//! equals its source, and the next step is a full one), and the hsw-lint
-//! M4 rule, which verifies every socket field is captured in the snapshot
-//! or carries a justified `snap:skip`.
+//! equals its source, and the next step is a full one), and the
+//! exhaustive destructuring in [`Socket::snapshot`], which names every
+//! socket field without `..`, so a new field does not compile until the
+//! snapshot captures it or binds it to `_` with the reason it is skipped.
 
 use std::sync::Arc;
 
@@ -178,14 +179,11 @@ pub struct CorePlanes {
     /// tick's replay input).
     avx_input: Vec<bool>,
     /// Whether any thread of the core has a workload.
-    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     busy: Vec<bool>,
     /// Whether ≥ 2 threads of the core have workloads.
-    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     smt: Vec<bool>,
     /// Index of the core's first busy hardware thread (`usize::MAX` when
     /// idle) — the thread whose profile speaks for the core.
-    // snap:skip(cache derived from the workload table, resynced by Socket::restore)
     lead: Vec<usize>,
 }
 
@@ -245,13 +243,33 @@ impl CorePlanes {
         }
     }
 
+    /// The profile of `core`'s lead thread; `None` when the core is idle.
+    fn lead_profile<'t>(
+        &self,
+        core: usize,
+        threads: &'t [Option<WorkloadProfile>],
+    ) -> Option<&'t WorkloadProfile> {
+        threads.get(self.lead[core])?.as_ref()
+    }
+
     fn snapshot(&self) -> CorePlanesSnapshot {
+        let CorePlanes {
+            requested,
+            mhz,
+            cstates,
+            avx,
+            avx_input,
+            // Caches derived from the workload table, resynced by Socket::restore.
+            busy: _,
+            smt: _,
+            lead: _,
+        } = self;
         CorePlanesSnapshot {
-            requested: self.requested.clone(),
-            mhz: self.mhz.clone(),
-            cstates: self.cstates.clone(),
-            avx: self.avx.clone(),
-            avx_input: self.avx_input.clone(),
+            requested: requested.clone(),
+            mhz: mhz.clone(),
+            cstates: cstates.clone(),
+            avx: avx.clone(),
+            avx_input: avx_input.clone(),
         }
     }
 
@@ -272,7 +290,7 @@ struct TickScratch {
     duty: Vec<f64>,
     /// Per-core electrical state fed to the power model.
     elec: Vec<CoreElecState>,
-    /// Profile groups for the DRAM demand model: (lead thread index,
+    /// Profile groups for the DRAM demand model: (first core of the group,
     /// cores in group, summed duty).
     groups: Vec<(usize, usize, f64)>,
     /// The rate set being assembled this tick, swapped into place when it
@@ -293,13 +311,9 @@ impl TickScratch {
 
 /// One processor package with its PCU, MSRs, RAPL, and c-state machinery.
 pub struct Socket {
-    // snap:skip(identity constant, rebuilt by Socket::new)
     pub id: usize,
-    // snap:skip(configuration constant, rebuilt by Socket::new)
     spec: Arc<SkuSpec>,
-    // snap:skip(configuration constant, rebuilt by Socket::new)
     power_mult: f64,
-    // snap:skip(configuration constant, rebuilt by Socket::new)
     eet_enabled: bool,
     msr: MsrBank,
     pstate: PStateEngine,
@@ -322,23 +336,18 @@ pub struct Socket {
     transition_log: TransitionLog,
     /// Keyed noise streams: draws are pure functions of the simulation
     /// instant, never of how many times the engine stepped.
-    // snap:skip(seed-derived, keyed by instant not step count — rebuilt by Socket::new)
     noise_pstate: DomainNoise,
-    // snap:skip(seed-derived, keyed by instant not step count — rebuilt by Socket::new)
     noise_rapl: DomainNoise,
     /// What light ticks replay, and up to which wake horizon (see
     /// [`Socket::light_tick`]).
-    // snap:skip(event-engine cache, rewritten by the full step that follows every restore)
     cached: QuietCache,
     /// Whether the grant came from a restore instead of this chip's own
     /// solve. A fleet chip restores a golden snapshot under a varied spec,
     /// so its first periodic re-solve is on the wake horizon.
-    // snap:skip(provenance of the grant, not simulator state)
     grant_restored: bool,
     rates: Option<CounterRates>,
     pending_ns: Ns,
     /// Reused per-tick buffers.
-    // snap:skip(per-tick scratch, rebuilt from socket state every tick)
     scratch: TickScratch,
 }
 
@@ -371,7 +380,6 @@ pub struct SocketSnapshot {
 }
 
 impl Socket {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
         spec: SkuSpec,
@@ -485,23 +493,57 @@ impl Socket {
 
     /// Capture this socket's mutable state as plain data.
     pub fn snapshot(&self) -> SocketSnapshot {
+        let Socket {
+            // Identity and configuration constants, rebuilt by Socket::new.
+            id: _,
+            spec: _,
+            power_mult: _,
+            eet_enabled: _,
+            msr,
+            pstate,
+            eet,
+            rapl,
+            cores,
+            threads,
+            pkg_cstate,
+            grant,
+            next_pcu,
+            last_pcu_key,
+            uncore_mhz,
+            thermal,
+            mbvr,
+            transition_log,
+            // Seed-derived and keyed by instant, not step count: rebuilt by
+            // Socket::new.
+            noise_pstate: _,
+            noise_rapl: _,
+            // Event-engine cache, rewritten by the full step that follows
+            // every restore.
+            cached: _,
+            // Provenance of the grant, not simulator state.
+            grant_restored: _,
+            rates,
+            pending_ns,
+            // Per-tick scratch, rebuilt from socket state every tick.
+            scratch: _,
+        } = self;
         SocketSnapshot {
-            msr: self.msr.snapshot(),
-            pstate: self.pstate.snapshot(),
-            eet: self.eet.clone(),
-            rapl: self.rapl.clone(),
-            cores: self.cores.snapshot(),
-            threads: self.threads.clone(),
-            pkg_cstate: self.pkg_cstate,
-            grant: self.grant,
-            next_pcu: self.next_pcu,
-            last_pcu_key: self.last_pcu_key,
-            uncore_mhz: self.uncore_mhz,
-            thermal: self.thermal,
-            mbvr: self.mbvr.clone(),
-            transition_log: self.transition_log.clone(),
-            rates: self.rates.clone(),
-            pending_ns: self.pending_ns,
+            msr: msr.snapshot(),
+            pstate: pstate.snapshot(),
+            eet: eet.clone(),
+            rapl: rapl.clone(),
+            cores: cores.snapshot(),
+            threads: threads.clone(),
+            pkg_cstate: *pkg_cstate,
+            grant: *grant,
+            next_pcu: *next_pcu,
+            last_pcu_key: *last_pcu_key,
+            uncore_mhz: *uncore_mhz,
+            thermal: *thermal,
+            mbvr: mbvr.clone(),
+            transition_log: transition_log.clone(),
+            rates: rates.clone(),
+            pending_ns: *pending_ns,
         }
     }
 
@@ -674,11 +716,8 @@ impl Socket {
         let smt_any = self.cores.smt.iter().any(|&s| s);
         self.scratch.duty.clear();
         for c in 0..spec.cores {
-            let lead = self.cores.lead[c];
             let mut duty_c = 0.0;
-            if lead != usize::MAX {
-                // lint:allow(P1): lead != usize::MAX implies the thread slot is occupied
-                let p = self.threads[lead].as_ref().expect("lead cache stale");
+            if let Some(p) = self.cores.lead_profile(c, &self.threads) {
                 let d = p.duty.factor_at(t_s);
                 duty_c = d;
                 duty_sum += d;
@@ -699,12 +738,10 @@ impl Socket {
 
         // 3. AVX licenses (per core, driven by its own instruction stream).
         for c in 0..spec.cores {
-            let lead = self.cores.lead[c];
-            let avx_stream = if lead == usize::MAX {
-                false
-            } else {
-                self.threads[lead].as_ref().map(|p| p.avx_heavy) == Some(true)
-            };
+            let avx_stream = self
+                .cores
+                .lead_profile(c, &self.threads)
+                .is_some_and(|p| p.avx_heavy);
             let on = self.cores.busy[c] && avx_stream;
             self.cores.avx_input[c] = on;
             self.cores.avx[c].observe(on, now);
@@ -837,20 +874,20 @@ impl Socket {
         // value) once it spans ~8 cores for bandwidth-bound profiles, and
         // scales linearly with cores otherwise.
         let threads = &self.threads;
+        let cores = &self.cores;
         let groups = &mut self.scratch.groups;
         groups.clear();
         for c in 0..spec.cores {
-            let lead = self.cores.lead[c];
-            if lead == usize::MAX {
+            let Some(p) = cores.lead_profile(c, threads) else {
                 continue;
-            }
-            // lint:allow(P1): lead != usize::MAX implies the thread slot is occupied
-            let name = threads[lead].as_ref().expect("lead cache stale").name;
+            };
             let d = self.scratch.duty[c];
             let mut found = false;
             for g in groups.iter_mut() {
-                // lint:allow(P1): group entries are leads already unwrapped in this loop
-                if threads[g.0].as_ref().expect("lead cache stale").name == name {
+                if cores
+                    .lead_profile(g.0, threads)
+                    .is_some_and(|q| q.name == p.name)
+                {
                     g.1 += 1;
                     g.2 += d;
                     found = true;
@@ -858,18 +895,19 @@ impl Socket {
                 }
             }
             if !found {
-                groups.push((lead, 1, d));
+                groups.push((c, 1, d));
             }
         }
         let mut demand = 0.0;
-        for (lead, n, duty_total) in groups.iter() {
-            // lint:allow(P1): group leads come from the same lead cache checked above
-            let p = threads[*lead].as_ref().expect("lead cache stale");
-            let avg_duty = duty_total / *n as f64;
+        for &(core, n, duty_total) in groups.iter() {
+            let Some(p) = cores.lead_profile(core, threads) else {
+                continue;
+            };
+            let avg_duty = duty_total / n as f64;
             let scale = if p.stall_fraction > hsw_hwspec::calib::UFS_STALL_THRESHOLD {
-                (*n as f64 / sat).min(1.0)
+                (n as f64 / sat).min(1.0)
             } else {
-                *n as f64 / spec.cores as f64
+                n as f64 / spec.cores as f64
             };
             demand += p.dram_gbs_full_socket * scale * avg_duty;
         }
@@ -891,9 +929,9 @@ impl Socket {
         for c in 0..spec.cores {
             if self.cores.busy[c] {
                 let smt = self.cores.smt[c];
-                let lead = self.cores.lead[c];
-                let act = self.threads[lead]
-                    .as_ref()
+                let act = self
+                    .cores
+                    .lead_profile(c, &self.threads)
                     .map(|p| p.activity(smt) * self.scratch.duty[c])
                     .unwrap_or(0.0)
                     * self.cores.avx[c].throughput_factor().max(0.5);

@@ -20,6 +20,8 @@
 //!   granted ceilings, leftover budget flowing to the uncore when the
 //!   workload stalls on memory).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod avx;
 pub mod controller;
 pub mod eet;

@@ -89,13 +89,9 @@ struct PendingRequest {
 /// The p-state machinery of one socket.
 #[derive(Debug)]
 pub struct PStateEngine {
-    // snap:skip(generation-derived constant, rebuilt by PStateEngine::new)
     mode: PStateTransitionMode,
-    // snap:skip(generation-derived constant, rebuilt by PStateEngine::new)
     per_core_domains: bool,
-    // snap:skip(policy constant, rebuilt by PStateEngine::new)
     switching_time_ns: Ns,
-    // snap:skip(policy constant, rebuilt by PStateEngine::new)
     opportunity_jitter_us: i64,
     /// Current p-state per core.
     current: Vec<PState>,
@@ -278,12 +274,24 @@ impl PStateEngine {
 
     /// Capture the engine's mutable state as plain data.
     pub fn snapshot(&self) -> PStateEngineSnapshot {
+        let PStateEngine {
+            // Generation and policy constants, rebuilt by PStateEngine::new.
+            mode: _,
+            per_core_domains: _,
+            switching_time_ns: _,
+            opportunity_jitter_us: _,
+            current,
+            switching,
+            pending,
+            next_opportunity,
+            events,
+        } = self;
         PStateEngineSnapshot {
-            current: self.current.clone(),
-            switching: self.switching.clone(),
-            pending: self.pending.clone(),
-            next_opportunity: self.next_opportunity,
-            events: self.events.clone(),
+            current: current.clone(),
+            switching: switching.clone(),
+            pending: pending.clone(),
+            next_opportunity: *next_opportunity,
+            events: events.clone(),
         }
     }
 

@@ -27,6 +27,8 @@
 //! mutable state (samples are keyed by seed and instant), so forks rebuild
 //! it from the fork seed instead of restoring it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod components;
 pub mod mbvr;
 pub mod meter;

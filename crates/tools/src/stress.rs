@@ -99,7 +99,10 @@ pub fn measure_stress(
 
 /// Run `profile` on every core of both sockets and measure — the one-shot
 /// composition of [`assign_stress_load`] and [`measure_stress`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one-shot form takes every argument of `assign_stress_load` and `measure_stress`"
+)]
 pub fn run_stress(
     node: &mut Node,
     profile: &WorkloadProfile,

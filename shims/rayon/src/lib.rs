@@ -70,16 +70,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_sizes_produce_identical_float_sums() {
+    fn float_sums_add_in_index_order_on_every_pool_size() {
         // Float addition is not associative; the contract is that sums are
-        // performed in index order, so any pool size gives the same bits.
+        // performed in index order, so any pool size gives the bits of the
+        // sequential sum. The input sums to other bits in reverse order, so
+        // a pool that added in any other fixed order fails here too.
         let xs: Vec<f64> = (0..500).map(|i| 1.0 / (i as f64 + 0.3)).collect();
-        let sums: Vec<f64> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| ThreadPool::new(t).install(|| xs.par_iter().map(|&x| x.sin()).sum::<f64>()))
-            .collect();
-        assert_eq!(sums[0].to_bits(), sums[1].to_bits());
-        assert_eq!(sums[0].to_bits(), sums[2].to_bits());
+        let index_order: f64 = xs.iter().map(|&x| x.sin()).sum();
+        let reverse: f64 = xs.iter().rev().map(|&x| x.sin()).sum();
+        assert_ne!(
+            index_order.to_bits(),
+            reverse.to_bits(),
+            "input is order-blind"
+        );
+        for threads in [1usize, 2, 8] {
+            let sum =
+                ThreadPool::new(threads).install(|| xs.par_iter().map(|&x| x.sin()).sum::<f64>());
+            assert_eq!(sum.to_bits(), index_order.to_bits(), "{threads} threads");
+        }
     }
 
     #[test]
