@@ -10,10 +10,11 @@
 
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::{CpuId, Platform, Resolution};
+use hsw_node::{CpuId, Resolution};
 use hsw_tools::perfctr::{median_of, PerfCtr};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+use crate::survey::RunCtx;
 
 /// Measured efficiency of one operating point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -63,12 +64,13 @@ impl EnergySweep {
 }
 
 fn measure(
+    ctx: &RunCtx,
     profile: &WorkloadProfile,
     setting: FreqSetting,
     cores: usize,
     seed: u64,
 ) -> OperatingPoint {
-    let mut node = Platform::paper()
+    let mut node = ctx
         .session()
         .seed(seed)
         .resolution(Resolution::Custom(100))
@@ -98,49 +100,44 @@ fn measure(
     }
 }
 
-/// DVFS sweep: all settings at fixed concurrency.
-pub fn dvfs_sweep(profile: &WorkloadProfile, cores: usize) -> EnergySweep {
-    let sku = Platform::paper().spec.sku;
-    let points: Vec<OperatingPoint> = sku
-        .freq
-        .all_settings()
-        .par_iter()
-        .enumerate()
-        .map(|(i, s)| measure(profile, *s, cores, 55_000 + i as u64))
-        .collect();
+/// DVFS sweep: all settings of the context's platform at fixed
+/// concurrency, one sweep point per setting.
+pub fn dvfs_sweep(ctx: &RunCtx, profile: &WorkloadProfile, cores: usize) -> EnergySweep {
+    let settings = ctx.platform().spec.sku.freq.all_settings();
     EnergySweep {
         workload: profile.name.to_string(),
-        points,
+        points: ctx.sweep(&settings, |s, seed| measure(ctx, profile, *s, cores, seed)),
     }
 }
 
-/// DCT sweep: concurrency 1..=cores at a fixed setting.
-pub fn dct_sweep(profile: &WorkloadProfile, setting: FreqSetting) -> EnergySweep {
-    let sku = Platform::paper().spec.sku;
-    let points: Vec<OperatingPoint> = (1..=sku.cores)
-        .collect::<Vec<_>>()
-        .par_iter()
-        .enumerate()
-        .map(|(i, n)| measure(profile, setting, *n, 56_000 + i as u64))
-        .collect();
+/// DCT sweep: concurrency 1..=cores at a fixed setting, one sweep point
+/// per core count.
+pub fn dct_sweep(ctx: &RunCtx, profile: &WorkloadProfile, setting: FreqSetting) -> EnergySweep {
+    let counts: Vec<usize> = (1..=ctx.platform().spec.sku.cores).collect();
     EnergySweep {
         workload: profile.name.to_string(),
-        points,
+        points: ctx.sweep(&counts, |n, seed| measure(ctx, profile, setting, *n, seed)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fidelity;
+    use hsw_node::EngineMode;
+
+    fn ctx() -> RunCtx {
+        RunCtx::new(Fidelity::Quick, 0, EngineMode::default())
+    }
 
     fn memory_sweep() -> &'static EnergySweep {
         static CACHE: std::sync::OnceLock<EnergySweep> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| dvfs_sweep(&WorkloadProfile::memory_bound(), 12))
+        CACHE.get_or_init(|| dvfs_sweep(&ctx(), &WorkloadProfile::memory_bound(), 12))
     }
 
     fn compute_sweep() -> &'static EnergySweep {
         static CACHE: std::sync::OnceLock<EnergySweep> = std::sync::OnceLock::new();
-        CACHE.get_or_init(|| dvfs_sweep(&WorkloadProfile::compute(), 12))
+        CACHE.get_or_init(|| dvfs_sweep(&ctx(), &WorkloadProfile::compute(), 12))
     }
 
     #[test]
@@ -171,6 +168,7 @@ mod tests {
     #[test]
     fn dct_beyond_saturation_wastes_energy() {
         let s = dct_sweep(
+            &ctx(),
             &WorkloadProfile::memory_bound(),
             FreqSetting::from_mhz(2500),
         );

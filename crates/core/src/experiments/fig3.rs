@@ -11,7 +11,6 @@ use hsw_node::{CpuId, Resolution};
 use hsw_tools::{DelayRegime, FtaLat};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::Histogram;
@@ -90,40 +89,35 @@ pub fn regimes() -> Vec<DelayRegime> {
     ]
 }
 
-/// Node and request-timing seeds per campaign derive from `ctx.seed`.
+/// Each campaign is one point of the sweep executor: its node runs under
+/// `mix_seed(seed, 0)` and its request timing draws from `mix_seed(seed, 1)`.
 pub fn run(ctx: &RunCtx) -> Fig3 {
     let n = ctx.fidelity.durations().fig3_samples;
-    let campaigns: Vec<Fig3Campaign> = regimes()
-        .par_iter()
-        .enumerate()
-        .map(|(i, regime)| {
-            let node_seed = mix_seed(ctx.seed, 2 * i as u64);
-            let rng_seed = mix_seed(ctx.seed, 2 * i as u64 + 1);
-            let mut node = ctx
-                .session()
-                .seed(node_seed)
-                .resolution(Resolution::Latency)
-                .build();
-            node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
-            node.advance_s(0.01);
-            let mut rng = SmallRng::seed_from_u64(rng_seed);
-            let tool = FtaLat::new(CpuId::new(0, 0, 0));
-            let samples = tool.campaign(
-                &mut node,
-                PState::from_mhz(1200),
-                PState::from_mhz(1300),
-                *regime,
-                n,
-                &mut rng,
-            );
-            let lat: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
-            Fig3Campaign {
-                label: regime.label(),
-                histogram: Histogram::build(&lat, 25.0, 550.0),
-                latencies_us: lat,
-            }
-        })
-        .collect();
+    let campaigns: Vec<Fig3Campaign> = ctx.sweep(&regimes(), |regime, seed| {
+        let mut node = ctx
+            .session()
+            .seed(mix_seed(seed, 0))
+            .resolution(Resolution::Latency)
+            .build();
+        node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+        node.advance_s(0.01);
+        let mut rng = SmallRng::seed_from_u64(mix_seed(seed, 1));
+        let tool = FtaLat::new(CpuId::new(0, 0, 0));
+        let samples = tool.campaign(
+            &mut node,
+            PState::from_mhz(1200),
+            PState::from_mhz(1300),
+            *regime,
+            n,
+            &mut rng,
+        );
+        let lat: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
+        Fig3Campaign {
+            label: regime.label(),
+            histogram: Histogram::build(&lat, 25.0, 550.0),
+            latencies_us: lat,
+        }
+    });
     Fig3 { campaigns }
 }
 

@@ -12,7 +12,6 @@ use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{haswell_ep_sku, EpbClass, SkuSpec};
 use hsw_pcu::{PcuController, PcuInputs};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::Table;
@@ -82,7 +81,7 @@ pub fn skus() -> Vec<SkuSpec> {
 }
 
 pub fn run() -> SkuExtrapolation {
-    let predictions: Vec<SkuPrediction> = skus().par_iter().map(predict).collect();
+    let predictions: Vec<SkuPrediction> = skus().iter().map(predict).collect();
     let mut t = Table::new(
         "Extension: predicted FIRESTARTER equilibria across the E5-2600 v3 line (Turbo setting, HT)",
         vec!["SKU", "cores", "TDP [W]", "base [GHz]", "core [GHz]", "uncore [GHz]", "power [W]", "TDP limited"],

@@ -12,13 +12,12 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::{CpuId, Platform, Resolution};
-use hsw_tools::PerfCtr;
-use rayon::prelude::*;
+use hsw_node::Platform;
 use serde::{Deserialize, Serialize};
 
+use super::table3::measure;
 use crate::report::Table;
-use crate::survey::RunCtx;
+use crate::survey::{mix_seed, RunCtx};
 
 /// One measured row of the mesh-frequency table.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -47,65 +46,29 @@ impl std::fmt::Display for SkxUfsMesh {
     }
 }
 
-/// Measure both sockets' uncore clocks under one profile/setting/EPB.
-fn measure(
-    ctx: &RunCtx,
-    profile: &WorkloadProfile,
-    setting: FreqSetting,
-    epb: EpbClass,
-    measure_s: f64,
-    seed: u64,
-) -> (f64, f64) {
-    let mut node = ctx
-        .session()
-        .seed(seed)
-        .resolution(Resolution::Custom(100))
-        .build();
-    node.run_on_socket(0, profile, 1, 1);
-    node.set_epb_all(epb);
-    node.set_setting_all(setting);
-    node.advance_s(0.1);
-
-    let pc0 = PerfCtr::new(&node, CpuId::new(0, 0, 0));
-    let pc1 = PerfCtr::new(&node, CpuId::new(1, 0, 0));
-    let a0 = pc0.sample(&node);
-    let b0 = pc1.sample(&node);
-    node.advance_s(measure_s);
-    let a1 = pc0.sample(&node);
-    let b1 = pc1.sample(&node);
-    (
-        pc0.derive(&a0, &a1).uncore_ghz,
-        pc1.derive(&b0, &b1).uncore_ghz,
-    )
-}
-
+/// Each setting is one point of the sweep executor, measured with Table
+/// III's probe: the balanced spin under the point seed, the stalled and
+/// EPB=performance variants under `mix_seed(seed, 1)` and `mix_seed(seed, 2)`.
 pub fn run(ctx: &RunCtx) -> SkxUfsMesh {
     let sku = Platform::skylake_sp().spec.sku;
-    let settings = sku.freq.all_settings();
-    let secs = ctx.fidelity.durations().table3_measure_s;
+    let spin = WorkloadProfile::busy_wait();
+    let mem = WorkloadProfile::memory_bound();
 
-    let points: Vec<SkxUfsPoint> = settings
-        .par_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let spin = WorkloadProfile::busy_wait();
-            let mem = WorkloadProfile::memory_bound();
-            let seed = |salt: u64| crate::survey::mix_seed(ctx.seed, salt * 1000 + i as u64);
-            let (active, passive) = measure(ctx, &spin, *s, EpbClass::Balanced, secs, seed(0));
-            let (stalled, _) = measure(ctx, &mem, *s, EpbClass::Balanced, secs, seed(1));
-            let (active_perf, _) = measure(ctx, &spin, *s, EpbClass::Performance, secs, seed(2));
-            SkxUfsPoint {
-                setting_mhz: match s {
-                    FreqSetting::Turbo => None,
-                    FreqSetting::Fixed(p) => Some(p.mhz()),
-                },
-                active_uncore_ghz: active,
-                passive_uncore_ghz: passive,
-                stalled_uncore_ghz: stalled,
-                active_uncore_perf_epb_ghz: active_perf,
-            }
-        })
-        .collect();
+    let points: Vec<SkxUfsPoint> = ctx.sweep(&sku.freq.all_settings(), |s, seed| {
+        let (active, passive) = measure(ctx, &spin, *s, EpbClass::Balanced, seed);
+        let (stalled, _) = measure(ctx, &mem, *s, EpbClass::Balanced, mix_seed(seed, 1));
+        let (active_perf, _) = measure(ctx, &spin, *s, EpbClass::Performance, mix_seed(seed, 2));
+        SkxUfsPoint {
+            setting_mhz: match s {
+                FreqSetting::Turbo => None,
+                FreqSetting::Fixed(p) => Some(p.mhz()),
+            },
+            active_uncore_ghz: active,
+            passive_uncore_ghz: passive,
+            stalled_uncore_ghz: stalled,
+            active_uncore_perf_epb_ghz: active_perf,
+        }
+    });
 
     let mut t = Table::new(
         "Skylake-SP: mesh frequency vs. core setting (spin on socket 0 of the 2x Platinum 8170 node)",

@@ -11,7 +11,6 @@ use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
 use hsw_node::{CpuId, Platform, Resolution};
 use hsw_tools::PerfCtr;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
@@ -39,12 +38,15 @@ impl std::fmt::Display for Table3 {
     }
 }
 
-/// Measure the uncore frequency of both sockets under one setting/EPB.
-fn measure(
+/// The Table III probe: one thread running `profile` on socket 0, the rest
+/// of the system idle, under one setting and EPB. Returns both sockets'
+/// uncore clocks over the fidelity's Table III window (active socket
+/// first).
+pub(crate) fn measure(
     ctx: &RunCtx,
+    profile: &WorkloadProfile,
     setting: FreqSetting,
     epb: EpbClass,
-    measure_s: f64,
     seed: u64,
 ) -> (f64, f64) {
     let mut node = ctx
@@ -52,8 +54,7 @@ fn measure(
         .seed(seed)
         .resolution(Resolution::Custom(100))
         .build();
-    // One spinning thread on socket 0, the rest of the system idle.
-    node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+    node.run_on_socket(0, profile, 1, 1);
     node.set_epb_all(epb);
     node.set_setting_all(setting);
     node.advance_s(0.1);
@@ -62,7 +63,7 @@ fn measure(
     let pc1 = PerfCtr::new(&node, CpuId::new(1, 0, 0));
     let a0 = pc0.sample(&node);
     let b0 = pc1.sample(&node);
-    node.advance_s(measure_s);
+    node.advance_s(ctx.fidelity.durations().table3_measure_s);
     let a1 = pc0.sample(&node);
     let b1 = pc1.sample(&node);
     (
@@ -71,31 +72,26 @@ fn measure(
     )
 }
 
-/// Per-setting measurement seeds derive from `ctx.seed`.
+/// Each setting is one point of the sweep executor: the balanced
+/// measurement runs under the point seed, the EPB=performance one under
+/// `mix_seed(seed, 1)`.
 pub fn run(ctx: &RunCtx) -> Table3 {
     let sku = Platform::paper().spec.sku;
-    let settings = sku.freq.all_settings();
-    let secs = ctx.fidelity.durations().table3_measure_s;
+    let spin = WorkloadProfile::busy_wait();
 
-    let points: Vec<Table3Point> = settings
-        .par_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let bal_seed = mix_seed(ctx.seed, i as u64);
-            let perf_seed = mix_seed(ctx.seed, 1000 + i as u64);
-            let (active, passive) = measure(ctx, *s, EpbClass::Balanced, secs, bal_seed);
-            let (active_perf, _) = measure(ctx, *s, EpbClass::Performance, secs, perf_seed);
-            Table3Point {
-                setting_mhz: match s {
-                    FreqSetting::Turbo => None,
-                    FreqSetting::Fixed(p) => Some(p.mhz()),
-                },
-                active_uncore_ghz: active,
-                passive_uncore_ghz: passive,
-                active_uncore_perf_epb_ghz: active_perf,
-            }
-        })
-        .collect();
+    let points: Vec<Table3Point> = ctx.sweep(&sku.freq.all_settings(), |s, seed| {
+        let (active, passive) = measure(ctx, &spin, *s, EpbClass::Balanced, seed);
+        let (active_perf, _) = measure(ctx, &spin, *s, EpbClass::Performance, mix_seed(seed, 1));
+        Table3Point {
+            setting_mhz: match s {
+                FreqSetting::Turbo => None,
+                FreqSetting::Fixed(p) => Some(p.mhz()),
+            },
+            active_uncore_ghz: active,
+            passive_uncore_ghz: passive,
+            active_uncore_perf_epb_ghz: active_perf,
+        }
+    });
 
     let mut t = Table::new(
         "Table III: uncore frequencies, single-threaded no-memory-stalls scenario (thread on processor 0)",

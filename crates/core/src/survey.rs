@@ -201,8 +201,9 @@ impl RunCtx {
     }
 
     /// Start a session on [`RunCtx::platform`], wired to the simulated-time
-    /// ledger. Experiments derive per-sweep-point seeds from it with
-    /// [`SessionBuilder::derive_seed`].
+    /// ledger. A sweep point seeds it with the seed the executor hands the
+    /// point ([`RunCtx::sweep`]), or with sub-seeds `mix_seed(seed, j)` of
+    /// that seed.
     pub fn session(&self) -> SessionBuilder {
         self.platform().session().time_ledger(self.sim_ns.clone())
     }
@@ -232,24 +233,16 @@ impl RunCtx {
         self.spot_checks.load(Ordering::Relaxed)
     }
 
-    /// Credit surrogate/spot-check counts from an experiment that drives
-    /// its own surrogate-vs-simulator comparison (e.g. the accuracy map)
-    /// instead of going through [`RunCtx::sweep_surrogate`].
-    pub fn note_surrogate(&self, hits: u64, checks: u64) {
-        self.surrogate_hits.fetch_add(hits, Ordering::Relaxed);
-        self.spot_checks.fetch_add(checks, Ordering::Relaxed);
-    }
-
     /// Fan `points` through the worker pool with this experiment's seed as
     /// the derivation base: point `k` runs as `f(&points[k],
     /// mix_seed(self.seed, k))` and results come back in point order.
     ///
-    /// The seed is the same order-free derivation as
-    /// [`SessionBuilder::derive_seed`], so it depends on the sweep geometry
-    /// only, never on scheduling. Combined with the pool's index-ordered
-    /// collection this keeps results byte-identical for any pool size
-    /// (`RAYON_NUM_THREADS`) and any `--jobs` value; only wall clock
-    /// changes.
+    /// The seed depends on the sweep geometry only, never on scheduling,
+    /// and it is the only seed the point should derive from: a point that
+    /// runs several sessions seeds them `mix_seed(seed, j)`. Combined with
+    /// the pool's index-ordered collection this keeps results
+    /// byte-identical for any pool size (`RAYON_NUM_THREADS`) and any
+    /// `--jobs` value; only wall clock changes.
     pub fn sweep<P, R, F>(&self, points: &[P], f: F) -> Vec<R>
     where
         P: Sync,
@@ -282,9 +275,8 @@ impl RunCtx {
     /// construction; only wall clock differs.
     ///
     /// Contract for `warmup`: configure the builder freely (spec,
-    /// resolution, EET, …) but never call [`SessionBuilder::seed`] /
-    /// [`SessionBuilder::derive_seed`] — the executor owns the seed
-    /// schedule.
+    /// resolution, EET, …) but never call [`SessionBuilder::seed`] — the
+    /// executor owns the seed schedule.
     pub fn sweep_warm<P, R, W, F>(&self, points: &[P], warmup: W, point: F) -> Vec<R>
     where
         P: Sync,
@@ -770,14 +762,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Derive the seed for one experiment from the survey root seed: FNV-1a
 /// over the id, folded into a SplitMix64-whitened root. Depends on
-/// `(root_seed, id)` only — never on scheduling order or thread count.
-pub fn experiment_seed(root_seed: u64, id: &str) -> u64 {
+/// `(survey_seed, id)` only — never on scheduling order or thread count.
+pub fn experiment_seed(survey_seed: u64, id: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in id.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    let mut s = root_seed ^ h;
+    let mut s = survey_seed ^ h;
     splitmix64(&mut s)
 }
 

@@ -4,17 +4,16 @@
 //! `Node::new(NodeConfig::paper_default().with_seed(..).with_tick_us(..))`,
 //! scattering seed derivation and tick choices across sixteen modules. A
 //! [`Platform`] describes the machine under test once (spec, DRAM RAPL
-//! mode, EET, engine, root seed); [`SessionBuilder`] then derives concrete
-//! simulation sessions from it — sub-seeds for sweep points, a named
-//! [`Resolution`] class instead of magic tick numbers, and optional
-//! telemetry sinks such as the survey's simulated-time ledger. A
-//! [`Session`] dereferences to [`Node`], so the whole existing node surface
-//! works unchanged.
+//! mode, EET, engine, root seed); [`SessionBuilder`] then builds concrete
+//! simulation sessions from it — an explicit seed per sweep point (which
+//! the survey's sweep executor derives), a named [`Resolution`] class
+//! instead of magic tick numbers, and optional telemetry sinks such as the
+//! survey's simulated-time ledger. A [`Session`] dereferences to [`Node`],
+//! so the whole existing node surface works unchanged.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use hsw_hwspec::clock::mix_seed;
 use hsw_hwspec::NodeSpec;
 use hsw_power::DramRaplMode;
 
@@ -59,8 +58,9 @@ pub struct Platform {
     pub dram_rapl_mode: DramRaplMode,
     pub eet_enabled: bool,
     pub engine: EngineMode,
-    /// Root seed; sessions derive sub-seeds from it (see
-    /// [`SessionBuilder::derive_seed`]).
+    /// Root seed: every session starts from it unless
+    /// [`SessionBuilder::seed`] overrides it. Sweep points take their seeds
+    /// from the survey's sweep executor.
     pub seed: u64,
 }
 
@@ -168,7 +168,6 @@ impl Platform {
                 seed: self.seed,
                 engine: self.engine,
             },
-            root_seed: self.seed,
             time_ledger: None,
         }
     }
@@ -178,7 +177,6 @@ impl Platform {
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     cfg: NodeConfig,
-    root_seed: u64,
     time_ledger: Option<Arc<AtomicU64>>,
 }
 
@@ -186,15 +184,6 @@ impl SessionBuilder {
     /// Use an explicit seed for this session.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Derive this session's seed from the platform root seed and a salt
-    /// (sweep index, repetition number, …). Order-free: point `k` of a
-    /// sweep gets the same seed whether the sweep runs forward, backward,
-    /// or in parallel.
-    pub fn derive_seed(mut self, salt: u64) -> Self {
-        self.cfg.seed = mix_seed(self.root_seed, salt);
         self
     }
 
@@ -314,17 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_seeds_are_order_free_and_salt_sensitive() {
-        let platform = Platform::paper().with_seed(7);
-        let a = platform.session().derive_seed(3).build().config().seed;
-        let b = platform.session().derive_seed(4).build().config().seed;
-        let a2 = platform.session().derive_seed(3).build().config().seed;
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_ne!(a, 7, "derived seed must not be the root seed itself");
-    }
-
-    #[test]
     fn resolution_classes_map_to_documented_ticks() {
         assert_eq!(Resolution::Latency.tick_us(), 2);
         assert_eq!(Resolution::Fine.tick_us(), 5);
@@ -349,10 +327,10 @@ mod tests {
     #[test]
     fn time_ledger_sink_accumulates_across_sessions() {
         let ledger = Arc::new(AtomicU64::new(0));
-        for salt in 0..2u64 {
+        for seed in 0..2u64 {
             let mut s = Platform::paper()
                 .session()
-                .derive_seed(salt)
+                .seed(seed)
                 .time_ledger(ledger.clone())
                 .build();
             s.advance_us(1_000);
@@ -374,7 +352,7 @@ mod tests {
                     for i in 0..8u64 {
                         let mut s = platform
                             .session()
-                            .derive_seed(worker * 100 + i)
+                            .seed(worker * 100 + i)
                             .resolution(Resolution::Coarse)
                             .time_ledger(ledger.clone())
                             .build();

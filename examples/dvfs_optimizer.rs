@@ -8,16 +8,19 @@
 use haswell_survey_repro::exec::WorkloadProfile;
 use haswell_survey_repro::hwspec::e5_2600_v3_line;
 use haswell_survey_repro::hwspec::freq::FreqSetting;
+use haswell_survey_repro::node::EngineMode;
 use haswell_survey_repro::survey::energy::{dct_sweep, dvfs_sweep};
+use haswell_survey_repro::survey::{Fidelity, RunCtx};
 
 fn main() {
+    let ctx = RunCtx::new(Fidelity::Quick, 42, EngineMode::default());
     println!("== DVFS sweep: energy-optimal frequency per workload class ==\n");
     for profile in [
         WorkloadProfile::memory_bound(),
         WorkloadProfile::compute(),
         WorkloadProfile::dgemm(),
     ] {
-        let sweep = dvfs_sweep(&profile, 12);
+        let sweep = dvfs_sweep(&ctx, &profile, 12);
         let e = sweep.energy_optimal();
         let d = sweep.edp_optimal();
         let label = |m: Option<u32>| {
@@ -40,6 +43,7 @@ fn main() {
 
     println!("== DCT sweep: memory-bound streamer at 2.5 GHz ==\n");
     let sweep = dct_sweep(
+        &ctx,
         &WorkloadProfile::memory_bound(),
         FreqSetting::from_mhz(2500),
     );

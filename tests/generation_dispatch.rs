@@ -2,18 +2,11 @@
 //! branches on a `CpuGeneration` variant, so a new generation lands in
 //! hwspec's policy and data tables alone.
 
-use std::path::{Path, PathBuf};
+mod common;
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("list a source directory") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            out.push(path);
-        }
-    }
-}
+use std::path::Path;
+
+use common::rust_files;
 
 /// The lines of `src` that branch on a `CpuGeneration` variant or import
 /// the variants, with what was found there. Test code, from the first

@@ -1,13 +1,18 @@
 //! The survey runner's contract: a complete registry, scheduling-free
 //! determinism, and strict id validation.
 
+mod common;
+
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use haswell_survey_repro::survey::survey::{
     experiment_seed, registry_for, run_survey, SurveyConfig,
 };
 use haswell_survey_repro::survey::Fidelity;
 use hsw_node::{EngineMode, PlatformKind};
+
+use common::rust_files;
 
 #[test]
 fn registry_covers_all_20_experiments_with_unique_ids() {
@@ -72,6 +77,44 @@ fn every_experiment_module_is_registered_under_its_own_name() {
     assert_eq!(
         stems, ids,
         "experiments/*.rs file stems vs. the union of registry ids"
+    );
+}
+
+#[test]
+fn only_the_sweep_executor_fans_out() {
+    // One seeded fan-out: every parallel sweep in `haswell-survey` goes
+    // through `RunCtx`'s executor in `survey.rs`, which alone derives point
+    // seeds and counts points. Test code, from the first top-level
+    // `#[cfg(test)]` on, is not read.
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    files.sort();
+    let mut offenders = Vec::new();
+    for path in &files {
+        if *path == src.join("survey.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(path).expect("read a source file");
+        for (n, line) in text
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .enumerate()
+        {
+            // `par_iter` also matches `into_par_iter` and `par_iter_mut`.
+            if line.contains("par_iter") || line.contains("rayon") {
+                offenders.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        files.iter().any(|p| p.ends_with("experiments/fig3.rs")),
+        "the scan must reach the experiment modules"
+    );
+    assert!(
+        offenders.is_empty(),
+        "fan out through RunCtx::sweep instead:\n{}",
+        offenders.join("\n")
     );
 }
 
