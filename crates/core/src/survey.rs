@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hsw_fleet::{ChipVariation, VariationModel};
+pub use hsw_hwspec::mix_seed;
 use hsw_node::{EngineMode, Node, NodeSnapshot, Platform, PlatformKind, Session, SessionBuilder};
 use rayon::prelude::*;
 use serde::{Serialize, Value};
@@ -751,32 +752,18 @@ pub trait SurveyExperiment: Send + Sync {
     fn run(&self, ctx: &RunCtx) -> ExperimentResult;
 }
 
-/// SplitMix64 step — the mixer behind [`experiment_seed`].
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Derive the seed for one experiment from the survey root seed: FNV-1a
-/// over the id, folded into a SplitMix64-whitened root. Depends on
-/// `(survey_seed, id)` only — never on scheduling order or thread count.
+/// over the id, folded into the root and whitened by [`mix_seed`]. Depends
+/// on `(survey_seed, id)` only — never on scheduling order or thread count.
 pub fn experiment_seed(survey_seed: u64, id: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    let mut s = survey_seed ^ h;
-    splitmix64(&mut s)
+    mix_seed(survey_seed ^ fnv1a(id), 0)
 }
 
-/// Derive a sub-stream seed inside an experiment (e.g. one per campaign).
-pub fn mix_seed(seed: u64, salt: u64) -> u64 {
-    let mut s = seed ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
-    splitmix64(&mut s)
+/// 64-bit FNV-1a hash of an experiment id.
+fn fnv1a(id: &str) -> u64 {
+    id.bytes().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
 }
 
 /// The experiments a platform runs. Haswell: the paper's 16 experiments
@@ -1237,9 +1224,46 @@ mod tests {
 
     #[test]
     fn experiment_seeds_depend_on_root_and_id() {
+        // Pinned: a change to the formula moves every seeded experiment's
+        // bytes in `survey.json`.
+        assert_eq!(experiment_seed(42, "fig3"), 0x37FC_152D_FFDE_DBB1);
         assert_eq!(experiment_seed(1, "fig3"), experiment_seed(1, "fig3"));
         assert_ne!(experiment_seed(1, "fig3"), experiment_seed(2, "fig3"));
         assert_ne!(experiment_seed(1, "fig3"), experiment_seed(1, "fig56"));
+    }
+
+    /// The warmup every probe settles: 2 ms of an idle node.
+    fn settle(builder: SessionBuilder) -> Session {
+        let mut session = builder.build();
+        session.advance_s(0.002);
+        session
+    }
+
+    /// Package 0's true power after 1 ms more, as bits.
+    fn measure(node: &mut Node) -> u64 {
+        node.advance_s(0.001);
+        node.true_pkg_power_w(0).to_bits()
+    }
+
+    fn point(node: &mut Node, p: &u64, seed: u64) -> (u64, u64, u64) {
+        (*p, seed, measure(node))
+    }
+
+    fn point_closed_form(p: &u64, seed: u64) -> (u64, u64, u64) {
+        (*p, seed, 0)
+    }
+
+    fn member(
+        node: &mut Node,
+        var: &ChipVariation,
+        id: usize,
+        seed: u64,
+    ) -> (usize, u64, u64, u64) {
+        (id, seed, var.leak_scale.to_bits(), measure(node))
+    }
+
+    fn member_closed_form(var: &ChipVariation, id: usize, seed: u64) -> (usize, u64, u64, u64) {
+        (id, seed, var.leak_scale.to_bits(), 0)
     }
 
     /// One entry point on a fresh context: its results, its simulated time
@@ -1250,28 +1274,16 @@ mod tests {
         let warmups = AtomicUsize::new(0);
         let warmup = |builder: SessionBuilder| {
             warmups.fetch_add(1, Ordering::Relaxed);
-            let mut session = builder.build();
-            session.advance_s(0.002);
-            session
-        };
-        let measure = |node: &mut Node| {
-            node.advance_s(0.001);
-            node.true_pkg_power_w(0).to_bits()
+            settle(builder)
         };
         let points: Vec<u64> = (10..10 + n as u64).collect();
         let model = VariationModel::paper_fleet();
         let out = match entry {
             "sweep" => format!("{:?}", ctx.sweep(&points, |p, seed| (*p, seed))),
-            "sweep_warm" => format!(
-                "{:?}",
-                ctx.sweep_warm(&points, warmup, |node, p, seed| (*p, seed, measure(node)))
-            ),
-            "sweep_warm_salted" => format!(
-                "{:?}",
-                ctx.sweep_warm_salted(5, &points, warmup, |node, p, seed| {
-                    (*p, seed, measure(node))
-                })
-            ),
+            "sweep_warm" => format!("{:?}", ctx.sweep_warm(&points, warmup, point)),
+            "sweep_warm_salted" => {
+                format!("{:?}", ctx.sweep_warm_salted(5, &points, warmup, point))
+            }
             "sweep_warm_shared" => format!(
                 "{:?}",
                 ctx.sweep_warm_shared(
@@ -1285,28 +1297,12 @@ mod tests {
             ),
             "sweep_surrogate" => format!(
                 "{:?}",
-                ctx.sweep_surrogate(
-                    &points,
-                    warmup,
-                    |node, p, seed| (*p, seed, measure(node)),
-                    |p, seed| (*p, seed, 0)
-                )
+                ctx.sweep_surrogate(&points, warmup, point, point_closed_form)
             ),
-            "sweep_fleet" => format!(
-                "{:?}",
-                ctx.sweep_fleet(n, &model, warmup, |node, var, id, seed| {
-                    (id, seed, var.leak_scale.to_bits(), measure(node))
-                })
-            ),
+            "sweep_fleet" => format!("{:?}", ctx.sweep_fleet(n, &model, warmup, member)),
             "sweep_fleet_surrogate" => format!(
                 "{:?}",
-                ctx.sweep_fleet_surrogate(
-                    n,
-                    &model,
-                    warmup,
-                    |node, var, id, seed| (id, seed, var.leak_scale.to_bits(), measure(node)),
-                    |var, id, seed| (id, seed, var.leak_scale.to_bits(), 0)
-                )
+                ctx.sweep_fleet_surrogate(n, &model, warmup, member, member_closed_form)
             ),
             other => panic!("unknown entry point {other}"),
         };
@@ -1360,6 +1356,37 @@ mod tests {
                 assert_eq!(warmups, 0, "{entry}: empty sweep ran its warmup");
             }
         }
+    }
+
+    /// A spot check runs its index on the full simulator under the index's
+    /// own seed and the shared warm image, so its answer is bit-identical
+    /// to that index of the full sweep. Five indices make the two-index
+    /// sample a strict subset.
+    #[test]
+    fn spot_checks_equal_the_full_sweep_at_their_index() {
+        fn assert_checks_match<R: PartialEq + std::fmt::Debug>(
+            full: &[R],
+            answers: &[Surrogate<R>],
+        ) {
+            let sample = spotcheck_ids(7, full.len(), SPOTCHECK_K);
+            assert_eq!(sample.len(), SPOTCHECK_K);
+            assert_eq!(answers.len(), full.len());
+            for (k, (full, answer)) in full.iter().zip(answers).enumerate() {
+                let expected = sample.contains(&k).then_some(full);
+                assert_eq!(answer.checked.as_ref(), expected, "index {k}");
+            }
+        }
+        let ctx = || RunCtx::new(Fidelity::Quick, 7, EngineMode::default());
+        let points: Vec<u64> = (10..15).collect();
+        assert_checks_match(
+            &ctx().sweep_warm(&points, settle, point),
+            &ctx().sweep_surrogate(&points, settle, point, point_closed_form),
+        );
+        let model = VariationModel::paper_fleet();
+        assert_checks_match(
+            &ctx().sweep_fleet(points.len(), &model, settle, member),
+            &ctx().sweep_fleet_surrogate(points.len(), &model, settle, member, member_closed_form),
+        );
     }
 
     #[test]

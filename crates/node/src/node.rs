@@ -293,9 +293,18 @@ impl Node {
         }
     }
 
-    /// Advance by seconds.
+    /// Advance by seconds, rounded to the nearest microsecond.
+    ///
+    /// # Panics
+    ///
+    /// If `s` is NaN or negative, or more than `u64::MAX` microseconds.
     pub fn advance_s(&mut self, s: f64) {
-        self.advance_us((s * 1e6).round() as u64);
+        let us = s * 1e6;
+        assert!(
+            (0.0..=u64::MAX as f64).contains(&us),
+            "advance_s: {s} s is not a duration of 0 to u64::MAX µs"
+        );
+        self.advance_us(us.round() as u64);
     }
 
     fn step(&mut self, dt: Ns) {
@@ -429,6 +438,24 @@ mod tests {
         node.set_setting_all(FreqSetting::Turbo);
         node.advance_s(0.2); // settle
         node
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a duration")]
+    fn advance_s_rejects_nan() {
+        Node::new(NodeConfig::paper_default()).advance_s(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a duration")]
+    fn advance_s_rejects_a_negative_duration() {
+        Node::new(NodeConfig::paper_default()).advance_s(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a duration")]
+    fn advance_s_rejects_a_duration_past_u64_microseconds() {
+        Node::new(NodeConfig::paper_default()).advance_s(1e300);
     }
 
     #[test]

@@ -3,14 +3,21 @@
 //! (`RAYON_NUM_THREADS`). Each sweep point's seed is a pure function of
 //! `(experiment seed, point index)`, and the pool collects results in index
 //! order, so neither the experiment-level fan-out nor the point-level
-//! stealing may leak into the output bytes.
+//! stealing may leak into the output bytes. `tests/oracles.rs` flips the
+//! same axes over both whole registries; these tests pin the finer jobs ×
+//! pool grid on small subsets.
 
+use std::path::Path;
 use std::process::Command;
 
-/// Run the release `survey` binary on `subset` with extra flags and return
-/// the JSON bytes it wrote.
+/// Run the `survey` binary on `subset` with extra flags and return the
+/// JSON bytes it wrote. The output file is named after the tag and this
+/// process, so concurrent test runs never share one.
 fn survey_json_with(tag: &str, subset: &str, jobs: &str, pool: &str, extra: &[&str]) -> Vec<u8> {
-    let out = std::env::temp_dir().join(format!("sweep_determinism_{tag}.json"));
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "sweep_determinism_{tag}_{}.json",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&out);
     let status = Command::new(env!("CARGO_BIN_EXE_survey"))
         .args(["--only", subset, "--seed", "7", "--jobs", jobs])
@@ -28,8 +35,7 @@ fn survey_json_with(tag: &str, subset: &str, jobs: &str, pool: &str, extra: &[&s
     bytes
 }
 
-/// Run the release `survey` binary on `subset` and return the JSON bytes
-/// it wrote.
+/// Run the `survey` binary on `subset` and return the JSON bytes it wrote.
 fn survey_json(tag: &str, subset: &str, jobs: &str, pool: &str) -> Vec<u8> {
     survey_json_with(tag, subset, jobs, pool, &[])
 }
