@@ -12,13 +12,17 @@ use hsw_bench::print_once;
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::Platform;
+use hsw_node::NodeConfig;
 use hsw_power::DramRaplMode;
 
 /// A phase-flipping workload: alternates between memory-bound and
 /// compute-bound character faster than EET's 1 ms poll can track.
 fn run_eet_case(eet: bool) -> f64 {
-    let mut node = Platform::paper().session().eet(eet).seed(1).build();
+    let mut node = NodeConfig::paper_default()
+        .with_eet(eet)
+        .session()
+        .seed(1)
+        .build();
     node.run_on_socket(0, &WorkloadProfile::memory_bound(), 12, 1);
     node.set_setting_all(FreqSetting::Turbo);
     node.advance_s(0.5);
@@ -42,7 +46,7 @@ fn ablation_eet(c: &mut Criterion) {
 /// UFS schedule vs. pinned-max uncore (EPB=performance) for a compute-bound
 /// single thread: the schedule saves uncore power with no compute benefit.
 fn run_ufs_case(epb: EpbClass) -> f64 {
-    let mut node = Platform::paper().session().seed(2).build();
+    let mut node = NodeConfig::paper_default().session().seed(2).build();
     node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
     node.set_epb_all(epb);
     node.set_setting_all(FreqSetting::from_mhz(2500));
@@ -72,7 +76,7 @@ fn ablation_ufs(c: &mut Criterion) {
 
 /// PCPS vs. chip-wide p-states for an imbalanced 4-core workload.
 fn run_pcps_case(per_core: bool) -> f64 {
-    let mut node = Platform::paper().session().seed(3).build();
+    let mut node = NodeConfig::paper_default().session().seed(3).build();
     node.run_on_socket(0, &WorkloadProfile::compute(), 4, 1);
     if per_core {
         node.set_setting(0, 0, FreqSetting::from_mhz(2500));
@@ -104,7 +108,11 @@ fn ablation_pcps(c: &mut Criterion) {
 
 /// RAPL DRAM mode 0 vs mode 1 readings (paper Section IV).
 fn run_dram_mode(mode: DramRaplMode) -> f64 {
-    let mut node = Platform::paper().session().dram_mode(mode).seed(4).build();
+    let mut node = NodeConfig::paper_default()
+        .with_dram_mode(mode)
+        .session()
+        .seed(4)
+        .build();
     node.run_on_socket(0, &WorkloadProfile::memory_bound(), 12, 1);
     node.advance_s(0.4);
     let addr = hsw_msr::addresses::MSR_DRAM_ENERGY_STATUS;
@@ -139,7 +147,7 @@ fn sim_throughput(c: &mut Criterion) {
     c.bench_function("sim_throughput_1s_fullload", |b| {
         b.iter_with_setup(
             || {
-                let mut node = Platform::paper().session().seed(5).build();
+                let mut node = NodeConfig::paper_default().session().seed(5).build();
                 let fs = WorkloadProfile::firestarter();
                 for s in 0..2 {
                     node.run_on_socket(s, &fs, 12, 2);

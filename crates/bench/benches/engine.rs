@@ -28,13 +28,13 @@ use hsw_bench::{print_once, BenchVariant};
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::PState;
-use hsw_node::{CpuId, EngineMode, Node, Platform, Resolution};
+use hsw_node::{CpuId, EngineMode, Node, NodeConfig, Resolution};
 use hsw_tools::{DelayRegime, FtaLat};
 
 /// Table V-class steady state: one spinning core, fixed 2.0 GHz, the rest
 /// of the node idle. Multi-second window.
 fn steady_node(engine: EngineMode) -> Node {
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .with_engine(engine)
         .session()
         .seed(11)
@@ -55,7 +55,7 @@ fn run_steady(engine: EngineMode, sim_s: f64) -> f64 {
 /// Figures 5/6-class: an idle node at latency resolution (the c-state
 /// sweeps spend most of their simulated time waiting between wake events).
 fn run_idle_fine(engine: EngineMode, sim_s: f64) -> f64 {
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .with_engine(engine)
         .session()
         .seed(12)
@@ -70,7 +70,7 @@ fn run_idle_fine(engine: EngineMode, sim_s: f64) -> f64 {
 /// Table IV-class: FIRESTARTER on every thread of both sockets at turbo,
 /// held at TDP by the limiter, at coarse resolution.
 fn run_tdp(engine: EngineMode, sim_s: f64) -> f64 {
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .with_engine(engine)
         .session()
         .seed(13)
@@ -90,7 +90,7 @@ fn run_tdp(engine: EngineMode, sim_s: f64) -> f64 {
 /// transitions at random delays on one busy core, latency resolution.
 /// Returns the summed latencies.
 fn run_ftalat(engine: EngineMode, samples: usize) -> f64 {
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .with_engine(engine)
         .session()
         .seed(14)

@@ -21,14 +21,14 @@ use std::time::{Duration, Instant};
 
 use haswell_survey::{Fidelity, RunCtx};
 use hsw_exec::WorkloadProfile;
-use hsw_node::{EngineMode, Platform, Resolution};
+use hsw_node::{EngineMode, NodeConfig, Resolution};
 use rayon::ThreadPool;
 
 /// Figure 2-class point: one short measurement run of `profile` on
 /// `cores` cores, returning the settled package power.
 fn fig2_class_point(point: &(WorkloadProfile, usize), seed: u64) -> f64 {
     let (profile, cores) = point;
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .session()
         .seed(seed)
         .resolution(Resolution::Custom(100))
@@ -41,7 +41,7 @@ fn fig2_class_point(point: &(WorkloadProfile, usize), seed: u64) -> f64 {
 /// Table V-class point: one heavy stress-style run — both sockets loaded,
 /// a multi-second window averaged at coarse resolution.
 fn table5_class_point(profile: &WorkloadProfile, seed: u64) -> f64 {
-    let mut node = Platform::paper()
+    let mut node = NodeConfig::paper_default()
         .session()
         .seed(seed)
         .resolution(Resolution::Coarse)

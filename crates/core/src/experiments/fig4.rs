@@ -10,7 +10,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::PState;
 use hsw_msr::{addresses as msra, fields};
-use hsw_node::{CpuId, Platform, Resolution};
+use hsw_node::{CpuId, NodeConfig, Resolution};
 use serde::{Deserialize, Serialize};
 
 use crate::survey::RunCtx;
@@ -65,7 +65,7 @@ pub fn run(ctx: &RunCtx) -> Fig4 {
     // platform default seed regardless of the survey root.
     let mut node = ctx
         .session()
-        .seed(Platform::paper().seed)
+        .seed(NodeConfig::paper_default().seed)
         .resolution(Resolution::Latency)
         .build();
     // Busy threads on two cores per socket so requests have visible effect.

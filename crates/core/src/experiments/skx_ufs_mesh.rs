@@ -12,7 +12,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::Platform;
+use hsw_node::NodeConfig;
 use serde::{Deserialize, Serialize};
 
 use super::table3::measure;
@@ -50,7 +50,7 @@ impl std::fmt::Display for SkxUfsMesh {
 /// III's probe: the balanced spin under the point seed, the stalled and
 /// EPB=performance variants under `mix_seed(seed, 1)` and `mix_seed(seed, 2)`.
 pub fn run(ctx: &RunCtx) -> SkxUfsMesh {
-    let sku = Platform::skylake_sp().spec.sku;
+    let sku = NodeConfig::skylake_sp().spec.sku;
     let spin = WorkloadProfile::busy_wait();
     let mem = WorkloadProfile::memory_bound();
 

@@ -3,7 +3,7 @@
 
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
-use hsw_node::Platform;
+use hsw_node::NodeConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{watts, Table};
@@ -22,7 +22,7 @@ impl std::fmt::Display for Table2 {
 }
 
 pub fn run(ctx: &RunCtx) -> Table2 {
-    let platform = Platform::paper();
+    let platform = NodeConfig::paper_default();
     let sku = platform.spec.sku.clone();
     let eet_enabled = platform.eet_enabled;
 

@@ -9,7 +9,7 @@
 use hsw_exec::WorkloadProfile;
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::EpbClass;
-use hsw_node::{CpuId, Platform, Resolution};
+use hsw_node::{CpuId, NodeConfig, Resolution};
 use hsw_tools::PerfCtr;
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +76,7 @@ pub(crate) fn measure(
 /// measurement runs under the point seed, the EPB=performance one under
 /// `mix_seed(seed, 1)`.
 pub fn run(ctx: &RunCtx) -> Table3 {
-    let sku = Platform::paper().spec.sku;
+    let sku = NodeConfig::paper_default().spec.sku;
     let spin = WorkloadProfile::busy_wait();
 
     let points: Vec<Table3Point> = ctx.sweep(&sku.freq.all_settings(), |s, seed| {

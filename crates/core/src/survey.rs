@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use hsw_fleet::{ChipVariation, VariationModel};
 pub use hsw_hwspec::mix_seed;
-use hsw_node::{EngineMode, Node, NodeSnapshot, Platform, PlatformKind, Session, SessionBuilder};
+use hsw_node::{EngineMode, Node, NodeConfig, NodeSnapshot, PlatformKind, Session, SessionBuilder};
 use rayon::prelude::*;
 use serde::{Serialize, Value};
 
@@ -193,10 +193,10 @@ impl RunCtx {
         self.fleet_size
     }
 
-    /// The selected platform under this experiment's seed and engine.
-    pub fn platform(&self) -> Platform {
+    /// The selected machine under this experiment's seed and engine.
+    pub fn platform(&self) -> NodeConfig {
         self.platform_kind
-            .platform()
+            .config()
             .with_seed(self.seed)
             .with_engine(self.engine)
     }
@@ -627,7 +627,7 @@ enum Prep<'a, S> {
 /// node's snapshot plus the config to rebuild an identical node around it.
 struct WarmImage {
     snap: NodeSnapshot,
-    cfg: hsw_node::NodeConfig,
+    cfg: NodeConfig,
 }
 
 /// The answers of a sweep without a closed form: each point's full run.

@@ -119,8 +119,8 @@ pub fn wake_latency_us(
     scenario: WakeScenario,
     freq_ghz: f64,
 ) -> f64 {
-    let p = generation.policy().cstate_exit();
-    let base = base_latency_us(&p, state, scenario, freq_ghz);
+    let p = &generation.policy().cstate_exit;
+    let base = base_latency_us(p, state, scenario, freq_ghz);
     // Grey reference curves in Figures 5/6: pre-Haswell exits from deep
     // states were slightly slower; the policy carries the deltas (zero on
     // Haswell and Skylake-SP).

@@ -32,7 +32,11 @@ impl PState {
 
 /// A core-frequency *setting*: either a fixed p-state or turbo mode
 /// (the OS requests the turbo ratio; the PCU picks the actual frequency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Settings order by speed: Turbo above every fixed p-state, fixed
+/// p-states by ratio. The derived order gives exactly that because
+/// `Fixed` is declared before `Turbo`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum FreqSetting {
     /// A specific selectable p-state.
     Fixed(PState),
@@ -210,6 +214,19 @@ mod tests {
         assert_eq!(ps.len(), 14);
         assert_eq!(ps.first().unwrap().mhz(), 2500);
         assert_eq!(ps.last().unwrap().mhz(), 1200);
+    }
+
+    #[test]
+    fn settings_order_by_speed_with_turbo_on_top() {
+        // The node takes the fastest requested setting with `max`, so
+        // swapping the variants' declaration order must fail here.
+        let (lo, hi) = (FreqSetting::from_mhz(1200), FreqSetting::from_mhz(2500));
+        assert!(lo < hi && hi < FreqSetting::Turbo);
+        assert_eq!(lo.max(hi), hi);
+        assert_eq!(
+            [hi, FreqSetting::Turbo, lo].into_iter().max(),
+            Some(FreqSetting::Turbo)
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::policy::{self, FirmwarePolicy};
+
 /// x86 server processor generations covered by the survey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CpuGeneration {
@@ -101,36 +103,15 @@ impl CpuGeneration {
     }
 
     /// The firmware behavior bundle for this generation (see
-    /// [`crate::policy`]). Everything below is a convenience delegation.
-    pub fn policy(self) -> &'static dyn crate::policy::FirmwarePolicy {
-        crate::policy::policy_for(self)
-    }
-
-    /// Clock source of the uncore domain.
-    pub fn uncore_clock(self) -> UncoreClockSource {
-        self.policy().uncore().source
-    }
-
-    /// RAPL backing for this generation.
-    pub fn rapl_mode(self) -> RaplMode {
-        self.policy().rapl().mode
-    }
-
-    /// P-state transition servicing discipline.
-    pub fn pstate_transition_mode(self) -> PStateTransitionMode {
-        self.policy().pstate().transition
-    }
-
-    /// Whether each core has its own voltage regulator and p-state domain
-    /// (FIVR + PCPS; paper Sections II-B/II-D).
-    pub fn per_core_pstates(self) -> bool {
-        self.policy().pstate().per_core_domains
-    }
-
-    /// Whether AVX frequencies (a reduced guaranteed clock under wide-vector
-    /// load) exist on this generation (paper Section II-F).
-    pub fn has_avx_frequencies(self) -> bool {
-        self.policy().license().levels >= 1
+    /// [`crate::policy`]). Ivy Bridge-EP shares Sandy Bridge-EP's.
+    pub fn policy(self) -> &'static FirmwarePolicy {
+        match self {
+            CpuGeneration::WestmereEp => &policy::WESTMERE_EP,
+            CpuGeneration::SandyBridgeEp | CpuGeneration::IvyBridgeEp => &policy::SANDY_BRIDGE_EP,
+            CpuGeneration::HaswellEp => &policy::HASWELL_EP,
+            CpuGeneration::HaswellHe => &policy::HASWELL_HE,
+            CpuGeneration::SkylakeSp => &policy::SKYLAKE_SP,
+        }
     }
 }
 
@@ -141,13 +122,16 @@ mod tests {
     #[test]
     fn haswell_ep_is_the_only_pcps_generation() {
         for gen in CpuGeneration::ALL {
-            assert_eq!(gen.per_core_pstates(), gen == CpuGeneration::HaswellEp);
+            assert_eq!(
+                gen.policy().pstate.per_core_domains,
+                gen == CpuGeneration::HaswellEp
+            );
         }
     }
 
     #[test]
     fn haswell_ep_uses_opportunity_window() {
-        match CpuGeneration::HaswellEp.pstate_transition_mode() {
+        match CpuGeneration::HaswellEp.policy().pstate.transition {
             PStateTransitionMode::OpportunityWindow { period_us } => {
                 assert_eq!(period_us, 500);
             }
@@ -164,7 +148,7 @@ mod tests {
             CpuGeneration::HaswellHe,
         ] {
             assert_eq!(
-                gen.pstate_transition_mode(),
+                gen.policy().pstate.transition,
                 PStateTransitionMode::Immediate,
                 "{}",
                 gen.name()
@@ -175,30 +159,42 @@ mod tests {
     #[test]
     fn uncore_clock_sources_follow_the_paper() {
         assert_eq!(
-            CpuGeneration::WestmereEp.uncore_clock(),
+            CpuGeneration::WestmereEp.policy().uncore.source,
             UncoreClockSource::Fixed
         );
         assert_eq!(
-            CpuGeneration::SandyBridgeEp.uncore_clock(),
+            CpuGeneration::SandyBridgeEp.policy().uncore.source,
             UncoreClockSource::CoreCoupled
         );
         assert_eq!(
-            CpuGeneration::HaswellEp.uncore_clock(),
+            CpuGeneration::HaswellEp.policy().uncore.source,
             UncoreClockSource::Independent
         );
     }
 
     #[test]
     fn rapl_modes_follow_the_paper() {
-        assert_eq!(CpuGeneration::SandyBridgeEp.rapl_mode(), RaplMode::Modeled);
-        assert_eq!(CpuGeneration::HaswellEp.rapl_mode(), RaplMode::Measured);
-        assert_eq!(CpuGeneration::WestmereEp.rapl_mode(), RaplMode::Unavailable);
+        assert_eq!(
+            CpuGeneration::SandyBridgeEp.policy().rapl.mode,
+            RaplMode::Modeled
+        );
+        assert_eq!(
+            CpuGeneration::HaswellEp.policy().rapl.mode,
+            RaplMode::Measured
+        );
+        assert_eq!(
+            CpuGeneration::WestmereEp.policy().rapl.mode,
+            RaplMode::Unavailable
+        );
     }
 
     #[test]
     fn only_haswell_ep_has_avx_frequencies() {
         for gen in CpuGeneration::ALL {
-            assert_eq!(gen.has_avx_frequencies(), gen == CpuGeneration::HaswellEp);
+            assert_eq!(
+                gen.policy().license.levels >= 1,
+                gen == CpuGeneration::HaswellEp
+            );
         }
     }
 

@@ -36,8 +36,8 @@ pub use generation::{CpuGeneration, PStateTransitionMode, RaplMode, UncoreClockS
 pub use memcfg::MemSpec;
 pub use microarch::{BwParams, MicroArch};
 pub use policy::{
-    policy_for, CStateExitPolicy, FirmwarePolicy, LicensePolicy, PStatePolicy, RaplPolicy,
-    UncorePolicy, VrPolicy,
+    CStateExitPolicy, FirmwarePolicy, LicensePolicy, PStatePolicy, RaplPolicy, UncorePolicy,
+    VrPolicy,
 };
 pub use product_line::{e5_2600_v3_line, haswell_ep_sku};
 pub use sku::{CacheSpec, NodeSpec, SkuSpec};

@@ -1,13 +1,14 @@
-//! The generation policy layer: firmware behavior behind a trait.
+//! The generation policy layer: firmware behavior as plain data.
 //!
 //! The survey's cross-generation story (paper Section II, and the
 //! follow-up Skylake-SP survey, arXiv 1905.12468) is a story about
 //! *firmware policy*, not just SKU numbers: how the uncore is clocked, how
 //! p-state requests are serviced, how vector licenses gate the clock, what
 //! backs the RAPL counters, and how c-state exits price out. This module
-//! collects those mechanisms into plain-data policy descriptors returned
-//! by a [`FirmwarePolicy`] implementation per [`CpuGeneration`], so the
-//! model crates (`hsw-pcu`, `hsw-cstates`, `hsw-power`, `hsw-msr`) consume
+//! collects those mechanisms into plain-data policy descriptors, bundled
+//! as one [`FirmwarePolicy`] `const` per generation that
+//! [`CpuGeneration::policy`](crate::CpuGeneration::policy) selects, so the
+//! model crates (`hsw-pcu`, `hsw-cstates`, `hsw-power`, `hsw-msr`) read
 //! the policy instead of matching on the generation enum. The root test
 //! `tests/generation_dispatch.rs` fails on generation matching anywhere
 //! outside hwspec.
@@ -16,8 +17,8 @@
 //! calibration constants from [`crate::calib`], so the refactor leaves
 //! `survey.json` byte-identical.
 
-use crate::calib;
-use crate::generation::{CpuGeneration, PStateTransitionMode, RaplMode, UncoreClockSource};
+use crate::calib::{self, cstate};
+use crate::generation::{PStateTransitionMode, RaplMode, UncoreClockSource};
 
 /// How p-state change requests are serviced (paper Section VI-A;
 /// 1905.12468 Section II-D for HWP).
@@ -137,49 +138,16 @@ pub struct VrPolicy {
     pub mbvr_hysteresis_w: f64,
 }
 
-/// The per-generation firmware behavior bundle. Implementations are
-/// zero-sized and returned as `&'static dyn` by [`policy_for`] /
-/// [`CpuGeneration::policy`].
-pub trait FirmwarePolicy: Sync {
-    fn generation(&self) -> CpuGeneration;
-    fn pstate(&self) -> PStatePolicy;
-    fn uncore(&self) -> UncorePolicy;
-    fn license(&self) -> LicensePolicy;
-    fn rapl(&self) -> RaplPolicy;
-    fn cstate_exit(&self) -> CStateExitPolicy;
-}
-
-/// The Haswell c-state exit table, straight from [`calib::cstate`].
-fn haswell_cstate_exit() -> CStateExitPolicy {
-    use calib::cstate as c;
-    CStateExitPolicy {
-        c1_base_us: c::C1_BASE_US,
-        c1_cycles_k: c::C1_CYCLES_K,
-        c1_remote_extra_us: c::C1_REMOTE_EXTRA_US,
-        c3_base_us: c::C3_BASE_US,
-        c3_highfreq_step_us: c::C3_HIGHFREQ_STEP_US,
-        c3_highfreq_threshold_ghz: c::C3_HIGHFREQ_THRESHOLD_GHZ,
-        c3_remote_extra_us: c::C3_REMOTE_EXTRA_US,
-        pkg_c3_extra_min_us: c::PKG_C3_EXTRA_MIN_US,
-        pkg_c3_extra_max_us: c::PKG_C3_EXTRA_MAX_US,
-        c6_extra_min_us: c::C6_EXTRA_MIN_US,
-        c6_extra_max_us: c::C6_EXTRA_MAX_US,
-        pkg_c6_extra_us: c::PKG_C6_EXTRA_US,
-        deep_c3_extra_us: 0.0,
-        deep_c6_extra_us: 0.0,
-        restore_freq_lo_ghz: 1.2,
-        restore_freq_hi_ghz: 2.5,
-    }
-}
-
-/// The pre-Haswell exit table: same structure, with the grey reference
-/// curves' deep-exit deltas from Figures 5/6.
-fn pre_haswell_cstate_exit() -> CStateExitPolicy {
-    CStateExitPolicy {
-        deep_c3_extra_us: calib::cstate::SNB_C3_EXTRA_US,
-        deep_c6_extra_us: calib::cstate::SNB_C6_EXTRA_US,
-        ..haswell_cstate_exit()
-    }
+/// The per-generation firmware behavior bundle: plain data, one `const`
+/// per generation below, selected by
+/// [`CpuGeneration::policy`](crate::CpuGeneration::policy).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FirmwarePolicy {
+    pub pstate: PStatePolicy,
+    pub uncore: UncorePolicy,
+    pub license: LicensePolicy,
+    pub rapl: RaplPolicy,
+    pub cstate_exit: CStateExitPolicy,
 }
 
 /// The voltage-regulation bundle of every modeled generation's board.
@@ -195,306 +163,158 @@ pub const BOARD_VR: VrPolicy = VrPolicy {
     mbvr_hysteresis_w: 4.0,
 };
 
-/// Shared p-state mechanics for the immediate-transition generations.
-fn immediate_pstate() -> PStatePolicy {
-    PStatePolicy {
-        transition: PStateTransitionMode::Immediate,
-        per_core_domains: false,
+/// Haswell-EP: the paper's subject — FIVR, PCPS, 500 µs opportunity
+/// windows, independent ring UFS, AVX frequencies, measured RAPL. The
+/// c-state exit table is [`calib::cstate`].
+pub(crate) const HASWELL_EP: FirmwarePolicy = FirmwarePolicy {
+    pstate: PStatePolicy {
+        transition: PStateTransitionMode::OpportunityWindow {
+            period_us: calib::PSTATE_OPPORTUNITY_PERIOD_US,
+        },
+        per_core_domains: true,
         switching_time_us: calib::PSTATE_SWITCHING_TIME_US,
         opportunity_jitter_us: calib::PSTATE_OPPORTUNITY_JITTER_US,
         pcu_eval_period_us: calib::PSTATE_OPPORTUNITY_PERIOD_US,
-    }
-}
-
-/// RAPL bundle for the modeled-RAPL EP generations (SNB/IVB).
-fn modeled_rapl() -> RaplPolicy {
-    RaplPolicy {
-        mode: RaplMode::Modeled,
+    },
+    uncore: UncorePolicy {
+        source: UncoreClockSource::Independent,
+        active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
+        passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
+        stall_ramp_full: 0.85,
+        stall_boost_threshold: 0.10,
+    },
+    license: LicensePolicy {
+        levels: 1,
+        ramp_us: calib::PSTATE_SWITCHING_TIME_US,
+        relax_us: calib::AVX_RELAX_PERIOD_US,
+        ramp_throughput_factor: 0.25,
+    },
+    rapl: RaplPolicy {
+        mode: RaplMode::Measured,
         pkg_energy_unit_uj: calib::PKG_ENERGY_UNIT_UJ,
         dram_energy_unit_uj: calib::DRAM_ENERGY_UNIT_UJ,
         measured_noise_frac: 0.004,
         modeled_noise_frac: 0.01,
         has_dram_domain: true,
-        has_pp0_domain: true,
-        has_uncore_ratio_limit_msr: false,
-    }
-}
-
-/// No vector licensing (pre-Haswell-EP; paper Section II-F).
-fn no_license() -> LicensePolicy {
-    LicensePolicy {
-        levels: 0,
-        ramp_us: calib::PSTATE_SWITCHING_TIME_US,
-        relax_us: calib::AVX_RELAX_PERIOD_US,
-        ramp_throughput_factor: 0.25,
-    }
-}
-
-/// Westmere-EP: fixed uncore, no RAPL, immediate transitions.
-pub struct WestmereEpPolicy;
-
-impl FirmwarePolicy for WestmereEpPolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::WestmereEp
-    }
-
-    fn pstate(&self) -> PStatePolicy {
-        immediate_pstate()
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        UncorePolicy {
-            source: UncoreClockSource::Fixed,
-            active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
-            passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
-            stall_ramp_full: 0.85,
-            stall_boost_threshold: 0.10,
-        }
-    }
-
-    fn license(&self) -> LicensePolicy {
-        no_license()
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        RaplPolicy {
-            mode: RaplMode::Unavailable,
-            has_dram_domain: false,
-            has_pp0_domain: false,
-            ..modeled_rapl()
-        }
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        pre_haswell_cstate_exit()
-    }
-}
-
-/// Sandy Bridge-EP: core-coupled uncore, modeled RAPL, chip-wide p-states.
-pub struct SandyBridgeEpPolicy;
-
-impl FirmwarePolicy for SandyBridgeEpPolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::SandyBridgeEp
-    }
-
-    fn pstate(&self) -> PStatePolicy {
-        immediate_pstate()
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        UncorePolicy {
-            source: UncoreClockSource::CoreCoupled,
-            active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
-            passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
-            stall_ramp_full: 0.85,
-            stall_boost_threshold: 0.10,
-        }
-    }
-
-    fn license(&self) -> LicensePolicy {
-        no_license()
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        modeled_rapl()
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        pre_haswell_cstate_exit()
-    }
-}
-
-/// Ivy Bridge-EP: same energy-management structure as Sandy Bridge-EP.
-pub struct IvyBridgeEpPolicy;
-
-impl FirmwarePolicy for IvyBridgeEpPolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::IvyBridgeEp
-    }
-
-    fn pstate(&self) -> PStatePolicy {
-        SandyBridgeEpPolicy.pstate()
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        SandyBridgeEpPolicy.uncore()
-    }
-
-    fn license(&self) -> LicensePolicy {
-        SandyBridgeEpPolicy.license()
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        SandyBridgeEpPolicy.rapl()
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        SandyBridgeEpPolicy.cstate_exit()
-    }
-}
-
-/// Haswell-EP: the paper's subject — FIVR, PCPS, 500 µs opportunity
-/// windows, independent ring UFS, AVX frequencies, measured RAPL.
-pub struct HaswellEpPolicy;
-
-impl FirmwarePolicy for HaswellEpPolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::HaswellEp
-    }
-
-    fn pstate(&self) -> PStatePolicy {
-        PStatePolicy {
-            transition: PStateTransitionMode::OpportunityWindow {
-                period_us: calib::PSTATE_OPPORTUNITY_PERIOD_US,
-            },
-            per_core_domains: true,
-            ..immediate_pstate()
-        }
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        UncorePolicy {
-            source: UncoreClockSource::Independent,
-            active_schedule_mhz: &calib::UFS_ACTIVE_SCHEDULE_MHZ,
-            passive_schedule_mhz: &calib::UFS_PASSIVE_SCHEDULE_MHZ,
-            stall_ramp_full: 0.85,
-            stall_boost_threshold: 0.10,
-        }
-    }
-
-    fn license(&self) -> LicensePolicy {
-        LicensePolicy {
-            levels: 1,
-            ..no_license()
-        }
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        RaplPolicy {
-            mode: RaplMode::Measured,
-            has_pp0_domain: false,
-            has_uncore_ratio_limit_msr: true,
-            ..modeled_rapl()
-        }
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        haswell_cstate_exit()
-    }
-}
+        has_pp0_domain: false,
+        has_uncore_ratio_limit_msr: true,
+    },
+    cstate_exit: CStateExitPolicy {
+        c1_base_us: cstate::C1_BASE_US,
+        c1_cycles_k: cstate::C1_CYCLES_K,
+        c1_remote_extra_us: cstate::C1_REMOTE_EXTRA_US,
+        c3_base_us: cstate::C3_BASE_US,
+        c3_highfreq_step_us: cstate::C3_HIGHFREQ_STEP_US,
+        c3_highfreq_threshold_ghz: cstate::C3_HIGHFREQ_THRESHOLD_GHZ,
+        c3_remote_extra_us: cstate::C3_REMOTE_EXTRA_US,
+        pkg_c3_extra_min_us: cstate::PKG_C3_EXTRA_MIN_US,
+        pkg_c3_extra_max_us: cstate::PKG_C3_EXTRA_MAX_US,
+        c6_extra_min_us: cstate::C6_EXTRA_MIN_US,
+        c6_extra_max_us: cstate::C6_EXTRA_MAX_US,
+        pkg_c6_extra_us: cstate::PKG_C6_EXTRA_US,
+        deep_c3_extra_us: 0.0,
+        deep_c6_extra_us: 0.0,
+        restore_freq_lo_ghz: 1.2,
+        restore_freq_hi_ghz: 2.5,
+    },
+};
 
 /// Haswell "HE" (client/workstation): FIVR and measured RAPL, but
-/// immediate transitions and no per-core p-state domains.
-pub struct HaswellHePolicy;
+/// immediate transitions, no per-core p-state domains, no vector
+/// licensing and no `MSR_UNCORE_RATIO_LIMIT`.
+pub(crate) const HASWELL_HE: FirmwarePolicy = FirmwarePolicy {
+    pstate: PStatePolicy {
+        transition: PStateTransitionMode::Immediate,
+        per_core_domains: false,
+        ..HASWELL_EP.pstate
+    },
+    license: LicensePolicy {
+        levels: 0,
+        ..HASWELL_EP.license
+    },
+    rapl: RaplPolicy {
+        has_uncore_ratio_limit_msr: false,
+        ..HASWELL_EP.rapl
+    },
+    ..HASWELL_EP
+};
 
-impl FirmwarePolicy for HaswellHePolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::HaswellHe
-    }
+/// Sandy Bridge-EP, and Ivy Bridge-EP with the same energy-management
+/// structure: Haswell-HE's p-state mechanics without a license, but a
+/// core-coupled uncore, modeled RAPL with a PP0 domain, and the grey
+/// reference curves' deep-exit deltas from Figures 5/6.
+pub(crate) const SANDY_BRIDGE_EP: FirmwarePolicy = FirmwarePolicy {
+    uncore: UncorePolicy {
+        source: UncoreClockSource::CoreCoupled,
+        ..HASWELL_EP.uncore
+    },
+    rapl: RaplPolicy {
+        mode: RaplMode::Modeled,
+        has_pp0_domain: true,
+        ..HASWELL_HE.rapl
+    },
+    cstate_exit: CStateExitPolicy {
+        deep_c3_extra_us: cstate::SNB_C3_EXTRA_US,
+        deep_c6_extra_us: cstate::SNB_C6_EXTRA_US,
+        ..HASWELL_EP.cstate_exit
+    },
+    ..HASWELL_HE
+};
 
-    fn pstate(&self) -> PStatePolicy {
-        immediate_pstate()
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        HaswellEpPolicy.uncore()
-    }
-
-    fn license(&self) -> LicensePolicy {
-        no_license()
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        RaplPolicy {
-            has_uncore_ratio_limit_msr: false,
-            ..HaswellEpPolicy.rapl()
-        }
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        haswell_cstate_exit()
-    }
-}
+/// Westmere-EP: Sandy Bridge-EP with a fixed uncore and no RAPL.
+pub(crate) const WESTMERE_EP: FirmwarePolicy = FirmwarePolicy {
+    uncore: UncorePolicy {
+        source: UncoreClockSource::Fixed,
+        ..SANDY_BRIDGE_EP.uncore
+    },
+    rapl: RaplPolicy {
+        mode: RaplMode::Unavailable,
+        has_dram_domain: false,
+        has_pp0_domain: false,
+        ..SANDY_BRIDGE_EP.rapl
+    },
+    ..SANDY_BRIDGE_EP
+};
 
 /// Skylake-SP (1905.12468): mesh uncore with its own UFS schedule, HWP
 /// autonomous p-states, AVX-512 license levels, uniform-unit RAPL, and
 /// voltage regulation back on the mainboard.
-pub struct SkylakeSpPolicy;
-
-impl FirmwarePolicy for SkylakeSpPolicy {
-    fn generation(&self) -> CpuGeneration {
-        CpuGeneration::SkylakeSp
-    }
-
-    fn pstate(&self) -> PStatePolicy {
-        PStatePolicy {
-            transition: PStateTransitionMode::HwpAutonomous,
-            per_core_domains: true,
-            switching_time_us: calib::skx::PSTATE_SWITCHING_TIME_US,
-            opportunity_jitter_us: 0,
-            pcu_eval_period_us: calib::PSTATE_OPPORTUNITY_PERIOD_US,
-        }
-    }
-
-    fn uncore(&self) -> UncorePolicy {
-        UncorePolicy {
-            source: UncoreClockSource::Independent,
-            active_schedule_mhz: &calib::skx::UFS_ACTIVE_SCHEDULE_MHZ,
-            passive_schedule_mhz: &calib::skx::UFS_PASSIVE_SCHEDULE_MHZ,
-            stall_ramp_full: 0.85,
-            stall_boost_threshold: 0.10,
-        }
-    }
-
-    fn license(&self) -> LicensePolicy {
-        LicensePolicy {
-            levels: 2,
-            ramp_us: calib::skx::LICENSE_RAMP_US,
-            relax_us: calib::skx::LICENSE_RELAX_US,
-            ramp_throughput_factor: 0.25,
-        }
-    }
-
-    fn rapl(&self) -> RaplPolicy {
-        RaplPolicy {
-            mode: RaplMode::Measured,
-            // 1905.12468 Section II-E: Skylake-SP reports DRAM energy in
-            // the same unit as the package domain (no fixed 15.3 µJ
-            // Haswell quirk).
-            dram_energy_unit_uj: calib::PKG_ENERGY_UNIT_UJ,
-            has_pp0_domain: false,
-            has_uncore_ratio_limit_msr: true,
-            ..modeled_rapl()
-        }
-    }
-
-    fn cstate_exit(&self) -> CStateExitPolicy {
-        CStateExitPolicy {
-            // The restore components scale over the 8170's 1.2–2.1 GHz
-            // selectable range.
-            restore_freq_lo_ghz: 1.2,
-            restore_freq_hi_ghz: 2.1,
-            ..haswell_cstate_exit()
-        }
-    }
-}
-
-/// The policy bundle for a generation.
-pub fn policy_for(generation: CpuGeneration) -> &'static dyn FirmwarePolicy {
-    match generation {
-        CpuGeneration::WestmereEp => &WestmereEpPolicy,
-        CpuGeneration::SandyBridgeEp => &SandyBridgeEpPolicy,
-        CpuGeneration::IvyBridgeEp => &IvyBridgeEpPolicy,
-        CpuGeneration::HaswellEp => &HaswellEpPolicy,
-        CpuGeneration::HaswellHe => &HaswellHePolicy,
-        CpuGeneration::SkylakeSp => &SkylakeSpPolicy,
-    }
-}
+pub(crate) const SKYLAKE_SP: FirmwarePolicy = FirmwarePolicy {
+    pstate: PStatePolicy {
+        transition: PStateTransitionMode::HwpAutonomous,
+        switching_time_us: calib::skx::PSTATE_SWITCHING_TIME_US,
+        opportunity_jitter_us: 0,
+        ..HASWELL_EP.pstate
+    },
+    uncore: UncorePolicy {
+        active_schedule_mhz: &calib::skx::UFS_ACTIVE_SCHEDULE_MHZ,
+        passive_schedule_mhz: &calib::skx::UFS_PASSIVE_SCHEDULE_MHZ,
+        ..HASWELL_EP.uncore
+    },
+    license: LicensePolicy {
+        levels: 2,
+        ramp_us: calib::skx::LICENSE_RAMP_US,
+        relax_us: calib::skx::LICENSE_RELAX_US,
+        ..HASWELL_EP.license
+    },
+    rapl: RaplPolicy {
+        // 1905.12468 Section II-E: Skylake-SP reports DRAM energy in the
+        // same unit as the package domain (no fixed 15.3 µJ Haswell quirk).
+        dram_energy_unit_uj: calib::PKG_ENERGY_UNIT_UJ,
+        ..HASWELL_EP.rapl
+    },
+    cstate_exit: CStateExitPolicy {
+        // The restore components scale over the 8170's 1.2–2.1 GHz
+        // selectable range.
+        restore_freq_hi_ghz: 2.1,
+        ..HASWELL_EP.cstate_exit
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CpuGeneration;
 
     fn all_with_skx() -> Vec<CpuGeneration> {
         let mut v = CpuGeneration::ALL.to_vec();
@@ -503,37 +323,50 @@ mod tests {
     }
 
     #[test]
-    fn policy_round_trips_its_generation() {
+    fn every_generation_keeps_its_policy_values() {
+        // The survey runs reach only Haswell-EP and Skylake-SP, so this
+        // digest is what pins the other four generations' values.
+        let mut text = String::new();
         for gen in all_with_skx() {
-            assert_eq!(policy_for(gen).generation(), gen);
+            let p = gen.policy();
+            text += &format!(
+                "{:?} {:?}\n",
+                gen,
+                (p.pstate, p.uncore, p.license, p.rapl, p.cstate_exit)
+            );
         }
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert!(
+            fnv1a == 0xfa81_904f_bc83_e38b,
+            "policy digest {fnv1a:#018x} is not the pinned 0xfa81904fbc83e38b: \
+             a generation's policy values changed:\n{text}"
+        );
     }
 
     #[test]
     fn haswell_policy_matches_the_calibration_constants() {
-        let p = policy_for(CpuGeneration::HaswellEp);
+        let p = CpuGeneration::HaswellEp.policy();
         assert_eq!(
-            p.pstate().transition,
+            p.pstate.transition,
             PStateTransitionMode::OpportunityWindow {
                 period_us: calib::PSTATE_OPPORTUNITY_PERIOD_US
             }
         );
+        assert_eq!(p.pstate.switching_time_us, calib::PSTATE_SWITCHING_TIME_US);
         assert_eq!(
-            p.pstate().switching_time_us,
-            calib::PSTATE_SWITCHING_TIME_US
-        );
-        assert_eq!(
-            p.pstate().opportunity_jitter_us,
+            p.pstate.opportunity_jitter_us,
             calib::PSTATE_OPPORTUNITY_JITTER_US
         );
         assert_eq!(
-            p.uncore().active_schedule_mhz,
+            p.uncore.active_schedule_mhz,
             &calib::UFS_ACTIVE_SCHEDULE_MHZ
         );
-        assert_eq!(p.rapl().pkg_energy_unit_uj, calib::PKG_ENERGY_UNIT_UJ);
-        assert_eq!(p.rapl().dram_energy_unit_uj, calib::DRAM_ENERGY_UNIT_UJ);
-        assert_eq!(p.cstate_exit().c3_base_us, calib::cstate::C3_BASE_US);
-        assert_eq!(p.cstate_exit().deep_c3_extra_us, 0.0);
+        assert_eq!(p.rapl.pkg_energy_unit_uj, calib::PKG_ENERGY_UNIT_UJ);
+        assert_eq!(p.rapl.dram_energy_unit_uj, calib::DRAM_ENERGY_UNIT_UJ);
+        assert_eq!(p.cstate_exit.c3_base_us, calib::cstate::C3_BASE_US);
+        assert_eq!(p.cstate_exit.deep_c3_extra_us, 0.0);
     }
 
     #[test]
@@ -550,7 +383,7 @@ mod tests {
     #[test]
     fn deep_exit_deltas_only_on_pre_haswell() {
         for gen in [CpuGeneration::WestmereEp, CpuGeneration::SandyBridgeEp] {
-            let c = policy_for(gen).cstate_exit();
+            let c = gen.policy().cstate_exit;
             assert_eq!(c.deep_c3_extra_us, calib::cstate::SNB_C3_EXTRA_US);
             assert_eq!(c.deep_c6_extra_us, calib::cstate::SNB_C6_EXTRA_US);
         }
@@ -559,28 +392,27 @@ mod tests {
             CpuGeneration::HaswellHe,
             CpuGeneration::SkylakeSp,
         ] {
-            let c = policy_for(gen).cstate_exit();
+            let c = gen.policy().cstate_exit;
             assert_eq!((c.deep_c3_extra_us, c.deep_c6_extra_us), (0.0, 0.0));
         }
     }
 
     #[test]
     fn skylake_policy_is_the_mesh_hwp_avx512_bundle() {
-        let p = policy_for(CpuGeneration::SkylakeSp);
-        assert_eq!(p.pstate().transition, PStateTransitionMode::HwpAutonomous);
-        assert!(p.pstate().per_core_domains);
-        let u = p.uncore();
-        assert_eq!(u.source, UncoreClockSource::Independent);
-        assert_eq!(p.license().levels, 2);
-        assert_eq!(p.rapl().mode, RaplMode::Measured);
+        let p = CpuGeneration::SkylakeSp.policy();
+        assert_eq!(p.pstate.transition, PStateTransitionMode::HwpAutonomous);
+        assert!(p.pstate.per_core_domains);
+        assert_eq!(p.uncore.source, UncoreClockSource::Independent);
+        assert_eq!(p.license.levels, 2);
+        assert_eq!(p.rapl.mode, RaplMode::Measured);
         // Uniform RAPL units: the Haswell DRAM quirk is gone.
-        assert_eq!(p.rapl().dram_energy_unit_uj, p.rapl().pkg_energy_unit_uj);
+        assert_eq!(p.rapl.dram_energy_unit_uj, p.rapl.pkg_energy_unit_uj);
     }
 
     #[test]
     fn schedules_have_matching_lengths() {
         for gen in all_with_skx() {
-            let u = policy_for(gen).uncore();
+            let u = gen.policy().uncore;
             assert_eq!(
                 u.active_schedule_mhz.len(),
                 u.passive_schedule_mhz.len(),

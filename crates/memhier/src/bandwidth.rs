@@ -115,7 +115,7 @@ pub fn dram_read_bandwidth_gbs(
 /// Westmere keeps it fixed.
 pub fn benchmark_uncore_ghz(spec: &SkuSpec, f_core_ghz: f64) -> f64 {
     use hsw_hwspec::UncoreClockSource::*;
-    match spec.generation.uncore_clock() {
+    match spec.generation.policy().uncore.source {
         Fixed => spec.freq.uncore_max_mhz as f64 / 1000.0,
         CoreCoupled => f_core_ghz,
         Independent => spec.freq.uncore_max_mhz as f64 / 1000.0,

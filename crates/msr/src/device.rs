@@ -114,7 +114,7 @@ fn implemented(addr: u32, generation: CpuGeneration) -> bool {
         addr,
         a::MSR_DRAM_POWER_LIMIT | a::MSR_DRAM_ENERGY_STATUS | a::MSR_DRAM_PERF_STATUS
     );
-    let policy = generation.policy().rapl();
+    let policy = &generation.policy().rapl;
     match policy.mode {
         RaplMode::Unavailable => false,
         RaplMode::Modeled | RaplMode::Measured => {

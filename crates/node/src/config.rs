@@ -5,7 +5,9 @@ use hsw_power::DramRaplMode;
 
 use crate::engine::EngineMode;
 
-/// Simulation configuration of a node.
+/// A machine under test and its simulation settings: the one description
+/// that nodes, sessions ([`NodeConfig::session`]) and the survey's
+/// platforms ([`crate::PlatformKind::config`]) are built from.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     pub spec: NodeSpec,
@@ -14,8 +16,9 @@ pub struct NodeConfig {
     pub dram_rapl_mode: DramRaplMode,
     /// Energy-efficient turbo enabled (Table II: enabled).
     pub eet_enabled: bool,
-    /// Simulation step in µs. 20 µs suffices for power/frequency work;
-    /// latency experiments use 1 µs.
+    /// Simulation step in µs, at least 1 ([`crate::Node::new`] panics on
+    /// 0). 20 µs suffices for power/frequency work; latency experiments
+    /// use 1 µs.
     pub tick_us: u64,
     /// Noise seed (all simulation noise is keyed to the instant, so a seed
     /// fully determines a run in either engine mode).
@@ -38,7 +41,25 @@ impl NodeConfig {
         }
     }
 
+    /// The follow-up survey's Skylake-SP test system (1905.12468
+    /// Section III): two Xeon Platinum 8170, mesh uncore, HWP p-states.
+    /// Same session machinery, different [`hsw_hwspec::FirmwarePolicy`].
+    pub fn skylake_sp() -> Self {
+        NodeConfig {
+            spec: NodeSpec::skylake_sp_node(),
+            dram_rapl_mode: DramRaplMode::Mode1,
+            eet_enabled: true,
+            tick_us: 20,
+            seed: 0x534B_0001,
+            engine: EngineMode::default(),
+        }
+    }
+
     /// Fine-grained time resolution for transition-latency experiments.
+    ///
+    /// # Panics
+    ///
+    /// If `tick_us` is 0.
     pub fn with_tick_us(mut self, tick_us: u64) -> Self {
         assert!(tick_us >= 1, "tick must be at least 1 µs");
         self.tick_us = tick_us;
@@ -91,11 +112,13 @@ impl CpuId {
         }
     }
 
-    /// Flat index given the SKU geometry.
+    /// Flat index given the SKU geometry. It saturates at `usize::MAX`
+    /// rather than overflow on an id far outside the geometry.
     pub fn flat(&self, cores_per_socket: usize, threads_per_core: usize) -> usize {
-        self.socket * cores_per_socket * threads_per_core
-            + self.core * threads_per_core
-            + self.thread
+        self.socket
+            .saturating_mul(cores_per_socket * threads_per_core)
+            .saturating_add(self.core.saturating_mul(threads_per_core))
+            .saturating_add(self.thread)
     }
 
     /// Inverse of [`CpuId::flat`].
@@ -135,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "tick must be at least 1 µs")]
     fn zero_tick_rejected() {
         let _ = NodeConfig::paper_default().with_tick_us(0);
     }

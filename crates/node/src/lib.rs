@@ -13,8 +13,8 @@
 //! next discrete event — bit-identical to [`EngineMode::Fixed`], typically
 //! several times faster on steady-state experiments.
 //!
-//! Experiments wire nodes through the [`session`] layer: a [`Platform`]
-//! describes the machine once, and [`SessionBuilder`] derives seeded,
+//! Experiments wire nodes through the [`session`] layer: a [`NodeConfig`]
+//! describes the machine once, and [`NodeConfig::session`] derives seeded,
 //! resolution-classed sessions from it. Workloads are assigned per hardware
 //! thread as [`hsw_exec::WorkloadProfile`]s; measurement tools interact
 //! with the hardware through [`Node::rdmsr`]/[`Node::wrmsr`] exactly like
@@ -39,6 +39,6 @@ pub mod telemetry;
 pub use config::{CpuId, NodeConfig};
 pub use engine::{EngineMode, EngineStats};
 pub use node::{Node, NodeSnapshot};
-pub use session::{Platform, PlatformKind, Resolution, Session, SessionBuilder};
+pub use session::{PlatformKind, Resolution, Session, SessionBuilder};
 pub use socket::{PlaneMask, Socket, SocketSnapshot};
 pub use telemetry::{Snapshot, Trace};

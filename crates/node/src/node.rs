@@ -55,7 +55,13 @@ pub struct NodeSnapshot {
 }
 
 impl Node {
+    /// Build a node from its description, at time 0.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.tick_us` is 0.
     pub fn new(cfg: NodeConfig) -> Self {
+        assert!(cfg.tick_us >= 1, "tick must be at least 1 µs");
         let meter = Lmg450::calibrated(DomainNoise::new(cfg.seed, domain::METER));
         let mut sockets = Vec::with_capacity(cfg.spec.sockets);
         for s in 0..cfg.spec.sockets {
@@ -183,8 +189,15 @@ impl Node {
     // --- Workload and OS control surface ---
 
     /// Assign a workload to one hardware thread (`None` idles it).
+    ///
+    /// # Panics
+    ///
+    /// If `cpu` is not a hardware thread of this node.
     pub fn assign(&mut self, cpu: CpuId, w: Option<WorkloadProfile>) {
-        self.sockets[cpu.socket].set_thread(cpu.core, cpu.thread, w);
+        let Ok((socket, _)) = self.locate(cpu) else {
+            panic!("assign: {cpu:?} is not a hardware thread of this node");
+        };
+        self.sockets[socket].set_thread(cpu.core, cpu.thread, w);
     }
 
     /// Run `profile` on the first `cores` cores of a socket with
@@ -254,18 +267,40 @@ impl Node {
 
     // --- MSR surface for the measurement tools ---
 
-    pub fn rdmsr(&self, cpu: CpuId, addr: u32) -> Result<u64, MsrError> {
-        let tpc = self.cfg.spec.sku.threads_per_core;
-        self.sockets[cpu.socket]
-            .msr()
-            .read(cpu.core * tpc + cpu.thread, addr)
+    /// The socket of `cpu` and its thread index within that socket's MSR
+    /// bank. A coordinate outside the node's geometry is
+    /// `MsrError::NoSuchThread` with `cpu`'s flat index, never another
+    /// CPU.
+    fn locate(&self, cpu: CpuId) -> Result<(usize, usize), MsrError> {
+        let (cores, tpc) = (self.cfg.spec.sku.cores, self.cfg.spec.sku.threads_per_core);
+        if cpu.socket < self.sockets.len() && cpu.core < cores && cpu.thread < tpc {
+            Ok((cpu.socket, cpu.core * tpc + cpu.thread))
+        } else {
+            Err(MsrError::NoSuchThread(cpu.flat(cores, tpc)))
+        }
     }
 
+    /// Read an MSR of one hardware thread (`rdmsr`).
+    ///
+    /// # Errors
+    ///
+    /// `MsrError::NoSuchThread` if `cpu` is not a hardware thread of this
+    /// node; otherwise as the socket's MSR bank.
+    pub fn rdmsr(&self, cpu: CpuId, addr: u32) -> Result<u64, MsrError> {
+        let (socket, thread) = self.locate(cpu)?;
+        self.sockets[socket].msr().read(thread, addr)
+    }
+
+    /// Write an MSR of one hardware thread (`wrmsr`).
+    ///
+    /// # Errors
+    ///
+    /// `MsrError::NoSuchThread` if `cpu` is not a hardware thread of this
+    /// node; otherwise as the socket's MSR bank.
     pub fn wrmsr(&mut self, cpu: CpuId, addr: u32, value: u64) -> Result<(), MsrError> {
-        let tpc = self.cfg.spec.sku.threads_per_core;
-        let thread = cpu.core * tpc + cpu.thread;
+        let (socket, thread) = self.locate(cpu)?;
         let now = self.time_ns;
-        let socket = &mut self.sockets[cpu.socket];
+        let socket = &mut self.sockets[socket];
         // A write may steer the model (EPB, turbo disengage, uncore
         // limits, p-state requests): `msr_mut` forces a full next step.
         socket.msr_mut().write(thread, addr, value)?;
@@ -281,7 +316,7 @@ impl Node {
     /// end of every advance, so MSR reads between advances always see
     /// current values (in either engine mode).
     pub fn advance_us(&mut self, us: u64) {
-        let tick = self.cfg.tick_us.max(1);
+        let tick = self.cfg.tick_us;
         let mut remaining = us;
         while remaining > 0 {
             let step = tick.min(remaining);
@@ -332,23 +367,11 @@ impl Node {
             .iter()
             .filter(|s| s.any_core_active())
             .map(|s| {
-                (0..s.spec().cores).map(|c| s.requested_setting(c)).fold(
-                    FreqSetting::from_mhz(1200),
-                    |a, b| match (a, b) {
-                        (FreqSetting::Turbo, _) | (_, FreqSetting::Turbo) => FreqSetting::Turbo,
-                        (FreqSetting::Fixed(x), FreqSetting::Fixed(y)) => {
-                            FreqSetting::Fixed(x.max(y))
-                        }
-                    },
-                )
+                (0..s.spec().cores)
+                    .map(|c| s.requested_setting(c))
+                    .fold(FreqSetting::from_mhz(1200), Ord::max)
             })
-            .fold(None, |acc: Option<FreqSetting>, s| match (acc, s) {
-                (None, s) => Some(s),
-                (Some(FreqSetting::Turbo), _) | (_, FreqSetting::Turbo) => Some(FreqSetting::Turbo),
-                (Some(FreqSetting::Fixed(a)), FreqSetting::Fixed(b)) => {
-                    Some(FreqSetting::Fixed(a.max(b)))
-                }
-            });
+            .max();
         for (i, socket) in self.sockets.iter_mut().enumerate() {
             let other_active = self.actives.iter().enumerate().any(|(j, a)| j != i && *a);
             self.last[i] = socket.tick(now, dt, t_s, other_active, fastest, event);
@@ -456,6 +479,67 @@ mod tests {
     #[should_panic(expected = "is not a duration")]
     fn advance_s_rejects_a_duration_past_u64_microseconds() {
         Node::new(NodeConfig::paper_default()).advance_s(1e300);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick must be at least 1 µs")]
+    fn a_zero_tick_config_is_rejected() {
+        let _ = Node::new(NodeConfig {
+            tick_us: 0,
+            ..NodeConfig::paper_default()
+        });
+    }
+
+    #[test]
+    fn msr_access_past_a_core_or_thread_is_no_such_thread() {
+        // A flat `core·tpc + thread` index would alias (0, 0, 2) to core
+        // 1's first thread and (0, 12, 0) to socket 1.
+        let mut node = Node::new(NodeConfig::paper_default());
+        node.run_on_socket(0, &hsw_exec::WorkloadProfile::busy_wait(), 12, 2);
+        node.advance_us(1_000);
+        for cpu in [CpuId::new(0, 0, 2), CpuId::new(0, 12, 0)] {
+            assert!(
+                matches!(
+                    node.rdmsr(cpu, msra::IA32_APERF),
+                    Err(MsrError::NoSuchThread(_))
+                ),
+                "rdmsr {cpu:?}"
+            );
+            assert!(
+                matches!(
+                    node.wrmsr(cpu, msra::IA32_ENERGY_PERF_BIAS, 0),
+                    Err(MsrError::NoSuchThread(_))
+                ),
+                "wrmsr {cpu:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn msr_access_on_a_missing_socket_is_no_such_thread() {
+        let mut node = Node::new(NodeConfig::paper_default());
+        for (cpu, flat) in [
+            (CpuId::new(2, 0, 0), 48),
+            (CpuId::new(usize::MAX, 0, 0), usize::MAX),
+        ] {
+            assert_eq!(
+                node.rdmsr(cpu, msra::IA32_APERF),
+                Err(MsrError::NoSuchThread(flat))
+            );
+            assert_eq!(
+                node.wrmsr(cpu, msra::IA32_ENERGY_PERF_BIAS, 0),
+                Err(MsrError::NoSuchThread(flat))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a hardware thread of this node")]
+    fn assign_past_the_threads_of_a_core_panics() {
+        Node::new(NodeConfig::paper_default()).assign(
+            CpuId::new(0, 0, 2),
+            Some(hsw_exec::WorkloadProfile::busy_wait()),
+        );
     }
 
     #[test]

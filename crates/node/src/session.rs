@@ -1,24 +1,23 @@
-//! The platform/session layer: declarative wiring for experiments.
+//! The session layer: declarative wiring for experiments.
 //!
 //! Every experiment used to hand-assemble its node as
 //! `Node::new(NodeConfig::paper_default().with_seed(..).with_tick_us(..))`,
 //! scattering seed derivation and tick choices across sixteen modules. A
-//! [`Platform`] describes the machine under test once (spec, DRAM RAPL
-//! mode, EET, engine, root seed); [`SessionBuilder`] then builds concrete
-//! simulation sessions from it — an explicit seed per sweep point (which
-//! the survey's sweep executor derives), a named [`Resolution`] class
-//! instead of magic tick numbers, and optional telemetry sinks such as the
-//! survey's simulated-time ledger. A [`Session`] dereferences to [`Node`],
-//! so the whole existing node surface works unchanged.
+//! [`NodeConfig`] describes the machine under test once (spec, DRAM RAPL
+//! mode, EET, tick, engine, root seed); [`NodeConfig::session`] then starts a
+//! [`SessionBuilder`] that builds concrete simulation sessions from it —
+//! an explicit seed per sweep point (which the survey's sweep executor
+//! derives), a named [`Resolution`] class instead of magic tick numbers,
+//! and optional telemetry sinks such as the survey's simulated-time
+//! ledger. A [`Session`] dereferences to [`Node`], so the whole existing
+//! node surface works unchanged.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hsw_hwspec::NodeSpec;
-use hsw_power::DramRaplMode;
 
 use crate::config::NodeConfig;
-use crate::engine::EngineMode;
 use crate::node::Node;
 
 /// Simulation time resolution class. The tick is the micro-step both
@@ -45,23 +44,9 @@ impl Resolution {
             Resolution::Fine => 5,
             Resolution::Standard => 20,
             Resolution::Coarse => 50,
-            Resolution::Custom(us) => (*us).max(1),
+            Resolution::Custom(us) => *us,
         }
     }
-}
-
-/// The machine under test plus simulation-wide policy, described once and
-/// shared by every session an experiment derives from it.
-#[derive(Debug, Clone)]
-pub struct Platform {
-    pub spec: NodeSpec,
-    pub dram_rapl_mode: DramRaplMode,
-    pub eet_enabled: bool,
-    pub engine: EngineMode,
-    /// Root seed: every session starts from it unless
-    /// [`SessionBuilder::seed`] overrides it. Sweep points take their seeds
-    /// from the survey's sweep executor.
-    pub seed: u64,
 }
 
 /// Which surveyed machine a run models: the selection the `survey`
@@ -91,11 +76,11 @@ impl PlatformKind {
         PlatformKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// The platform this kind selects.
-    pub fn platform(&self) -> Platform {
+    /// The machine description this kind selects.
+    pub fn config(&self) -> NodeConfig {
         match self {
-            PlatformKind::Haswell => Platform::paper(),
-            PlatformKind::SkylakeSp => Platform::skylake_sp(),
+            PlatformKind::Haswell => NodeConfig::paper_default(),
+            PlatformKind::SkylakeSp => NodeConfig::skylake_sp(),
         }
     }
 }
@@ -106,68 +91,11 @@ impl std::fmt::Display for PlatformKind {
     }
 }
 
-impl Platform {
-    /// The paper's test system (Table II).
-    pub fn paper() -> Self {
-        let cfg = NodeConfig::paper_default();
-        Platform {
-            spec: cfg.spec,
-            dram_rapl_mode: cfg.dram_rapl_mode,
-            eet_enabled: cfg.eet_enabled,
-            engine: cfg.engine,
-            seed: cfg.seed,
-        }
-    }
-
-    /// The follow-up survey's Skylake-SP test system (1905.12468
-    /// Section III): two Xeon Platinum 8170, mesh uncore, HWP p-states.
-    /// Same session machinery, different [`hsw_hwspec::FirmwarePolicy`].
-    pub fn skylake_sp() -> Self {
-        Platform {
-            spec: NodeSpec::skylake_sp_node(),
-            dram_rapl_mode: DramRaplMode::Mode1,
-            eet_enabled: true,
-            engine: EngineMode::default(),
-            seed: 0x534B_0001,
-        }
-    }
-
-    pub fn with_spec(mut self, spec: NodeSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    pub fn with_dram_mode(mut self, mode: DramRaplMode) -> Self {
-        self.dram_rapl_mode = mode;
-        self
-    }
-
-    pub fn with_eet(mut self, enabled: bool) -> Self {
-        self.eet_enabled = enabled;
-        self
-    }
-
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Start describing one simulation session on this platform.
+impl NodeConfig {
+    /// Start describing one simulation session on this machine.
     pub fn session(&self) -> SessionBuilder {
         SessionBuilder {
-            cfg: NodeConfig {
-                spec: self.spec.clone(),
-                dram_rapl_mode: self.dram_rapl_mode,
-                eet_enabled: self.eet_enabled,
-                tick_us: Resolution::Standard.tick_us(),
-                seed: self.seed,
-                engine: self.engine,
-            },
+            cfg: self.clone(),
             time_ledger: None,
         }
     }
@@ -188,26 +116,13 @@ impl SessionBuilder {
     }
 
     /// Select the time-resolution class.
+    ///
+    /// # Panics
+    ///
+    /// If the class's tick is 0 µs (`Resolution::Custom(0)`), as
+    /// [`NodeConfig::with_tick_us`] does.
     pub fn resolution(mut self, r: Resolution) -> Self {
-        self.cfg.tick_us = r.tick_us();
-        self
-    }
-
-    /// Override the platform's engine mode for this session.
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
-    /// Override EET for this session (ablations).
-    pub fn eet(mut self, enabled: bool) -> Self {
-        self.cfg.eet_enabled = enabled;
-        self
-    }
-
-    /// Override the DRAM RAPL mode for this session.
-    pub fn dram_mode(mut self, mode: DramRaplMode) -> Self {
-        self.cfg.dram_rapl_mode = mode;
+        self.cfg = self.cfg.with_tick_us(r.tick_us());
         self
     }
 
@@ -267,18 +182,6 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     #[test]
-    fn paper_platform_matches_the_legacy_default_config() {
-        let legacy = NodeConfig::paper_default();
-        let session = Platform::paper().session().build();
-        let cfg = session.config();
-        assert_eq!(cfg.seed, legacy.seed);
-        assert_eq!(cfg.tick_us, legacy.tick_us);
-        assert_eq!(cfg.eet_enabled, legacy.eet_enabled);
-        assert_eq!(cfg.dram_rapl_mode, legacy.dram_rapl_mode);
-        assert_eq!(cfg.engine, legacy.engine);
-    }
-
-    #[test]
     fn platform_kind_round_trips_its_cli_name() {
         for kind in PlatformKind::ALL {
             assert_eq!(PlatformKind::parse(kind.name()), Some(kind));
@@ -291,7 +194,7 @@ mod tests {
     fn skylake_platform_runs_a_session() {
         // The SKX node (2× 26-core mesh) must drive through the same
         // session machinery as the paper node.
-        let platform = PlatformKind::SkylakeSp.platform();
+        let platform = PlatformKind::SkylakeSp.config();
         assert_eq!(
             platform.spec.sku.generation,
             hsw_hwspec::CpuGeneration::SkylakeSp
@@ -309,12 +212,20 @@ mod tests {
         assert_eq!(Resolution::Standard.tick_us(), 20);
         assert_eq!(Resolution::Coarse.tick_us(), 50);
         assert_eq!(Resolution::Custom(7).tick_us(), 7);
-        assert_eq!(Resolution::Custom(0).tick_us(), 1, "tick floor is 1 µs");
+        assert_eq!(Resolution::Custom(0).tick_us(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick must be at least 1 µs")]
+    fn a_zero_custom_tick_is_rejected() {
+        let _ = NodeConfig::paper_default()
+            .session()
+            .resolution(Resolution::Custom(0));
     }
 
     #[test]
     fn session_derefs_to_a_working_node() {
-        let mut s = Platform::paper()
+        let mut s = NodeConfig::paper_default()
             .session()
             .resolution(Resolution::Coarse)
             .build();
@@ -328,7 +239,7 @@ mod tests {
     fn time_ledger_sink_accumulates_across_sessions() {
         let ledger = Arc::new(AtomicU64::new(0));
         for seed in 0..2u64 {
-            let mut s = Platform::paper()
+            let mut s = NodeConfig::paper_default()
                 .session()
                 .seed(seed)
                 .time_ledger(ledger.clone())
@@ -343,7 +254,7 @@ mod tests {
         // Sweep workers drop their sessions from pool threads; the ledger
         // credit on drop must not lose updates under contention.
         let ledger = Arc::new(AtomicU64::new(0));
-        let platform = Platform::paper();
+        let platform = NodeConfig::paper_default();
         std::thread::scope(|scope| {
             for worker in 0..4u64 {
                 let ledger = ledger.clone();

@@ -488,7 +488,7 @@ impl Socket {
     /// The PCU's re-evaluation cadence, from the generation's firmware
     /// policy (500 µs on every surveyed part).
     fn pcu_period_ns(&self) -> Ns {
-        self.spec.generation.policy().pstate().pcu_eval_period_us as Ns * US
+        self.spec.generation.policy().pstate.pcu_eval_period_us as Ns * US
     }
 
     /// Capture this socket's mutable state as plain data.
@@ -654,23 +654,13 @@ impl Socket {
 
     /// The fastest (gated) setting among busy cores (Turbo dominates).
     fn fastest_setting(&self) -> FreqSetting {
-        let mut best: Option<FreqSetting> = None;
-        for c in 0..self.spec.cores {
-            if !self.cores.busy[c] {
-                continue;
-            }
-            let s = self.gated_setting(c);
-            best = Some(match (best, s) {
-                (None, s) => s,
-                (Some(FreqSetting::Turbo), _) | (_, FreqSetting::Turbo) => FreqSetting::Turbo,
-                (Some(FreqSetting::Fixed(a)), FreqSetting::Fixed(b)) => {
-                    FreqSetting::Fixed(a.max(b))
-                }
-            });
-        }
-        best.unwrap_or(FreqSetting::Fixed(PState::from_mhz(
-            self.spec.freq.base_mhz,
-        )))
+        (0..self.spec.cores)
+            .filter(|&c| self.cores.busy[c])
+            .map(|c| self.gated_setting(c))
+            .max()
+            .unwrap_or(FreqSetting::Fixed(PState::from_mhz(
+                self.spec.freq.base_mhz,
+            )))
     }
 
     /// Advance this socket by `dt` ending at `now` (the full model). With

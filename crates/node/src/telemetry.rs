@@ -123,7 +123,6 @@ mod tests {
     use super::*;
     use crate::config::NodeConfig;
     use crate::engine::EngineMode;
-    use crate::session::Platform;
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::freq::FreqSetting;
 
@@ -196,7 +195,7 @@ mod tests {
         // Coalesced advances must not skid snapshot instants: the event
         // engine may skip micro-step bodies inside one `advance_s`, but
         // every `Trace::record` boundary is still an exact stop.
-        let mut node = Platform::paper()
+        let mut node = NodeConfig::paper_default()
             .with_engine(EngineMode::Event)
             .session()
             .seed(21)
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn traces_agree_bit_for_bit_across_engines() {
         let run = |engine| {
-            let mut node = Platform::paper()
+            let mut node = NodeConfig::paper_default()
                 .with_engine(engine)
                 .session()
                 .seed(22)

@@ -61,7 +61,7 @@ impl AvxLicense {
 
     /// A tracker with `generation`'s license timings and level count.
     pub fn for_generation(generation: CpuGeneration) -> Self {
-        let policy = generation.policy().license();
+        let policy = generation.policy().license;
         AvxLicense {
             state: LicenseState::Normal,
             last_avx: None,
@@ -149,7 +149,7 @@ impl AvxLicense {
     /// The frequency ceiling in MHz this license state imposes for `active`
     /// active cores; `None` when regular frequencies apply.
     pub fn ceiling_mhz(&self, spec: &SkuSpec, active: usize) -> Option<u32> {
-        if !self.engaged() || !spec.generation.has_avx_frequencies() {
+        if !self.engaged() || spec.generation.policy().license.levels == 0 {
             return None;
         }
         Some(spec.freq.license_turbo_mhz(self.level, active))

@@ -239,7 +239,7 @@ impl PcuController {
                 }
             }
         };
-        if inputs.avx_level > 0 && spec.generation.has_avx_frequencies() {
+        if inputs.avx_level > 0 && spec.generation.policy().license.levels >= 1 {
             ceiling = ceiling.min(spec.freq.license_turbo_mhz(inputs.avx_level, active));
         }
         ceiling = ceiling.min(inputs.eet_limit_mhz);

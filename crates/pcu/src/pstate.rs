@@ -120,7 +120,7 @@ impl PStateEngine {
     /// `phase_ns` staggers the socket's opportunity clock — sockets run
     /// independent PCUs (paper Section VI-A).
     pub fn new(generation: CpuGeneration, cores: usize, initial: PState, phase_ns: Ns) -> Self {
-        let policy = generation.policy().pstate();
+        let policy = generation.policy().pstate;
         let mode = policy.transition;
         // Without an opportunity window there is no clock to walk: the
         // instant never comes due.

@@ -41,8 +41,8 @@ fn schedule_index(policy: &UncorePolicy, spec: &SkuSpec, setting: FreqSetting) -
 
 /// The baseline (no-stall) uncore frequency from the Table III schedule.
 pub fn schedule_mhz(spec: &SkuSpec, setting: FreqSetting, socket_active: bool) -> u32 {
-    let policy = spec.generation.policy().uncore();
-    let idx = schedule_index(&policy, spec, setting);
+    let policy = &spec.generation.policy().uncore;
+    let idx = schedule_index(policy, spec, setting);
     if socket_active {
         policy.active_schedule_mhz[idx]
     } else {
@@ -68,7 +68,7 @@ pub fn ufs_target_mhz(spec: &SkuSpec, inputs: &UfsInputs) -> u32 {
     // load (the paper's upper-bound experiment) reaches 3.0 GHz at any core
     // frequency setting.
     let g =
-        (inputs.stall_fraction / spec.generation.policy().uncore().stall_ramp_full).clamp(0.0, 1.0);
+        (inputs.stall_fraction / spec.generation.policy().uncore.stall_ramp_full).clamp(0.0, 1.0);
     let target = base as f64 + g * (max as f64 - base as f64);
     (target.round() as u32).clamp(spec.freq.uncore_min_mhz, max)
 }
@@ -78,7 +78,7 @@ pub fn ufs_target_mhz(spec: &SkuSpec, inputs: &UfsInputs) -> u32 {
 /// its cycles waiting on memory; FMA-dense kernels with incidental stalls
 /// do not qualify).
 pub fn stall_boost_allowed(spec: &SkuSpec, stall_fraction: f64) -> bool {
-    stall_fraction > spec.generation.policy().uncore().stall_boost_threshold
+    stall_fraction > spec.generation.policy().uncore.stall_boost_threshold
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub struct RaplEngine {
 
 impl RaplEngine {
     pub fn new(generation: CpuGeneration, dram_mode: DramRaplMode) -> Self {
-        let policy = generation.policy().rapl();
+        let policy = generation.policy().rapl;
         RaplEngine {
             mode: policy.mode,
             dram_mode,
@@ -243,7 +243,7 @@ mod tests {
     fn skylake_uses_one_uniform_energy_unit() {
         // 1905.12468 Section II-E: Skylake-SP reads the DRAM domain with the
         // same ESU as the package, so "mode 0" no longer misreads.
-        let policy = CpuGeneration::SkylakeSp.policy().rapl();
+        let policy = CpuGeneration::SkylakeSp.policy().rapl;
         assert_eq!(policy.pkg_energy_unit_uj, policy.dram_energy_unit_uj);
         let eng = RaplEngine::new(CpuGeneration::SkylakeSp, DramRaplMode::Mode0);
         assert_eq!(eng.mode0_unit_ratio, 1.0);

@@ -115,14 +115,14 @@ pub fn sweep_series<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsw_node::Platform;
+    use hsw_node::NodeConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     const HSW: CpuGeneration = CpuGeneration::HaswellEp;
 
     fn node() -> Node {
-        Platform::paper().session().build().into_node()
+        NodeConfig::paper_default().session().build().into_node()
     }
 
     #[test]

@@ -186,12 +186,12 @@ pub fn histogram(samples: &[f64], bin_us: f64, max_us: f64) -> Vec<(f64, usize)>
 mod tests {
     use super::*;
     use hsw_exec::WorkloadProfile;
-    use hsw_node::{Platform, Resolution};
+    use hsw_node::{NodeConfig, Resolution};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn latency_node() -> Node {
-        let mut node = Platform::paper()
+        let mut node = NodeConfig::paper_default()
             .session()
             .resolution(Resolution::Latency)
             .build()

@@ -108,7 +108,7 @@ fn group_report(
         EventGroup::Energy => {
             // The platform's own RAPL units: Skylake-SP's DRAM domain uses
             // the package unit, Haswell's a fixed 15.3 µJ.
-            let rapl = node.config().spec.sku.generation.policy().rapl();
+            let rapl = node.config().spec.sku.generation.policy().rapl;
             let pkg_j = d(IDX_PKG) * rapl.pkg_energy_unit_uj * 1e-6;
             let dram_j = d(IDX_DRAM) * rapl.dram_energy_unit_uj * 1e-6;
             metrics.push(("Energy PKG".to_string(), pkg_j, "J"));
@@ -191,11 +191,11 @@ mod tests {
     use super::*;
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::freq::FreqSetting;
-    use hsw_node::Platform;
+    use hsw_node::NodeConfig;
 
     #[test]
     fn energy_group_reads_tdp_under_firestarter() {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         node.run_on_socket(0, &WorkloadProfile::firestarter(), 12, 2);
         node.set_setting_all(FreqSetting::Turbo);
         node.advance_s(0.6);
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn clock_group_shows_throttled_frequency_and_cpi() {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         node.run_on_socket(0, &WorkloadProfile::firestarter(), 12, 2);
         node.set_setting_all(FreqSetting::Turbo);
         node.advance_s(0.6);
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn uncore_group_reproduces_the_table3_cell() {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
         node.set_setting_all(FreqSetting::from_mhz(2500));
         node.advance_s(0.3);
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn cstates_group_shows_deep_idle() {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         node.idle_all();
         node.advance_s(0.3);
         let r = measure_group(&mut node, CpuId::new(0, 0, 0), EventGroup::CStates, 1.0);
@@ -245,14 +245,14 @@ mod tests {
         // A real wrap needs ~2,200 simulated seconds at 120 W, so the two
         // reads are built by hand: the PKG register advances 1000 counts
         // and the DRAM register 100 counts across 2^32.
-        let node = Platform::paper().session().build().into_node();
+        let node = NodeConfig::paper_default().session().build().into_node();
         let mut before = [0u64; EVENTS.len()];
         let mut after = before;
         (before[IDX_PKG], after[IDX_PKG]) = (u32::MAX as u64 - 499, 500);
         (before[IDX_DRAM], after[IDX_DRAM]) = (u32::MAX as u64 - 49, 50);
         let cpu = CpuId::new(0, 0, 0);
         let r = group_report(&node, cpu, EventGroup::Energy, 1.0, &before, &after);
-        let rapl = node.config().spec.sku.generation.policy().rapl();
+        let rapl = node.config().spec.sku.generation.policy().rapl;
         let pkg_j = r.metric("Energy PKG").unwrap();
         let dram_j = r.metric("Energy DRAM").unwrap();
         assert!(
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn report_renders_likwid_style() {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         node.idle_all();
         node.advance_s(0.2);
         let r = measure_group(&mut node, CpuId::new(0, 0, 0), EventGroup::Energy, 0.5);

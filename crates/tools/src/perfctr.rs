@@ -55,7 +55,7 @@ pub struct PerfCtr {
 impl PerfCtr {
     pub fn new(node: &Node, cpu: CpuId) -> Self {
         let sku = &node.config().spec.sku;
-        let rapl = sku.generation.policy().rapl();
+        let rapl = sku.generation.policy().rapl;
         PerfCtr {
             cpu,
             nominal_ghz: sku.freq.base_mhz as f64 / 1000.0,
@@ -141,13 +141,13 @@ mod tests {
     use crate::groups::{measure_group, EventGroup};
     use hsw_exec::WorkloadProfile;
     use hsw_hwspec::freq::FreqSetting;
-    use hsw_node::{Platform, PlatformKind};
+    use hsw_node::{NodeConfig, PlatformKind};
 
     #[test]
     fn derive_reads_rapl_power_across_a_32_bit_wrap() {
         // Both RAPL registers straddle 2^32 within one 1 s window: PKG by
         // 2000 counts, DRAM by 200.
-        let node = Platform::paper().session().build().into_node();
+        let node = NodeConfig::paper_default().session().build().into_node();
         let pc = PerfCtr::new(&node, CpuId::new(0, 0, 0));
         let a = CounterSample {
             t_ns: 0,
@@ -167,7 +167,7 @@ mod tests {
             ..a
         };
         let d = pc.derive(&a, &b);
-        let rapl = node.config().spec.sku.generation.policy().rapl();
+        let rapl = node.config().spec.sku.generation.policy().rapl;
         assert!(
             (d.pkg_w - 2000.0 * rapl.pkg_energy_unit_uj * 1e-6).abs() < 1e-9,
             "{}",
@@ -181,7 +181,7 @@ mod tests {
     }
 
     fn loaded_node() -> Node {
-        let mut node = Platform::paper().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build().into_node();
         let fs = WorkloadProfile::firestarter();
         for s in 0..2 {
             node.run_on_socket(s, &fs, 12, 2);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn rapl_power_tracks_truth_on_both_platforms() {
         for kind in PlatformKind::ALL {
-            let mut node = kind.platform().session().build().into_node();
+            let mut node = kind.config().session().build().into_node();
             node.run_on_socket(0, &WorkloadProfile::memory_bound(), 8, 1);
             node.advance_s(0.5);
             let cpu = CpuId::new(0, 0, 0);

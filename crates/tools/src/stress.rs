@@ -120,10 +120,10 @@ pub fn run_stress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsw_node::{Platform, Resolution};
+    use hsw_node::{NodeConfig, Resolution};
 
     fn node() -> Node {
-        Platform::paper()
+        NodeConfig::paper_default()
             .session()
             .resolution(Resolution::Coarse)
             .build()
