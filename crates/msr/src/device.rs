@@ -141,21 +141,12 @@ fn implemented(addr: u32, generation: CpuGeneration) -> bool {
 /// The MSR bank of one socket: package-scoped registers plus one register
 /// set per hardware thread. Counter state is kept with fractional residue so
 /// sub-count increments (e.g. 0.3 cycles worth of a µs tick) accumulate
-/// exactly.
-#[derive(Debug)]
+/// exactly. A clone is a snapshot: it carries the registers, the residue
+/// and the geometry they were captured under.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsrBank {
     generation: CpuGeneration,
     threads: usize,
-    package: BTreeMap<u32, u64>,
-    per_thread: Vec<BTreeMap<u32, u64>>,
-    residue: BTreeMap<(usize, u32), f64>,
-}
-
-/// Plain-data image of an [`MsrBank`]'s mutable state (register contents and
-/// counter residue). Geometry (`generation`, `threads`) is configuration and
-/// is re-established by the constructor, not the snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MsrBankSnapshot {
     package: BTreeMap<u32, u64>,
     per_thread: Vec<BTreeMap<u32, u64>>,
     residue: BTreeMap<(usize, u32), f64>,
@@ -261,36 +252,6 @@ impl MsrBank {
             let v = map.entry(addr).or_insert(0);
             *v = v.wrapping_add(whole as u64);
         }
-    }
-
-    /// Capture the bank's mutable state as plain data.
-    pub fn snapshot(&self) -> MsrBankSnapshot {
-        let MsrBank {
-            // Construction-time constants, rebuilt by MsrBank::new.
-            generation: _,
-            threads: _,
-            package,
-            per_thread,
-            residue,
-        } = self;
-        MsrBankSnapshot {
-            package: package.clone(),
-            per_thread: per_thread.clone(),
-            residue: residue.clone(),
-        }
-    }
-
-    /// Reinstate a previously captured state. The bank must have the same
-    /// thread count it was snapshotted with.
-    pub fn restore(&mut self, snap: &MsrBankSnapshot) {
-        assert_eq!(
-            self.threads,
-            snap.per_thread.len(),
-            "snapshot geometry mismatch"
-        );
-        self.package = snap.package.clone();
-        self.per_thread = snap.per_thread.clone();
-        self.residue = snap.residue.clone();
     }
 
     /// Read a register without a thread context (package scope only).
@@ -437,10 +398,8 @@ mod tests {
         bank.write(3, IA32_PERF_CTL, 0x1900).unwrap();
         bank.accumulate(5, IA32_APERF, 2.75); // leaves 0.75 residue
         bank.accumulate(0, MSR_PKG_ENERGY_STATUS, 100.5);
-        let snap = bank.snapshot();
 
-        let mut fresh = hsw_bank();
-        fresh.restore(&snap);
+        let mut fresh = bank.clone();
         // Same visible state...
         assert_eq!(fresh.read(3, IA32_PERF_CTL).unwrap(), 0x1900);
         assert_eq!(fresh.read(5, IA32_APERF).unwrap(), 2);
@@ -448,7 +407,7 @@ mod tests {
         fresh.accumulate(5, IA32_APERF, 0.25);
         bank.accumulate(5, IA32_APERF, 0.25);
         assert_eq!(fresh.read(5, IA32_APERF).unwrap(), 3);
-        assert_eq!(fresh.snapshot(), bank.snapshot());
+        assert_eq!(fresh, bank);
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod energy;
 pub mod fields;
 pub mod gate;
 
-pub use device::{MsrBank, MsrBankSnapshot, MsrError, MsrScope};
+pub use device::{MsrBank, MsrError, MsrScope};
 pub use energy::EnergyCounter;
 pub use gate::{GateError, MsrGate, Permission};

@@ -40,5 +40,5 @@ pub use config::{CpuId, NodeConfig};
 pub use engine::{EngineMode, EngineStats};
 pub use node::{Node, NodeSnapshot};
 pub use session::{PlatformKind, Resolution, Session, SessionBuilder};
-pub use socket::{PlaneMask, Socket, SocketSnapshot};
+pub use socket::{PlaneMask, Socket, SocketState};
 pub use telemetry::{Snapshot, Trace};

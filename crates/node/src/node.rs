@@ -13,7 +13,7 @@ use hsw_power::{Lmg450, NodePowerModel};
 
 use crate::config::{CpuId, NodeConfig};
 use crate::engine::{EngineMode, EngineStats};
-use crate::socket::{Ns, Socket, SocketSnapshot, SocketTick};
+use crate::socket::{Ns, Socket, SocketState, SocketTick};
 
 /// The simulated compute node (paper Table II).
 pub struct Node {
@@ -49,7 +49,7 @@ pub struct Node {
 #[derive(Debug, Clone)]
 pub struct NodeSnapshot {
     time_ns: Ns,
-    sockets: Vec<SocketSnapshot>,
+    sockets: Vec<SocketState>,
     last: Vec<SocketTick>,
     stats: EngineStats,
 }
@@ -120,9 +120,15 @@ impl Node {
     }
 
     /// Reinstate a previously captured state, including the simulation
-    /// clock. The node must share the snapshotted geometry; its config,
-    /// seed-derived noise streams and meter are kept as constructed — this
-    /// is what lets a warm-start fork re-seed a restored node.
+    /// clock. The node must share the snapshotted geometry, generation and
+    /// DRAM mode: the image carries the constants derived from them (MSR
+    /// geometry, p-state policy, RAPL mode). Every fork builds its node
+    /// from the `NodeConfig` the image was settled under, or from that
+    /// config with a varied spec of the same generation. Its config
+    /// (leakage, turbo bins and RAPL trim included), seed-derived noise
+    /// streams and meter are kept as constructed — this is what lets a
+    /// warm-start fork re-seed a restored node, and a varied fleet chip
+    /// keep its own calibration.
     pub fn restore(&mut self, snap: &NodeSnapshot) {
         assert_eq!(
             self.sockets.len(),
@@ -201,7 +207,13 @@ impl Node {
     }
 
     /// Run `profile` on the first `cores` cores of a socket with
-    /// `threads_per_core` threads each.
+    /// `threads_per_core` threads each, and idle the socket's other
+    /// threads.
+    ///
+    /// # Panics
+    ///
+    /// If `socket` is not a socket of this node, or `cores` or
+    /// `threads_per_core` exceeds what one socket has.
     pub fn run_on_socket(
         &mut self,
         socket: usize,
@@ -209,8 +221,14 @@ impl Node {
         cores: usize,
         threads_per_core: usize,
     ) {
+        let (sockets, n_cores) = (self.sockets.len(), self.cfg.spec.sku.cores);
         let tpc = self.cfg.spec.sku.threads_per_core;
-        for c in 0..self.cfg.spec.sku.cores {
+        assert!(
+            socket < sockets && cores <= n_cores && threads_per_core <= tpc,
+            "run_on_socket: {cores} cores × {threads_per_core} threads on socket {socket} \
+             do not fit this node's {sockets} sockets × {n_cores} cores × {tpc} threads"
+        );
+        for c in 0..n_cores {
             for t in 0..tpc {
                 let w = (c < cores && t < threads_per_core).then(|| profile.clone());
                 self.sockets[socket].set_thread(c, t, w);
@@ -237,7 +255,17 @@ impl Node {
     }
 
     /// Set the frequency setting of one core.
+    ///
+    /// # Panics
+    ///
+    /// If `socket` or `core` is outside this node's geometry.
     pub fn set_setting(&mut self, socket: usize, core: usize, setting: FreqSetting) {
+        let (sockets, cores) = (self.sockets.len(), self.cfg.spec.sku.cores);
+        assert!(
+            socket < sockets && core < cores,
+            "set_setting: core {core} of socket {socket} is not a core of this node's \
+             {sockets} sockets × {cores} cores"
+        );
         let now = self.time_ns;
         self.sockets[socket].set_core_setting(core, setting, now);
     }
@@ -540,6 +568,35 @@ mod tests {
             CpuId::new(0, 0, 2),
             Some(hsw_exec::WorkloadProfile::busy_wait()),
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "set_setting: core 12 of socket 0 is not a core of this node's \
+                    2 sockets × 12 cores"
+    )]
+    fn set_setting_past_the_cores_of_a_socket_panics() {
+        Node::new(NodeConfig::paper_default()).set_setting(0, 12, FreqSetting::Turbo);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "run_on_socket: 12 cores × 2 threads on socket 2 do not fit \
+                    this node's 2 sockets × 12 cores × 2 threads"
+    )]
+    fn run_on_a_missing_socket_panics() {
+        let busy = hsw_exec::WorkloadProfile::busy_wait();
+        Node::new(NodeConfig::paper_default()).run_on_socket(2, &busy, 12, 2);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "run_on_socket: 40 cores × 5 threads on socket 0 do not fit \
+                    this node's 2 sockets × 12 cores × 2 threads"
+    )]
+    fn run_on_more_cores_and_threads_than_a_socket_has_panics() {
+        let busy = hsw_exec::WorkloadProfile::busy_wait();
+        Node::new(NodeConfig::paper_default()).run_on_socket(0, &busy, 40, 5);
     }
 
     #[test]
@@ -1054,10 +1111,42 @@ mod engine_tests {
     }
 
     #[test]
+    fn a_restored_chip_meters_with_its_own_rapl_trim() {
+        // The trim is configuration, read from the spec at every RAPL
+        // advance, so two chips restoring one golden image meter the same
+        // true power each with its own calibration. Busy-wait gets no
+        // stall boost, so the grant does not read the limiter average the
+        // trim scales.
+        let cfg = NodeConfig::paper_default();
+        let mut golden = Node::new(cfg.clone());
+        golden.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
+        golden.advance_s(0.3);
+        let snap = golden.snapshot();
+        let run = |gain: f64| {
+            let mut chip = cfg.clone();
+            chip.spec.sku.power.rapl_trim_gain = gain;
+            let mut node = Node::new(chip);
+            node.restore(&snap);
+            let e0 = node.sockets()[0].rapl().pkg_total_joules();
+            node.advance_s(0.2);
+            let e1 = node.sockets()[0].rapl().pkg_total_joules();
+            (node.true_pkg_power_w(0), e1 - e0)
+        };
+        let (p_ref, e_ref) = run(1.0);
+        let (p_trim, e_trim) = run(1.05);
+        assert_eq!(p_ref.to_bits(), p_trim.to_bits(), "true package power");
+        let ratio = e_trim / e_ref;
+        assert!(
+            (ratio / 1.05 - 1.0).abs() < 1e-9,
+            "metered energy ratio {ratio} is not the 1.05 trim"
+        );
+    }
+
+    #[test]
     fn restore_and_fork_reproduce_the_snapshot_and_step_fully_next() {
-        // Every `Socket::restore` statement lands: a fresh node restored
-        // from a settled, loaded image and a node that ran something else
-        // re-armed by `fork_from` both snapshot back to the image.
+        // A restore lands whole: a fresh node restored from a settled,
+        // loaded image and a node that ran something else re-armed by
+        // `fork_from` both snapshot back to the image.
         let cfg = NodeConfig::paper_default();
         let mut src = Node::new(cfg.clone());
         src.run_on_socket(0, &WorkloadProfile::compute(), 8, 2);

@@ -18,15 +18,19 @@
 //!
 //! ## Snapshot layout and the SoA core plane
 //!
-//! [`SocketSnapshot`] is flat: one field per captured [`Socket`] field,
-//! named after it, plus the per-core SoA plane's own image
-//! ([`CorePlanesSnapshot`]). [`Socket::restore`] copies every field back,
-//! so every restore is a full one. Correctness is anchored two ways: the
-//! restore tests in `node.rs` (a restored or re-armed node's snapshot
-//! equals its source, and the next step is a full one), and the
-//! exhaustive destructuring in [`Socket::snapshot`], which names every
-//! socket field without `..`, so a new field does not compile until the
-//! snapshot captures it or binds it to `_` with the reason it is skipped.
+//! Everything a tick can change lives in one [`SocketState`], so a
+//! snapshot is `state.clone()` and [`Socket::restore`] copies it back whole
+//! with `clone_from`: every restore is a full one, and a new tick field is
+//! captured by construction once it is a field of the state. Its
+//! components ([`MsrBank`], [`PStateEngine`], the per-core SoA plane
+//! [`CorePlanes`], RAPL, thermal, MBVR) are `Clone` and captured whole,
+//! with the generation constants they were built from. Configuration stays
+//! on the socket: the spec is read at each step, so a fleet chip that
+//! restores a golden image keeps its own leakage, turbo bins and RAPL trim
+//! (`RaplEngine::advance` takes the trim from the spec). The restore tests
+//! in `node.rs` anchor it: a restored or re-armed node's snapshot equals
+//! its source, the next step is a full one, and a restored chip meters
+//! with its own trim.
 
 use std::sync::Arc;
 
@@ -35,10 +39,10 @@ use hsw_exec::{DutyCycle, WorkloadProfile};
 use hsw_hwspec::clock::{domain, DomainNoise};
 use hsw_hwspec::freq::FreqSetting;
 use hsw_hwspec::{EpbClass, PState, SkuSpec};
-use hsw_msr::{addresses as msra, fields, MsrBank, MsrBankSnapshot};
+use hsw_msr::{addresses as msra, fields, MsrBank};
 use hsw_pcu::{
-    AvxLicense, EetController, PStateEngine, PStateEngineSnapshot, PcuController, PcuGrant,
-    PcuInputs, TransitionEvent, TransitionLog,
+    AvxLicense, EetController, PStateEngine, PcuController, PcuGrant, PcuInputs, TransitionEvent,
+    TransitionLog,
 };
 use hsw_power::{
     dram_power_w, package_power_w, CoreElecState, DramRaplMode, Mbvr, MbvrPowerState, ModelBias,
@@ -164,8 +168,9 @@ struct PcuKey {
 /// struct per core. `busy`/`smt`/`lead` are caches derived from the
 /// thread-indexed workload table, maintained at assignment time
 /// (`CorePlanes::sync_core`) so the hot loops never re-scan the threads
-/// of a core.
-#[derive(Debug)]
+/// of a core; a snapshot clones them with the workload table they derive
+/// from.
+#[derive(Debug, Clone)]
 pub struct CorePlanes {
     /// Requested frequency setting per core (the OS view).
     requested: Vec<FreqSetting>,
@@ -185,18 +190,6 @@ pub struct CorePlanes {
     /// Index of the core's first busy hardware thread (`usize::MAX` when
     /// idle) — the thread whose profile speaks for the core.
     lead: Vec<usize>,
-}
-
-/// Plain-data image of the [`CorePlanes`] snapshot fields. The
-/// `busy`/`smt`/`lead` caches are derived from the workload table and
-/// resynced on restore.
-#[derive(Debug, Clone)]
-pub struct CorePlanesSnapshot {
-    requested: Vec<FreqSetting>,
-    mhz: Vec<f64>,
-    cstates: Vec<CoreCState>,
-    avx: Vec<AvxLicense>,
-    avx_input: Vec<bool>,
 }
 
 impl CorePlanes {
@@ -237,12 +230,6 @@ impl CorePlanes {
         self.lead[core] = lead;
     }
 
-    fn sync_from_threads(&mut self, threads: &[Option<WorkloadProfile>], tpc: usize) {
-        for c in 0..self.len() {
-            self.sync_core(c, threads, tpc);
-        }
-    }
-
     /// The profile of `core`'s lead thread; `None` when the core is idle.
     fn lead_profile<'t>(
         &self,
@@ -250,37 +237,6 @@ impl CorePlanes {
         threads: &'t [Option<WorkloadProfile>],
     ) -> Option<&'t WorkloadProfile> {
         threads.get(self.lead[core])?.as_ref()
-    }
-
-    fn snapshot(&self) -> CorePlanesSnapshot {
-        let CorePlanes {
-            requested,
-            mhz,
-            cstates,
-            avx,
-            avx_input,
-            // Caches derived from the workload table, resynced by Socket::restore.
-            busy: _,
-            smt: _,
-            lead: _,
-        } = self;
-        CorePlanesSnapshot {
-            requested: requested.clone(),
-            mhz: mhz.clone(),
-            cstates: cstates.clone(),
-            avx: avx.clone(),
-            avx_input: avx_input.clone(),
-        }
-    }
-
-    /// Restore the snapshot fields; `Socket::restore` resyncs the derived
-    /// caches (they are functions of the workload table).
-    fn restore(&mut self, snap: &CorePlanesSnapshot) {
-        self.requested.clone_from(&snap.requested);
-        self.mhz.clone_from(&snap.mhz);
-        self.cstates.clone_from(&snap.cstates);
-        self.avx.clone_from(&snap.avx);
-        self.avx_input.clone_from(&snap.avx_input);
     }
 }
 
@@ -315,6 +271,31 @@ pub struct Socket {
     spec: Arc<SkuSpec>,
     power_mult: f64,
     eet_enabled: bool,
+    /// Everything a tick can change: what a snapshot captures.
+    state: SocketState,
+    /// Keyed noise streams: draws are pure functions of the simulation
+    /// instant, never of how many times the engine stepped.
+    noise_pstate: DomainNoise,
+    noise_rapl: DomainNoise,
+    /// What light ticks replay, and up to which wake horizon (see
+    /// [`Socket::light_tick`]).
+    cached: QuietCache,
+    /// Whether the grant came from a restore instead of this chip's own
+    /// solve. A fleet chip restores a golden snapshot under a varied spec,
+    /// so its first periodic re-solve is on the wake horizon.
+    grant_restored: bool,
+    /// Reused per-tick buffers.
+    scratch: TickScratch,
+}
+
+/// A [`Socket`]'s tick state, and so its snapshot: everything a tick can
+/// change, including the counter plane's pending span, so a restored
+/// socket continues bit-identically under either engine mode. Identity and
+/// configuration (`id`, `spec`, `power_mult`, `eet_enabled`), the keyed
+/// noise streams and the event engine's replay cache stay on the socket:
+/// the first step after a restore is always a full one.
+#[derive(Debug, Clone)]
+pub struct SocketState {
     msr: MsrBank,
     pstate: PStateEngine,
     eet: EetController,
@@ -334,52 +315,16 @@ pub struct Socket {
     thermal: ThermalState,
     mbvr: Mbvr,
     transition_log: TransitionLog,
-    /// Keyed noise streams: draws are pure functions of the simulation
-    /// instant, never of how many times the engine stepped.
-    noise_pstate: DomainNoise,
-    noise_rapl: DomainNoise,
-    /// What light ticks replay, and up to which wake horizon (see
-    /// [`Socket::light_tick`]).
-    cached: QuietCache,
-    /// Whether the grant came from a restore instead of this chip's own
-    /// solve. A fleet chip restores a golden snapshot under a varied spec,
-    /// so its first periodic re-solve is on the wake horizon.
-    grant_restored: bool,
-    rates: Option<CounterRates>,
-    pending_ns: Ns,
-    /// Reused per-tick buffers.
-    scratch: TickScratch,
-}
-
-/// Plain-data image of a [`Socket`]'s mutable state, one field per
-/// captured socket field. Identity and configuration (`id`, `spec`,
-/// `power_mult`, `eet_enabled`) and the keyed noise streams are
-/// re-established by the constructor; everything a tick can change is
-/// captured here, including the counter plane's pending span, so a
-/// restored socket continues bit-identically under either engine mode. The
-/// event engine's replay cache is not: the first step after a restore is
-/// always a full one.
-#[derive(Debug, Clone)]
-pub struct SocketSnapshot {
-    msr: MsrBankSnapshot,
-    pstate: PStateEngineSnapshot,
-    eet: EetController,
-    rapl: RaplEngine,
-    cores: CorePlanesSnapshot,
-    threads: Vec<Option<WorkloadProfile>>,
-    pkg_cstate: PkgCState,
-    grant: PcuGrant,
-    next_pcu: Ns,
-    last_pcu_key: Option<PcuKey>,
-    uncore_mhz: f64,
-    thermal: ThermalState,
-    mbvr: Mbvr,
-    transition_log: TransitionLog,
     rates: Option<CounterRates>,
     pending_ns: Ns,
 }
 
 impl Socket {
+    /// Build socket `id` of a node, at time 0.
+    ///
+    /// # Panics
+    ///
+    /// If `spec.power.rapl_trim_gain` is not positive.
     pub fn new(
         id: usize,
         spec: SkuSpec,
@@ -389,6 +334,10 @@ impl Socket {
         pcu_phase_ns: Ns,
         seed: u64,
     ) -> Self {
+        assert!(
+            spec.power.rapl_trim_gain > 0.0,
+            "RAPL trim gain must be positive"
+        );
         let threads = spec.hw_threads();
         let cores = spec.cores;
         let base = PState::from_mhz(spec.freq.base_mhz);
@@ -407,33 +356,34 @@ impl Socket {
             id,
             power_mult,
             eet_enabled,
-            pstate: PStateEngine::new(spec.generation, cores, base, pcu_phase_ns),
-            eet: EetController::new(eet_enabled),
-            rapl: RaplEngine::new(spec.generation, dram_mode)
-                .with_unit_trim(spec.power.rapl_trim_gain),
-            cores: CorePlanes::new(&spec),
-            threads: vec![None; threads],
-            pkg_cstate: PkgCState::PC6,
-            grant: PcuGrant {
-                core_mhz: spec.freq.min_mhz as f64,
+            state: SocketState {
+                msr,
+                pstate: PStateEngine::new(spec.generation, cores, base, pcu_phase_ns),
+                eet: EetController::new(eet_enabled),
+                rapl: RaplEngine::new(spec.generation, dram_mode),
+                cores: CorePlanes::new(&spec),
+                threads: vec![None; threads],
+                pkg_cstate: PkgCState::PC6,
+                grant: PcuGrant {
+                    core_mhz: spec.freq.min_mhz as f64,
+                    uncore_mhz: spec.freq.uncore_min_mhz as f64,
+                    power_w: 0.0,
+                    power_limited: false,
+                },
+                next_pcu: pcu_phase_ns,
+                last_pcu_key: None,
                 uncore_mhz: spec.freq.uncore_min_mhz as f64,
-                power_w: 0.0,
-                power_limited: false,
+                thermal: ThermalState::new(ThermalParams::server_max_fans()),
+                mbvr: Mbvr::new(),
+                transition_log: TransitionLog::new(),
+                rates: None,
+                pending_ns: 0,
             },
-            next_pcu: pcu_phase_ns,
-            last_pcu_key: None,
-            uncore_mhz: spec.freq.uncore_min_mhz as f64,
-            thermal: ThermalState::new(ThermalParams::server_max_fans()),
-            mbvr: Mbvr::new(),
-            msr,
             noise_pstate: DomainNoise::new(socket_seed, domain::PSTATE),
             noise_rapl: DomainNoise::new(socket_seed, domain::RAPL),
             cached: QuietCache::new(),
             grant_restored: false,
-            rates: None,
-            pending_ns: 0,
             spec: Arc::new(spec),
-            transition_log: TransitionLog::new(),
             scratch: TickScratch::new(),
         }
     }
@@ -460,7 +410,7 @@ impl Socket {
     /// The MSR bank (read-only view; the model reads and the `rdmsr`
     /// surface go through here).
     pub fn msr(&self) -> &MsrBank {
-        &self.msr
+        &self.state.msr
     }
 
     /// Mutable MSR bank access — the *only* way to write the bank from
@@ -468,14 +418,14 @@ impl Socket {
     /// be a full one (a write may steer the model).
     pub(crate) fn msr_mut(&mut self) -> &mut MsrBank {
         self.cached.wake_at = 0;
-        &mut self.msr
+        &mut self.state.msr
     }
 
     /// The p-state engine's next opportunity instant (lets a test issue a
     /// request exactly on one).
     #[cfg(test)]
     pub(crate) fn next_opportunity(&self) -> Ns {
-        self.pstate.next_opportunity()
+        self.state.pstate.next_opportunity()
     }
 
     /// The planes the next fork copies back: all of them, since every
@@ -491,93 +441,24 @@ impl Socket {
         self.spec.generation.policy().pstate.pcu_eval_period_us as Ns * US
     }
 
-    /// Capture this socket's mutable state as plain data.
-    pub fn snapshot(&self) -> SocketSnapshot {
-        let Socket {
-            // Identity and configuration constants, rebuilt by Socket::new.
-            id: _,
-            spec: _,
-            power_mult: _,
-            eet_enabled: _,
-            msr,
-            pstate,
-            eet,
-            rapl,
-            cores,
-            threads,
-            pkg_cstate,
-            grant,
-            next_pcu,
-            last_pcu_key,
-            uncore_mhz,
-            thermal,
-            mbvr,
-            transition_log,
-            // Seed-derived and keyed by instant, not step count: rebuilt by
-            // Socket::new.
-            noise_pstate: _,
-            noise_rapl: _,
-            // Event-engine cache, rewritten by the full step that follows
-            // every restore.
-            cached: _,
-            // Provenance of the grant, not simulator state.
-            grant_restored: _,
-            rates,
-            pending_ns,
-            // Per-tick scratch, rebuilt from socket state every tick.
-            scratch: _,
-        } = self;
-        SocketSnapshot {
-            msr: msr.snapshot(),
-            pstate: pstate.snapshot(),
-            eet: eet.clone(),
-            rapl: rapl.clone(),
-            cores: cores.snapshot(),
-            threads: threads.clone(),
-            pkg_cstate: *pkg_cstate,
-            grant: *grant,
-            next_pcu: *next_pcu,
-            last_pcu_key: *last_pcu_key,
-            uncore_mhz: *uncore_mhz,
-            thermal: *thermal,
-            mbvr: mbvr.clone(),
-            transition_log: transition_log.clone(),
-            rates: rates.clone(),
-            pending_ns: *pending_ns,
-        }
+    /// Capture this socket's tick state (see [`SocketState`]).
+    pub fn snapshot(&self) -> SocketState {
+        self.state.clone()
     }
 
     /// Reinstate a previously captured state. The socket must have the
-    /// geometry it was snapshotted with; its identity, spec and noise
-    /// streams are left untouched (they are seed/config-derived). The
-    /// grant is now `snap`'s, and the next step must be a full one.
-    pub fn restore(&mut self, snap: &SocketSnapshot) {
+    /// geometry it was snapshotted with, and the generation and DRAM mode
+    /// too: the state carries the MSR geometry, the p-state policy and the
+    /// RAPL mode derived from them. Its identity, spec (the RAPL trim
+    /// included) and noise streams are left untouched. The grant is now
+    /// `snap`'s, and the next step must be a full one.
+    pub fn restore(&mut self, snap: &SocketState) {
         assert_eq!(
-            self.cores.len(),
-            snap.cores.mhz.len(),
+            self.state.cores.len(),
+            snap.cores.len(),
             "snapshot geometry mismatch"
         );
-        self.msr.restore(&snap.msr);
-        self.pstate.restore(&snap.pstate);
-        self.eet = snap.eet.clone();
-        // Counters and limiter average are dynamic state; the chip's
-        // metering trim is calibration and stays as constructed, so a
-        // varied fleet chip restoring a golden snapshot keeps its own trim.
-        self.rapl.restore_from(&snap.rapl);
-        self.cores.restore(&snap.cores);
-        self.threads.clone_from(&snap.threads);
-        self.cores
-            .sync_from_threads(&self.threads, self.spec.threads_per_core);
-        self.pkg_cstate = snap.pkg_cstate;
-        self.grant = snap.grant;
-        self.next_pcu = snap.next_pcu;
-        self.last_pcu_key = snap.last_pcu_key;
-        self.uncore_mhz = snap.uncore_mhz;
-        self.thermal = snap.thermal;
-        self.mbvr = snap.mbvr.clone();
-        self.transition_log.clone_from(&snap.transition_log);
-        self.rates.clone_from(&snap.rates);
-        self.pending_ns = snap.pending_ns;
+        self.state.clone_from(snap);
         self.cached.wake_at = 0;
         self.grant_restored = true;
     }
@@ -586,22 +467,22 @@ impl Socket {
     pub fn set_thread(&mut self, core: usize, thread: usize, w: Option<WorkloadProfile>) {
         let tpc = self.spec.threads_per_core;
         let idx = core * tpc + thread;
-        self.threads[idx] = w;
-        self.cores.sync_core(core, &self.threads, tpc);
+        self.state.threads[idx] = w;
+        self.state.cores.sync_core(core, &self.state.threads, tpc);
         self.cached.wake_at = 0;
     }
 
     /// OS request: set the frequency setting of one core.
     pub fn set_core_setting(&mut self, core: usize, setting: FreqSetting, now: Ns) {
         self.cached.wake_at = 0;
-        self.cores.requested[core] = setting;
+        self.state.cores.requested[core] = setting;
         let target = match setting {
             FreqSetting::Fixed(p) => p,
             FreqSetting::Turbo => PState::from_mhz(self.spec.freq.base_mhz),
         };
-        self.pstate.request(core, target, now);
+        self.state.pstate.request(core, target, now);
         for t in 0..self.spec.threads_per_core {
-            self.msr.store(
+            self.state.msr.store(
                 core * self.spec.threads_per_core + t,
                 msra::IA32_PERF_CTL,
                 fields::encode_perf_ctl(target),
@@ -615,47 +496,56 @@ impl Socket {
         self.cached.wake_at = 0;
         let core = thread / self.spec.threads_per_core;
         let target = fields::decode_perf_ctl(value);
-        self.cores.requested[core] = FreqSetting::Fixed(target);
-        self.pstate.request(core, target, now);
+        self.state.cores.requested[core] = FreqSetting::Fixed(target);
+        self.state.pstate.request(core, target, now);
     }
 
     /// EPB class currently programmed (core 0's thread 0 — the paper
     /// programs all cores alike).
     pub fn epb(&self) -> EpbClass {
-        fields::decode_epb(self.msr.read(0, msra::IA32_ENERGY_PERF_BIAS).unwrap_or(0))
+        fields::decode_epb(
+            self.state
+                .msr
+                .read(0, msra::IA32_ENERGY_PERF_BIAS)
+                .unwrap_or(0),
+        )
     }
 
     /// Whether turbo is enabled (inverted `IA32_MISC_ENABLE\[38\]`).
     pub fn turbo_enabled(&self) -> bool {
-        let v = self.msr.read_package(msra::IA32_MISC_ENABLE).unwrap_or(0);
+        let v = self
+            .state
+            .msr
+            .read_package(msra::IA32_MISC_ENABLE)
+            .unwrap_or(0);
         v & msra::MISC_ENABLE_TURBO_DISABLE_BIT == 0
     }
 
     fn active_cores(&self) -> usize {
-        self.cores.busy.iter().filter(|&&b| b).count()
+        self.state.cores.busy.iter().filter(|&&b| b).count()
     }
 
     /// The dominant profile across busy threads (first found) — used for
     /// socket-scope aggregates that have no per-core meaning (the modeled
     /// RAPL bias class).
     fn dominant_profile(&self) -> Option<&WorkloadProfile> {
-        self.threads.iter().flatten().next()
+        self.state.threads.iter().flatten().next()
     }
 
     /// The transition-engine-gated setting of one core: a fixed request
     /// only takes effect once the p-state engine has switched (the ~500 µs
     /// opportunity mechanism).
     fn gated_setting(&self, core: usize) -> FreqSetting {
-        match self.cores.requested[core] {
+        match self.state.cores.requested[core] {
             FreqSetting::Turbo => FreqSetting::Turbo,
-            FreqSetting::Fixed(_) => FreqSetting::Fixed(self.pstate.current(core)),
+            FreqSetting::Fixed(_) => FreqSetting::Fixed(self.state.pstate.current(core)),
         }
     }
 
     /// The fastest (gated) setting among busy cores (Turbo dominates).
     fn fastest_setting(&self) -> FreqSetting {
         (0..self.spec.cores)
-            .filter(|&c| self.cores.busy[c])
+            .filter(|&c| self.state.cores.busy[c])
             .map(|c| self.gated_setting(c))
             .max()
             .unwrap_or(FreqSetting::Fixed(PState::from_mhz(
@@ -683,8 +573,10 @@ impl Socket {
 
         // 1. P-state engine (transition latencies). Events append straight
         //    into the bounded log — no per-tick intermediate Vec.
-        self.pstate.tick(now, &self.noise_pstate);
-        self.pstate.drain_events_into_log(&mut self.transition_log);
+        self.state.pstate.tick(now, &self.noise_pstate);
+        self.state
+            .pstate
+            .drain_events_into_log(&mut self.state.transition_log);
 
         // 2. Workload aggregation — heterogeneous per core: each core
         //    contributes its own profile's duty, activity, stalls and AVX
@@ -703,15 +595,15 @@ impl Socket {
         let mut activity_sum = 0.0;
         let mut stall = 0.0f64;
         let mut all_const_duty = true;
-        let smt_any = self.cores.smt.iter().any(|&s| s);
+        let smt_any = self.state.cores.smt.iter().any(|&s| s);
         self.scratch.duty.clear();
         for c in 0..spec.cores {
             let mut duty_c = 0.0;
-            if let Some(p) = self.cores.lead_profile(c, &self.threads) {
+            if let Some(p) = self.state.cores.lead_profile(c, &self.state.threads) {
                 let d = p.duty.factor_at(t_s);
                 duty_c = d;
                 duty_sum += d;
-                activity_sum += p.activity(self.cores.smt[c]) * d;
+                activity_sum += p.activity(self.state.cores.smt[c]) * d;
                 // Stalls drive UFS up: the hungriest core dominates.
                 stall = stall.max(p.stall_fraction);
                 if !matches!(p.duty, DutyCycle::Constant) {
@@ -729,22 +621,23 @@ impl Socket {
         // 3. AVX licenses (per core, driven by its own instruction stream).
         for c in 0..spec.cores {
             let avx_stream = self
+                .state
                 .cores
-                .lead_profile(c, &self.threads)
+                .lead_profile(c, &self.state.threads)
                 .is_some_and(|p| p.avx_heavy);
-            let on = self.cores.busy[c] && avx_stream;
-            self.cores.avx_input[c] = on;
-            self.cores.avx[c].observe(on, now);
+            let on = self.state.cores.busy[c] && avx_stream;
+            self.state.cores.avx_input[c] = on;
+            self.state.cores.avx[c].observe(on, now);
         }
         let avx_level = (0..spec.cores)
-            .filter(|c| self.cores.busy[*c])
-            .map(|c| self.cores.avx[c].level())
+            .filter(|c| self.state.cores.busy[*c])
+            .map(|c| self.state.cores.avx[c].level())
             .max()
             .unwrap_or(0);
 
         // 4. EET (1 ms sporadic stall polling).
         let eet_input = stall * duty.min(1.0);
-        self.eet.tick(now, eet_input);
+        self.state.eet.tick(now, eet_input);
 
         // 5. PCU equilibrium: re-solved at the 500 µs cadence (power drift)
         //    and immediately whenever an input changes — e.g. a p-state
@@ -753,7 +646,7 @@ impl Socket {
             .filter(|_| active == 0)
             .unwrap_or_else(|| self.fastest_setting());
         let epb = self.epb();
-        let avg_bucket = (self.rapl.running_avg_pkg_w() / 2.0) as u64;
+        let avg_bucket = (self.state.rapl.running_avg_pkg_w() / 2.0) as u64;
         let key = PcuKey {
             avg_bucket,
             setting,
@@ -762,14 +655,16 @@ impl Socket {
             turbo_enabled: self.turbo_enabled(),
             avx_level,
             duty_bucket: (duty * 20.0).round() as u64,
-            stall_pct: (self.eet.sampled_stall() * 100.0) as u64,
+            stall_pct: (self.state.eet.sampled_stall() * 100.0) as u64,
             uncore_limit: self
+                .state
                 .msr
                 .read_package(msra::MSR_UNCORE_RATIO_LIMIT)
                 .unwrap_or(0),
         };
         let eet_limit = if self.eet_enabled {
-            self.eet
+            self.state
+                .eet
                 .limit_mhz(spec, epb, spec.freq.turbo_mhz(active.max(1)))
         } else {
             u32::MAX
@@ -787,18 +682,20 @@ impl Socket {
             turbo_enabled: self.turbo_enabled(),
             active_cores: active,
             gated_idle_cores: (0..spec.cores)
-                .filter(|c| !self.cores.busy[*c] && self.cores.cstates[*c].power_gated())
+                .filter(|c| {
+                    !self.state.cores.busy[*c] && self.state.cores.cstates[*c].power_gated()
+                })
                 .count(),
             activity,
             avx_level,
             stall_fraction: stall,
             eet_limit_mhz: eet_limit,
-            avg_pkg_w: self.rapl.running_avg_pkg_w(),
+            avg_pkg_w: self.state.rapl.running_avg_pkg_w(),
         };
-        if self.last_pcu_key != Some(key) || self.next_pcu <= now {
-            self.last_pcu_key = Some(key);
-            self.next_pcu = now + self.pcu_period_ns();
-            self.grant = PcuController::solve(&inputs);
+        if self.state.last_pcu_key != Some(key) || self.state.next_pcu <= now {
+            self.state.last_pcu_key = Some(key);
+            self.state.next_pcu = now + self.pcu_period_ns();
+            self.state.grant = PcuController::solve(&inputs);
             self.grant_restored = false;
             // Software-imposed uncore bounds (paper Section II-D: "it can
             // be specified via the MSR UNCORE_RATIO_LIMIT"): clamp the UFS
@@ -809,18 +706,18 @@ impl Socket {
                 let hi = (max_ratio as f64 * 100.0)
                     .min(spec.freq.uncore_max_mhz as f64)
                     .max(lo);
-                self.grant.uncore_mhz = self.grant.uncore_mhz.clamp(lo, hi);
+                self.state.grant.uncore_mhz = self.state.grant.uncore_mhz.clamp(lo, hi);
             }
         }
 
         // 6. Effective frequencies: the PCU grant, clamped per core by its
         //    own (transition-latency-gated) p-state for fixed settings.
         for c in 0..spec.cores {
-            if !self.cores.busy[c] {
-                self.cores.mhz[c] = spec.freq.min_mhz as f64;
+            if !self.state.cores.busy[c] {
+                self.state.cores.mhz[c] = spec.freq.min_mhz as f64;
                 continue;
             }
-            let own_cap = match self.cores.requested[c] {
+            let own_cap = match self.state.cores.requested[c] {
                 FreqSetting::Turbo => f64::INFINITY,
                 // EPB=performance keeps turbo active at the base-frequency
                 // setting (paper Section II-C) — the fixed-p-state clamp
@@ -832,9 +729,9 @@ impl Socket {
                 {
                     f64::INFINITY
                 }
-                FreqSetting::Fixed(_) => self.pstate.current(c).mhz() as f64,
+                FreqSetting::Fixed(_) => self.state.pstate.current(c).mhz() as f64,
             };
-            self.cores.mhz[c] = self.grant.core_mhz.min(own_cap);
+            self.state.cores.mhz[c] = self.state.grant.core_mhz.min(own_cap);
         }
 
         // 7. C-states: busy cores in C0; idle cores deep-idle via the
@@ -842,17 +739,18 @@ impl Socket {
         //    system idle (paper Section V-A).
         fill_core_states(
             &spec.acpi,
-            &self.cores.busy,
+            &self.state.cores.busy,
             1_000_000,
-            &mut self.cores.cstates,
+            &mut self.state.cores.cstates,
         );
-        self.pkg_cstate = resolve_package_state(&self.cores.cstates, other_socket_active);
-        let uncore_mhz = if self.pkg_cstate.uncore_halted() {
+        self.state.pkg_cstate =
+            resolve_package_state(&self.state.cores.cstates, other_socket_active);
+        let uncore_mhz = if self.state.pkg_cstate.uncore_halted() {
             0.0
         } else {
-            self.grant.uncore_mhz
+            self.state.grant.uncore_mhz
         };
-        self.uncore_mhz = uncore_mhz;
+        self.state.uncore_mhz = uncore_mhz;
 
         // 8. DRAM traffic: per-core demand summed across profiles, capped
         //    by the bandwidth model at the current clocks. Bandwidth-bound
@@ -863,8 +761,8 @@ impl Socket {
         // of a fully loaded socket, so a group's demand saturates (at that
         // value) once it spans ~8 cores for bandwidth-bound profiles, and
         // scales linearly with cores otherwise.
-        let threads = &self.threads;
-        let cores = &self.cores;
+        let threads = &self.state.threads;
+        let cores = &self.state.cores;
         let groups = &mut self.scratch.groups;
         groups.clear();
         for c in 0..spec.cores {
@@ -906,7 +804,7 @@ impl Socket {
                 spec,
                 active,
                 if smt_any { 2 } else { 1 },
-                self.grant.core_mhz / 1000.0,
+                self.state.grant.core_mhz / 1000.0,
                 (uncore_mhz / 1000.0).max(1.2),
             );
             demand.min(cap)
@@ -917,21 +815,22 @@ impl Socket {
         // 9. Power.
         self.scratch.elec.clear();
         for c in 0..spec.cores {
-            if self.cores.busy[c] {
-                let smt = self.cores.smt[c];
+            if self.state.cores.busy[c] {
+                let smt = self.state.cores.smt[c];
                 let act = self
+                    .state
                     .cores
-                    .lead_profile(c, &self.threads)
+                    .lead_profile(c, &self.state.threads)
                     .map(|p| p.activity(smt) * self.scratch.duty[c])
                     .unwrap_or(0.0)
-                    * self.cores.avx[c].throughput_factor().max(0.5);
+                    * self.state.cores.avx[c].throughput_factor().max(0.5);
                 self.scratch.elec.push(CoreElecState {
-                    mhz: self.cores.mhz[c].round() as u32,
+                    mhz: self.state.cores.mhz[c].round() as u32,
                     activity: act,
-                    license_level: self.cores.avx[c].level(),
+                    license_level: self.state.cores.avx[c].level(),
                     power_gated: false,
                 });
-            } else if self.cores.cstates[c].power_gated() {
+            } else if self.state.cores.cstates[c].power_gated() {
                 self.scratch.elec.push(CoreElecState::gated());
             } else {
                 self.scratch.elec.push(CoreElecState {
@@ -954,7 +853,7 @@ impl Socket {
         // what keeps the paper's idle node at 261.5 W AC (Table II).
         let idle_frac = (spec.cores - active) as f64 / spec.cores as f64;
         pkg_w += hsw_hwspec::calib::IDLE_PKG_HOUSEKEEPING_W * idle_frac;
-        if self.pkg_cstate.uncore_halted() {
+        if self.state.pkg_cstate.uncore_halted() {
             let floor = spec.freq.uncore_min_mhz;
             let residual = package_power_w(spec, self.power_mult, &[], floor).uncore_w;
             pkg_w += residual * hsw_hwspec::calib::IDLE_UNCORE_RESIDENCY;
@@ -965,39 +864,54 @@ impl Socket {
         //     (paper Section II-B) and thermal state integrates
         //     (observability: the test node's maximum fans keep TDP, not
         //     PROCHOT, the binding limit).
-        self.mbvr.update_estimated_power(pkg_w);
-        self.thermal.advance(dt_s, pkg_w);
-        debug_assert!(!self.thermal.prochot(), "max-fan node must not PROCHOT");
-        let readout = (96.0 - self.thermal.t_die_c).clamp(0.0, 127.0) as u64;
+        self.state.mbvr.update_estimated_power(pkg_w);
+        self.state.thermal.advance(dt_s, pkg_w);
+        debug_assert!(
+            !self.state.thermal.prochot(),
+            "max-fan node must not PROCHOT"
+        );
+        let readout = (96.0 - self.state.thermal.t_die_c).clamp(0.0, 127.0) as u64;
         self.cached.therm_readout = readout;
         for t in 0..spec.hw_threads() {
-            self.msr.store(t, msra::IA32_THERM_STATUS, readout << 16);
+            self.state
+                .msr
+                .store(t, msra::IA32_THERM_STATUS, readout << 16);
         }
 
         // 11. RAPL (modeled bias on pre-Haswell generations). The error
         //     draw is keyed to the interval's end instant.
-        self.rapl
-            .advance(dt_s, pkg_w, dram_w, bias, self.noise_rapl.symmetric(now, 0));
+        self.state.rapl.advance(
+            dt_s,
+            pkg_w,
+            dram_w,
+            bias,
+            self.noise_rapl.symmetric(now, 0),
+            spec.power.rapl_trim_gain,
+        );
 
         // 12. Counter plane: refresh the rate set, flushing the pending
         //     span under the old rates first if anything changed. The next
         //     rate set is assembled in the scratch buffer and swapped in,
         //     so the steady-state tick allocates nothing.
-        self.msr
-            .store_package(msra::MSR_PKG_ENERGY_STATUS, self.rapl.pkg_raw() as u64);
-        self.msr
-            .store_package(msra::MSR_DRAM_ENERGY_STATUS, self.rapl.dram_raw() as u64);
+        self.state.msr.store_package(
+            msra::MSR_PKG_ENERGY_STATUS,
+            self.state.rapl.pkg_raw() as u64,
+        );
+        self.state.msr.store_package(
+            msra::MSR_DRAM_ENERGY_STATUS,
+            self.state.rapl.dram_raw() as u64,
+        );
         let fu_ghz = (uncore_mhz / 1000.0).max(0.1);
         self.scratch.next_rates.uncore_ghz = uncore_mhz / 1000.0;
         self.scratch.next_rates.threads.clear();
         for c in 0..spec.cores {
-            let fc_ghz = self.cores.mhz[c] / 1000.0;
-            let c0 = self.cores.cstates[c] == CoreCState::C0;
+            let fc_ghz = self.state.cores.mhz[c] / 1000.0;
+            let c0 = self.state.cores.cstates[c] == CoreCState::C0;
             for t in 0..tpc {
                 let idx = c * tpc + t;
-                let instret_per_ns = self.threads[idx].as_ref().map(|p| {
-                    p.ipc(self.cores.smt[c], fc_ghz, fu_ghz)
-                        * self.cores.avx[c].throughput_factor()
+                let instret_per_ns = self.state.threads[idx].as_ref().map(|p| {
+                    p.ipc(self.state.cores.smt[c], fc_ghz, fu_ghz)
+                        * self.state.cores.avx[c].throughput_factor()
                         * fc_ghz
                         * duty.max(0.0)
                 });
@@ -1006,8 +920,8 @@ impl Socket {
                     fc_ghz,
                     instret_per_ns,
                 });
-                let ratio = PState((self.cores.mhz[c] / 100.0).round() as u8);
-                self.msr.store(
+                let ratio = PState((self.state.cores.mhz[c] / 100.0).round() as u8);
+                self.state.msr.store(
                     idx,
                     msra::IA32_PERF_STATUS,
                     fields::encode_perf_status(ratio),
@@ -1018,16 +932,16 @@ impl Socket {
         self.scratch
             .next_rates
             .core_cstates
-            .extend_from_slice(&self.cores.cstates);
-        self.scratch.next_rates.pkg_cstate = self.pkg_cstate;
-        if self.rates.as_ref() != Some(&self.scratch.next_rates) {
+            .extend_from_slice(&self.state.cores.cstates);
+        self.scratch.next_rates.pkg_cstate = self.state.pkg_cstate;
+        if self.state.rates.as_ref() != Some(&self.scratch.next_rates) {
             self.flush_counters();
-            match &mut self.rates {
+            match &mut self.state.rates {
                 Some(r) => std::mem::swap(r, &mut self.scratch.next_rates),
-                None => self.rates = Some(self.scratch.next_rates.clone()),
+                None => self.state.rates = Some(self.scratch.next_rates.clone()),
             }
         }
-        self.pending_ns += dt;
+        self.state.pending_ns += dt;
 
         let out = SocketTick {
             pkg_w,
@@ -1048,17 +962,19 @@ impl Socket {
         self.cached.avg_bucket = avg_bucket;
         let steady = track_quiescence
             && all_const_duty
-            && (0..spec.cores).all(|c| self.cores.avx[c].stable_under(self.cores.avx_input[c]))
-            && self.eet.sampled_stall().to_bits() == eet_input.to_bits();
+            && (0..spec.cores)
+                .all(|c| self.state.cores.avx[c].stable_under(self.state.cores.avx_input[c]))
+            && self.state.eet.sampled_stall().to_bits() == eet_input.to_bits();
         self.cached.wake_at = if !steady {
             0
         } else if self.grant_restored || !PcuController::avg_insensitive(&inputs) {
-            self.pstate
+            self.state
+                .pstate
                 .next_event()
                 .unwrap_or(Ns::MAX)
-                .min(self.next_pcu)
+                .min(self.state.next_pcu)
         } else {
-            self.pstate.next_event().unwrap_or(Ns::MAX)
+            self.state.pstate.next_event().unwrap_or(Ns::MAX)
         };
 
         out
@@ -1071,7 +987,7 @@ impl Socket {
     /// bookkeeping) must run.
     pub fn light_wake(&self, end: Ns) -> bool {
         end >= self.cached.wake_at
-            || (self.rapl.running_avg_pkg_w() / 2.0) as u64 != self.cached.avg_bucket
+            || (self.state.rapl.running_avg_pkg_w() / 2.0) as u64 != self.cached.avg_bucket
     }
 
     /// Light step, valid before the wake horizon: replays only the
@@ -1087,37 +1003,45 @@ impl Socket {
             "light_tick past the wake horizon"
         );
         let dt_s = dt as f64 * 1e-9;
-        self.pstate.pass_opportunities(now, &self.noise_pstate);
+        self.state
+            .pstate
+            .pass_opportunities(now, &self.noise_pstate);
         for c in 0..self.spec.cores {
-            let on = self.cores.avx_input[c];
-            self.cores.avx[c].observe(on, now);
+            let on = self.state.cores.avx_input[c];
+            self.state.cores.avx[c].observe(on, now);
         }
-        self.eet.tick(now, self.cached.eet_input);
-        if self.next_pcu <= now {
+        self.state.eet.tick(now, self.cached.eet_input);
+        if self.state.next_pcu <= now {
             // Before the horizon, a due re-solve is one that reproduces
             // this chip's own avg-independent grant from unchanged inputs:
             // only the schedule advances (the fixed engine's bookkeeping).
-            self.next_pcu = now + self.pcu_period_ns();
+            self.state.next_pcu = now + self.pcu_period_ns();
         }
         let out = self.cached.tick;
-        self.mbvr.update_estimated_power(out.pkg_w);
-        self.thermal.advance(dt_s, out.pkg_w);
-        debug_assert!(!self.thermal.prochot(), "max-fan node must not PROCHOT");
-        let readout = (96.0 - self.thermal.t_die_c).clamp(0.0, 127.0) as u64;
+        self.state.mbvr.update_estimated_power(out.pkg_w);
+        self.state.thermal.advance(dt_s, out.pkg_w);
+        debug_assert!(
+            !self.state.thermal.prochot(),
+            "max-fan node must not PROCHOT"
+        );
+        let readout = (96.0 - self.state.thermal.t_die_c).clamp(0.0, 127.0) as u64;
         if readout != self.cached.therm_readout {
             self.cached.therm_readout = readout;
             for t in 0..self.spec.hw_threads() {
-                self.msr.store(t, msra::IA32_THERM_STATUS, readout << 16);
+                self.state
+                    .msr
+                    .store(t, msra::IA32_THERM_STATUS, readout << 16);
             }
         }
-        self.rapl.advance(
+        self.state.rapl.advance(
             dt_s,
             out.pkg_w,
             out.dram_w,
             self.cached.bias,
             self.noise_rapl.symmetric(now, 0),
+            self.spec.power.rapl_trim_gain,
         );
-        self.pending_ns += dt;
+        self.state.pending_ns += dt;
         out
     }
 
@@ -1126,81 +1050,104 @@ impl Socket {
     /// every `Node::advance_us`, so software reads between advances always
     /// see current counters.
     pub(crate) fn flush_counters(&mut self) {
-        let span = std::mem::replace(&mut self.pending_ns, 0) as f64;
-        let Some(rates) = self.rates.take() else {
+        let span = std::mem::replace(&mut self.state.pending_ns, 0) as f64;
+        let Some(rates) = self.state.rates.take() else {
             return;
         };
         if span > 0.0 {
             let nominal_ghz = self.spec.freq.base_mhz as f64 / 1000.0;
             let tpc = self.spec.threads_per_core;
-            self.msr
+            self.state
+                .msr
                 .accumulate(0, msra::MSR_U_PMON_UCLK_FIXED_CTR, rates.uncore_ghz * span);
             for (idx, t) in rates.threads.iter().enumerate() {
-                self.msr
+                self.state
+                    .msr
                     .accumulate(idx, msra::IA32_TIME_STAMP_COUNTER, nominal_ghz * span);
                 if t.c0 {
-                    self.msr.accumulate(idx, msra::IA32_APERF, t.fc_ghz * span);
-                    self.msr
+                    self.state
+                        .msr
+                        .accumulate(idx, msra::IA32_APERF, t.fc_ghz * span);
+                    self.state
+                        .msr
                         .accumulate(idx, msra::IA32_MPERF, nominal_ghz * span);
-                    self.msr.accumulate(
+                    self.state.msr.accumulate(
                         idx,
                         msra::IA32_FIXED_CTR1_CPU_CLK_UNHALTED,
                         t.fc_ghz * span,
                     );
-                    self.msr
-                        .accumulate(idx, msra::IA32_FIXED_CTR2_REF_CYCLES, nominal_ghz * span);
+                    self.state.msr.accumulate(
+                        idx,
+                        msra::IA32_FIXED_CTR2_REF_CYCLES,
+                        nominal_ghz * span,
+                    );
                     if let Some(r) = t.instret_per_ns {
-                        self.msr
-                            .accumulate(idx, msra::IA32_FIXED_CTR0_INST_RETIRED, r * span);
+                        self.state.msr.accumulate(
+                            idx,
+                            msra::IA32_FIXED_CTR0_INST_RETIRED,
+                            r * span,
+                        );
                     }
                 }
             }
             for (c, cs) in rates.core_cstates.iter().enumerate() {
                 if *cs == CoreCState::C3 {
-                    self.msr
-                        .accumulate(c * tpc, msra::MSR_CORE_C3_RESIDENCY, nominal_ghz * span);
+                    self.state.msr.accumulate(
+                        c * tpc,
+                        msra::MSR_CORE_C3_RESIDENCY,
+                        nominal_ghz * span,
+                    );
                 }
                 if *cs == CoreCState::C6 {
-                    self.msr
-                        .accumulate(c * tpc, msra::MSR_CORE_C6_RESIDENCY, nominal_ghz * span);
+                    self.state.msr.accumulate(
+                        c * tpc,
+                        msra::MSR_CORE_C6_RESIDENCY,
+                        nominal_ghz * span,
+                    );
                 }
             }
             if rates.pkg_cstate == PkgCState::PC3 {
-                self.msr
+                self.state
+                    .msr
                     .accumulate(0, msra::MSR_PKG_C3_RESIDENCY, nominal_ghz * span);
             }
             if rates.pkg_cstate == PkgCState::PC6 {
-                self.msr
+                self.state
+                    .msr
                     .accumulate(0, msra::MSR_PKG_C6_RESIDENCY, nominal_ghz * span);
             }
-            self.msr
-                .store_package(msra::MSR_PKG_ENERGY_STATUS, self.rapl.pkg_raw() as u64);
-            self.msr
-                .store_package(msra::MSR_DRAM_ENERGY_STATUS, self.rapl.dram_raw() as u64);
+            self.state.msr.store_package(
+                msra::MSR_PKG_ENERGY_STATUS,
+                self.state.rapl.pkg_raw() as u64,
+            );
+            self.state.msr.store_package(
+                msra::MSR_DRAM_ENERGY_STATUS,
+                self.state.rapl.dram_raw() as u64,
+            );
         }
-        self.rates = Some(rates);
+        self.state.rates = Some(rates);
     }
 
     // --- Ground-truth accessors (simulation-internal; tests and traces) ---
 
     pub fn true_core_mhz(&self, core: usize) -> f64 {
-        self.cores.mhz[core]
+        self.state.cores.mhz[core]
     }
 
     pub fn true_uncore_mhz(&self) -> f64 {
-        self.uncore_mhz
+        self.state.uncore_mhz
     }
 
     pub fn grant(&self) -> PcuGrant {
-        self.grant
+        self.state.grant
     }
 
     pub fn package_cstate(&self) -> PkgCState {
-        self.pkg_cstate
+        self.state.pkg_cstate
     }
 
     pub fn core_cstate(&self, core: usize) -> CoreCState {
-        self.cores.cstates[core]
+        self.state.cores.cstates[core]
     }
 
     pub fn any_core_active(&self) -> bool {
@@ -1208,31 +1155,31 @@ impl Socket {
     }
 
     pub fn requested_setting(&self, core: usize) -> FreqSetting {
-        self.cores.requested[core]
+        self.state.cores.requested[core]
     }
 
     pub fn drain_transitions(&mut self) -> Vec<TransitionEvent> {
-        self.transition_log.drain()
+        self.state.transition_log.drain()
     }
 
     /// Transition events currently retained (bounded; see
     /// [`hsw_pcu::TRANSITION_LOG_CAP`]).
     pub fn transition_log_len(&self) -> usize {
-        self.transition_log.len()
+        self.state.transition_log.len()
     }
 
     pub fn rapl(&self) -> &RaplEngine {
-        &self.rapl
+        &self.state.rapl
     }
 
     /// Die temperature in °C (ground truth; software reads the digital
     /// readout in `IA32_THERM_STATUS`).
     pub fn die_temperature_c(&self) -> f64 {
-        self.thermal.t_die_c
+        self.state.thermal.t_die_c
     }
 
     /// The mainboard VR's current power state (paper Section II-B).
     pub fn mbvr_state(&self) -> MbvrPowerState {
-        self.mbvr.state()
+        self.state.mbvr.state()
     }
 }

@@ -31,7 +31,5 @@ pub mod ufs;
 pub use avx::AvxLicense;
 pub use controller::{epb_budget_factor, PcuController, PcuGrant, PcuInputs};
 pub use eet::EetController;
-pub use pstate::{
-    PStateEngine, PStateEngineSnapshot, TransitionEvent, TransitionLog, TRANSITION_LOG_CAP,
-};
+pub use pstate::{PStateEngine, TransitionEvent, TransitionLog, TRANSITION_LOG_CAP};
 pub use ufs::{ufs_target_mhz, UfsInputs};

@@ -86,8 +86,9 @@ struct PendingRequest {
     requested_at: Ns,
 }
 
-/// The p-state machinery of one socket.
-#[derive(Debug)]
+/// The p-state machinery of one socket. A clone is a snapshot: it carries
+/// the generation's transition policy with the state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PStateEngine {
     mode: PStateTransitionMode,
     per_core_domains: bool,
@@ -101,18 +102,6 @@ pub struct PStateEngine {
     /// Next opportunity instant (opportunity mode only).
     next_opportunity: Ns,
     /// Completed transitions since the last drain.
-    events: Vec<TransitionEvent>,
-}
-
-/// Plain-data image of a [`PStateEngine`]'s mutable state. The transition
-/// mode and domain granularity are generation constants re-established by
-/// the constructor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PStateEngineSnapshot {
-    current: Vec<PState>,
-    switching: Vec<Option<(PState, Ns, Ns)>>,
-    pending: Vec<Option<PendingRequest>>,
-    next_opportunity: Ns,
     events: Vec<TransitionEvent>,
 }
 
@@ -256,13 +245,6 @@ impl PStateEngine {
         std::mem::take(&mut self.events)
     }
 
-    /// Append the accumulated transition events onto `out` without
-    /// allocating an intermediate `Vec` (hot-path variant of
-    /// [`Self::drain_events`]).
-    pub fn drain_events_into(&mut self, out: &mut Vec<TransitionEvent>) {
-        out.append(&mut self.events);
-    }
-
     /// Move the accumulated transition events into a bounded
     /// [`TransitionLog`] (the socket's per-tick path: no intermediate
     /// allocation, and the destination cannot grow without bound).
@@ -270,44 +252,6 @@ impl PStateEngine {
         for ev in self.events.drain(..) {
             log.record(ev);
         }
-    }
-
-    /// Capture the engine's mutable state as plain data.
-    pub fn snapshot(&self) -> PStateEngineSnapshot {
-        let PStateEngine {
-            // Generation and policy constants, rebuilt by PStateEngine::new.
-            mode: _,
-            per_core_domains: _,
-            switching_time_ns: _,
-            opportunity_jitter_us: _,
-            current,
-            switching,
-            pending,
-            next_opportunity,
-            events,
-        } = self;
-        PStateEngineSnapshot {
-            current: current.clone(),
-            switching: switching.clone(),
-            pending: pending.clone(),
-            next_opportunity: *next_opportunity,
-            events: events.clone(),
-        }
-    }
-
-    /// Reinstate a previously captured state. The engine must have the same
-    /// core count it was snapshotted with.
-    pub fn restore(&mut self, snap: &PStateEngineSnapshot) {
-        assert_eq!(
-            self.current.len(),
-            snap.current.len(),
-            "snapshot geometry mismatch"
-        );
-        self.current.clone_from(&snap.current);
-        self.switching.clone_from(&snap.switching);
-        self.pending.clone_from(&snap.pending);
-        self.next_opportunity = snap.next_opportunity;
-        self.events.clone_from(&snap.events);
     }
 
     /// The next opportunity instant (for tracing Figure 4's timeline).
@@ -387,38 +331,21 @@ mod tests {
 
     #[test]
     fn snapshot_mid_flight_round_trips() {
-        // Snapshot with a pending request and an in-flight switch, restore
-        // into a fresh engine, then advance both: the keyed jitter makes the
-        // continuation depend only on (state, time), so they stay identical.
+        // Snapshot (clone) with requests outstanding, then advance both:
+        // the keyed jitter makes the continuation depend only on (state,
+        // time), so they stay identical.
         let n = noise();
         let mut e = engine(HSW);
         run_until(&mut e, &n, 0, 2_000 * US);
         e.request(0, PState::from_mhz(2500), 2_050 * US);
         e.request(5, PState::from_mhz(1300), 2_100 * US);
         run_until(&mut e, &n, 2_050 * US, 2_400 * US);
-        let snap = e.snapshot();
 
-        let mut f = engine(HSW);
-        f.restore(&snap);
+        let mut f = e.clone();
         run_until(&mut e, &n, 2_401 * US, 4_000 * US);
         run_until(&mut f, &n, 2_401 * US, 4_000 * US);
-        assert_eq!(e.snapshot(), f.snapshot());
+        assert_eq!(e, f);
         assert_eq!(e.drain_events(), f.drain_events());
-    }
-
-    #[test]
-    fn drain_events_into_matches_drain_events() {
-        let n = noise();
-        let mut a = engine(HSW);
-        let mut b = engine(HSW);
-        for e in [&mut a, &mut b] {
-            e.request(1, PState::from_mhz(2500), 100 * US);
-            run_until(e, &n, 0, 1_500 * US);
-        }
-        let mut out = vec![];
-        a.drain_events_into(&mut out);
-        assert_eq!(out, b.drain_events());
-        assert!(a.drain_events().is_empty(), "drain_into must clear events");
     }
 
     #[test]

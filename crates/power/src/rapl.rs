@@ -46,14 +46,6 @@ pub struct RaplEngine {
     /// Running average of package power over the limiter window, used by the
     /// PCU's TDP enforcement (exponentially weighted).
     avg_pkg_w: f64,
-    /// Per-chip calibration gain of the fused energy metering relative to
-    /// the nominal datasheet unit. Counts accumulate scaled by this factor
-    /// while readers keep converting with the nominal unit, so both the
-    /// reported power *and* the limiter's enforcement see the trimmed
-    /// value — exactly how a miscalibrated unit behaves under a power cap.
-    /// 1.0 (the reference chip) on every constructor path except
-    /// [`RaplEngine::with_unit_trim`].
-    trim_gain: f64,
     /// Relative noise amplitude of the measured (FIVR/IMON) readout,
     /// from the generation's [`hsw_hwspec::RaplPolicy`].
     measured_noise_frac: f64,
@@ -72,32 +64,10 @@ impl RaplEngine {
             pkg: EnergyCounter::new(policy.pkg_energy_unit_uj * 1e-6),
             dram: EnergyCounter::new(policy.dram_energy_unit_uj * 1e-6),
             avg_pkg_w: 0.0,
-            trim_gain: 1.0,
             measured_noise_frac: policy.measured_noise_frac,
             modeled_noise_frac: policy.modeled_noise_frac,
             mode0_unit_ratio: policy.pkg_energy_unit_uj / policy.dram_energy_unit_uj,
         }
-    }
-
-    /// Apply a per-chip metering trim (fleet variation). A gain of 1.0 is
-    /// the reference chip and leaves behavior bit-identical to [`new`].
-    ///
-    /// [`new`]: RaplEngine::new
-    pub fn with_unit_trim(mut self, gain: f64) -> Self {
-        assert!(gain > 0.0, "RAPL trim gain must be positive");
-        self.trim_gain = gain;
-        self
-    }
-
-    /// Reinstate dynamic state (counters and the limiter average) from a
-    /// snapshot, keeping construction-derived configuration — mode and the
-    /// per-chip trim — as built. This is what lets a warm-start fork
-    /// restore a *golden* node's counters into a *varied* chip without
-    /// inheriting the golden chip's calibration.
-    pub fn restore_from(&mut self, snap: &RaplEngine) {
-        self.pkg = snap.pkg.clone();
-        self.dram = snap.dram.clone();
-        self.avg_pkg_w = snap.avg_pkg_w;
     }
 
     pub fn mode(&self) -> RaplMode {
@@ -114,6 +84,15 @@ impl RaplEngine {
     /// simulation instant, not to how many times `advance` ran, so fixed-tick
     /// and event stepping accumulate identical error sequences. Measured RAPL
     /// scales it to its sub-percent quantization/measurement band.
+    ///
+    /// `trim_gain` is the chip's metering calibration relative to the
+    /// nominal datasheet unit (`PowerCoeffs::rapl_trim_gain`, 1.0 on the
+    /// reference chip). Counts accumulate scaled by it while readers keep
+    /// converting with the nominal unit, so both the reported power *and*
+    /// the limiter's enforcement see the trimmed value — exactly how a
+    /// miscalibrated unit behaves under a power cap. It is configuration,
+    /// not engine state, so a clone of a golden chip's engine advanced by a
+    /// varied chip meters with the varied chip's own trim.
     pub fn advance(
         &mut self,
         dt_s: f64,
@@ -121,6 +100,7 @@ impl RaplEngine {
         true_dram_w: f64,
         bias: ModelBias,
         noise: f64,
+        trim_gain: f64,
     ) {
         let (pkg_w, dram_w) = match self.mode {
             RaplMode::Unavailable => (0.0, 0.0),
@@ -147,17 +127,15 @@ impl RaplEngine {
             // generation uses a uniform unit (Skylake-SP).
             DramRaplMode::Mode0 => dram_w * self.mode0_unit_ratio,
         };
-        self.pkg
-            .add_joules((pkg_w * self.trim_gain * dt_s).max(0.0));
-        self.dram
-            .add_joules((dram_w * self.trim_gain * dt_s).max(0.0));
+        self.pkg.add_joules((pkg_w * trim_gain * dt_s).max(0.0));
+        self.dram.add_joules((dram_w * trim_gain * dt_s).max(0.0));
         // Power-limiter running average (~1 s time constant). PL1 compares
         // the *metered* energy against TDP, so the per-chip trim feeds the
         // enforcement too: a chip reading high throttles correspondingly
         // early.
         let window_s = calib::RAPL_LIMIT_WINDOW_US as f64 * 1e-6;
         let alpha = (dt_s / window_s).min(1.0);
-        self.avg_pkg_w += alpha * (true_pkg_w * self.trim_gain - self.avg_pkg_w);
+        self.avg_pkg_w += alpha * (true_pkg_w * trim_gain - self.avg_pkg_w);
     }
 
     /// Raw 32-bit `MSR_PKG_ENERGY_STATUS` value.
@@ -217,6 +195,7 @@ mod tests {
                 dram_w,
                 bias,
                 noise.symmetric(i as Ns * 1_000_000, 0),
+                1.0,
             );
         }
         (
@@ -316,33 +295,39 @@ mod tests {
         let noise = DomainNoise::new(1, domain::RAPL);
         let mut eng = RaplEngine::new(CpuGeneration::HaswellEp, DramRaplMode::Mode1);
         for i in 0..5000 {
-            eng.advance(0.001, 130.0, 10.0, ModelBias::NONE, noise.symmetric(i, 0));
+            eng.advance(
+                0.001,
+                130.0,
+                10.0,
+                ModelBias::NONE,
+                noise.symmetric(i, 0),
+                1.0,
+            );
         }
         assert!((eng.running_avg_pkg_w() - 130.0).abs() < 2.0);
     }
 
     #[test]
     fn restored_fork_crosses_the_pkg_wrap_identically() {
-        // Warm-start fork path: `restore_from` must carry the package
-        // counter's raw value *and* its sub-unit residue across, so a fork
-        // taken just below the 2^32 boundary wraps at exactly the same
-        // instant as the uninterrupted engine.
+        // Warm-start fork path: the clone a snapshot takes must carry the
+        // package counter's raw value *and* its sub-unit residue across, so
+        // a fork taken just below the 2^32 boundary wraps at exactly the
+        // same instant as the uninterrupted engine.
         let period_j = 4_294_967_296.0 * calib::PKG_ENERGY_UNIT_UJ * 1e-6;
         let mut unforked = RaplEngine::new(CpuGeneration::HaswellEp, DramRaplMode::Mode1);
         // Park ~50 J below the wrap. Zero noise makes the placement exact.
-        unforked.advance(1.0, period_j - 50.0, 0.0, ModelBias::NONE, 0.0);
+        unforked.advance(1.0, period_j - 50.0, 0.0, ModelBias::NONE, 0.0, 1.0);
         let before = unforked.pkg_raw();
         assert!(before > u32::MAX - 1_000_000, "parked below the boundary");
 
-        let mut fork = RaplEngine::new(CpuGeneration::HaswellEp, DramRaplMode::Mode1);
-        fork.restore_from(&unforked);
+        let mut fork = unforked.clone();
 
         // 7 kJ over one simulated second crosses the boundary in both.
         let noise = DomainNoise::new(3, domain::RAPL);
         for i in 0..100 {
             let n = noise.symmetric(i as Ns * 10_000_000, 0);
-            unforked.advance(0.01, 7000.0, 0.0, ModelBias::NONE, n);
-            fork.advance(0.01, 7000.0, 0.0, ModelBias::NONE, n);
+            unforked.advance(0.01, 7000.0, 0.0, ModelBias::NONE, n, 1.0);
+            fork.advance(0.01, 7000.0, 0.0, ModelBias::NONE, n, 1.0);
         }
         assert!(unforked.pkg_raw() < before, "must wrap");
         assert_eq!(unforked.pkg_raw(), fork.pkg_raw());
@@ -365,7 +350,14 @@ mod tests {
         let before = eng.dram_raw();
         // 70 kJ in one step chain (7 kW·10 s equivalent).
         for i in 0..100 {
-            eng.advance(0.1, 0.0, 7000.0, ModelBias::NONE, noise.symmetric(i, 0));
+            eng.advance(
+                0.1,
+                0.0,
+                7000.0,
+                ModelBias::NONE,
+                noise.symmetric(i, 0),
+                1.0,
+            );
         }
         let d = eng.dram_delta_joules(before, eng.dram_raw());
         // The wrap loses exactly one full counter period of 65.536 kJ.
