@@ -38,8 +38,7 @@ fn steady_node(engine: EngineMode) -> Node {
         .with_engine(engine)
         .session()
         .seed(11)
-        .build()
-        .into_node();
+        .build();
     node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
     node.set_setting_all(FreqSetting::from_mhz(2000));
     node.advance_s(0.05); // settle transients before the timed span
@@ -60,8 +59,7 @@ fn run_idle_fine(engine: EngineMode, sim_s: f64) -> f64 {
         .session()
         .seed(12)
         .resolution(Resolution::Fine)
-        .build()
-        .into_node();
+        .build();
     node.idle_all();
     node.advance_s(sim_s);
     node.measure_ac_average(0.1)
@@ -75,8 +73,7 @@ fn run_tdp(engine: EngineMode, sim_s: f64) -> f64 {
         .session()
         .seed(13)
         .resolution(Resolution::Coarse)
-        .build()
-        .into_node();
+        .build();
     let fs = WorkloadProfile::firestarter();
     for s in 0..2 {
         node.run_on_socket(s, &fs, 12, 2);
@@ -95,8 +92,7 @@ fn run_ftalat(engine: EngineMode, samples: usize) -> f64 {
         .session()
         .seed(14)
         .resolution(Resolution::Latency)
-        .build()
-        .into_node();
+        .build();
     node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
     node.advance_s(0.01);
     let mut rng = SmallRng::seed_from_u64(15);

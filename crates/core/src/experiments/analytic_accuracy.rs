@@ -166,8 +166,7 @@ fn simulate(ctx: &RunCtx, row: &Row, seed: u64) -> RowSample {
         .session()
         .seed(seed)
         .resolution(Resolution::Coarse)
-        .build()
-        .into_node();
+        .build();
     if row.active > 0 {
         for s in 0..2 {
             node.run_on_socket(s, &row.profile, row.active, row.threads);

@@ -77,7 +77,7 @@ pub(crate) fn fleet_warmup_spec(
     builder: hsw_node::SessionBuilder,
     fid: Fidelity,
     spec: hsw_hwspec::NodeSpec,
-) -> hsw_node::Session {
+) -> Node {
     let mut session = builder.spec(spec).resolution(Resolution::Coarse).build();
     let wl = WorkloadProfile::compute();
     for s in 0..2 {
@@ -94,7 +94,7 @@ pub(crate) fn fleet_warmup(
     builder: hsw_node::SessionBuilder,
     fid: Fidelity,
     cap_w: Option<f64>,
-) -> hsw_node::Session {
+) -> Node {
     let mut spec = hsw_hwspec::NodeSpec::paper_test_node();
     if let Some(cap) = cap_w {
         spec.sku.tdp_w = cap;

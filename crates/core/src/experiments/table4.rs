@@ -90,7 +90,7 @@ pub fn table4_settings() -> Vec<FreqSetting> {
 
 /// The shared FIRESTARTER bring-up at turbo: workload assignment plus the
 /// cold-boot thermal/RAPL climb, amortized across every column.
-fn warmup(builder: hsw_node::SessionBuilder) -> hsw_node::Session {
+fn warmup(builder: hsw_node::SessionBuilder) -> hsw_node::Node {
     let mut session = builder.resolution(Resolution::Coarse).build();
     let fs = WorkloadProfile::firestarter();
     for s in 0..2 {

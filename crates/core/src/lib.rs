@@ -33,5 +33,5 @@ pub mod stats;
 pub mod survey;
 
 pub use fidelity::Fidelity;
-pub use report::{Report, Table};
+pub use report::Table;
 pub use survey::{run_survey, ExperimentResult, RunCtx, SurveyConfig, SurveyExperiment, SurveyRun};

@@ -28,28 +28,6 @@ impl Table {
         self
     }
 
-    /// Render as a GitHub-flavored markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("**{}**\n\n", self.title);
-        out.push('|');
-        for h in &self.headers {
-            out.push_str(&format!(" {h} |"));
-        }
-        out.push_str("\n|");
-        for _ in &self.headers {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push('|');
-            for c in row {
-                out.push_str(&format!(" {c} |"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -84,35 +62,6 @@ impl fmt::Display for Table {
             writeln!(f, "|")?;
         }
         line(f)
-    }
-}
-
-/// A whole experiment report: tables plus free-form observations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    pub tables: Vec<Table>,
-    pub notes: Vec<String>,
-}
-
-impl Report {
-    pub fn push_table(&mut self, t: Table) {
-        self.tables.push(t);
-    }
-
-    pub fn note(&mut self, n: impl Into<String>) {
-        self.notes.push(n.into());
-    }
-}
-
-impl fmt::Display for Report {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for t in &self.tables {
-            writeln!(f, "{t}")?;
-        }
-        for n in &self.notes {
-            writeln!(f, "  * {n}")?;
-        }
-        Ok(())
     }
 }
 
@@ -152,29 +101,6 @@ mod tests {
         assert!(widths
             .windows(2)
             .all(|w| w[0] == w[1] || w[0] == 4 /* title */));
-    }
-
-    #[test]
-    fn report_accumulates_tables_and_notes() {
-        let mut r = Report::default();
-        r.push_table(Table::new("A", vec!["x"]));
-        r.note("observation");
-        let s = r.to_string();
-        assert!(s.contains('A'));
-        assert!(s.contains("* observation"));
-    }
-
-    #[test]
-    fn markdown_rendering_is_well_formed() {
-        let mut t = Table::new("MD", vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        let md = t.to_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
-        let pipes_header = md.lines().nth(2).unwrap().matches('|').count();
-        let pipes_row = md.lines().nth(4).unwrap().matches('|').count();
-        assert_eq!(pipes_header, pipes_row);
     }
 
     #[test]

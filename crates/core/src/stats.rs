@@ -1,5 +1,5 @@
 //! Statistics used by the experiments: least-squares fits (the Figure 2
-//! linear/quadratic fits with R²), medians, percentiles and histograms.
+//! linear/quadratic fits with R²), medians and histograms.
 
 use serde::{Deserialize, Serialize};
 
@@ -125,17 +125,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Percentile in [0, 100] (nearest-rank).
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
-    v[rank.min(v.len() - 1)]
-}
-
 /// Fixed-width histogram over [0, max); the last bin absorbs overflow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -152,21 +141,6 @@ impl Histogram {
             counts[idx] += 1;
         }
         Histogram { bin_width, counts }
-    }
-
-    /// Bin index with the most samples.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Center of a bin.
-    pub fn bin_center(&self, idx: usize) -> f64 {
-        (idx as f64 + 0.5) * self.bin_width
     }
 
     pub fn total(&self) -> usize {
@@ -220,20 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn median_and_percentile() {
+    fn median_of_odd_and_even_lengths() {
         let v = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(median(&v), 3.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 100.0), 5.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
-    fn histogram_counts_and_mode() {
+    fn histogram_counts_every_sample() {
         let h = Histogram::build(&[10.0, 12.0, 480.0, 490.0, 495.0], 25.0, 525.0);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.mode_bin(), 19); // 475–500 µs bin
-        assert!((h.bin_center(19) - 487.5).abs() < 1e-9);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use hsw_fleet::{ChipVariation, VariationModel};
 pub use hsw_hwspec::mix_seed;
-use hsw_node::{EngineMode, Node, NodeConfig, NodeSnapshot, PlatformKind, Session, SessionBuilder};
+use hsw_node::{EngineMode, Node, NodeConfig, NodeSnapshot, PlatformKind, SessionBuilder};
 use rayon::prelude::*;
 use serde::{Serialize, Value};
 
@@ -282,7 +282,7 @@ impl RunCtx {
     where
         P: Sync,
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
         simulated(self.node_sweep(
@@ -308,7 +308,7 @@ impl RunCtx {
     where
         P: Sync,
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
     {
         simulated(self.node_sweep(
@@ -365,7 +365,7 @@ impl RunCtx {
     where
         P: Sync,
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &P, u64) -> R + Send + Sync,
         S: Fn(&P, u64) -> R + Send + Sync,
     {
@@ -402,7 +402,7 @@ impl RunCtx {
     ) -> Vec<Surrogate<R>>
     where
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
         S: Fn(&ChipVariation, usize, u64) -> R + Send + Sync,
     {
@@ -443,7 +443,7 @@ impl RunCtx {
     ) -> Vec<R>
     where
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &ChipVariation, usize, u64) -> R + Send + Sync,
     {
         simulated(self.node_sweep(
@@ -536,7 +536,7 @@ impl RunCtx {
     ) -> Vec<Surrogate<R>>
     where
         R: Send,
-        W: Fn(SessionBuilder) -> Session + Send + Sync,
+        W: Fn(SessionBuilder) -> Node + Send + Sync,
         F: Fn(&mut Node, &Draw) -> R + Send + Sync,
     {
         // The warmup session is deliberately unledgered: warm mode runs it
@@ -545,7 +545,7 @@ impl RunCtx {
         // so crediting it accounts for warmup + point time in both modes.
         let settle = || {
             let builder = self.platform().session().seed(warmup_seed(base));
-            let node = warmup(builder).into_node();
+            let node = warmup(builder);
             WarmImage {
                 snap: node.snapshot(),
                 cfg: node.config().clone(),
@@ -1233,7 +1233,7 @@ mod tests {
     }
 
     /// The warmup every probe settles: 2 ms of an idle node.
-    fn settle(builder: SessionBuilder) -> Session {
+    fn settle(builder: SessionBuilder) -> Node {
         let mut session = builder.build();
         session.advance_s(0.002);
         session

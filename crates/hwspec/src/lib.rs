@@ -37,7 +37,6 @@ pub use memcfg::MemSpec;
 pub use microarch::{BwParams, MicroArch};
 pub use policy::{
     CStateExitPolicy, FirmwarePolicy, LicensePolicy, PStatePolicy, RaplPolicy, UncorePolicy,
-    VrPolicy,
 };
 pub use product_line::{e5_2600_v3_line, haswell_ep_sku};
 pub use sku::{CacheSpec, NodeSpec, SkuSpec};

@@ -122,22 +122,6 @@ pub struct CStateExitPolicy {
     pub restore_freq_hi_ghz: f64,
 }
 
-/// Mainboard voltage regulation (paper Section II-B): the `VCCin` rail
-/// commanded over SVID and the MBVR's phase-shedding thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VrPolicy {
-    /// Nominal VR input-rail voltage commanded over SVID (V).
-    pub vccin_v: f64,
-    /// Legal SVID input-rail command range (V).
-    pub svid_lo_v: f64,
-    pub svid_hi_v: f64,
-    /// Estimated-power thresholds for the mainboard VR phase-shedding
-    /// states, with hysteresis (W).
-    pub mbvr_ps1_below_w: f64,
-    pub mbvr_ps2_below_w: f64,
-    pub mbvr_hysteresis_w: f64,
-}
-
 /// The per-generation firmware behavior bundle: plain data, one `const`
 /// per generation below, selected by
 /// [`CpuGeneration::policy`](crate::CpuGeneration::policy).
@@ -149,19 +133,6 @@ pub struct FirmwarePolicy {
     pub rapl: RaplPolicy,
     pub cstate_exit: CStateExitPolicy,
 }
-
-/// The voltage-regulation bundle of every modeled generation's board.
-/// Skylake-SP moved regulation off the die (1905.12468 Section II-A), but
-/// the mainboard VR model is the same, so it is not part of
-/// [`FirmwarePolicy`].
-pub const BOARD_VR: VrPolicy = VrPolicy {
-    vccin_v: 1.80,
-    svid_lo_v: 1.6,
-    svid_hi_v: 2.0,
-    mbvr_ps1_below_w: 45.0,
-    mbvr_ps2_below_w: 15.0,
-    mbvr_hysteresis_w: 4.0,
-};
 
 /// Haswell-EP: the paper's subject — FIVR, PCPS, 500 µs opportunity
 /// windows, independent ring UFS, AVX frequencies, measured RAPL. The
@@ -367,17 +338,6 @@ mod tests {
         assert_eq!(p.rapl.dram_energy_unit_uj, calib::DRAM_ENERGY_UNIT_UJ);
         assert_eq!(p.cstate_exit.c3_base_us, calib::cstate::C3_BASE_US);
         assert_eq!(p.cstate_exit.deep_c3_extra_us, 0.0);
-    }
-
-    #[test]
-    fn board_vr_pins_the_board_values() {
-        // Regression pins for the literals swept out of power/mbvr.rs.
-        let v = BOARD_VR;
-        assert_eq!(v.vccin_v, 1.80);
-        assert_eq!((v.svid_lo_v, v.svid_hi_v), (1.6, 2.0));
-        assert_eq!(v.mbvr_ps1_below_w, 45.0);
-        assert_eq!(v.mbvr_ps2_below_w, 15.0);
-        assert_eq!(v.mbvr_hysteresis_w, 4.0);
     }
 
     #[test]

@@ -112,4 +112,40 @@ mod tests {
         assert_eq!(IA32_PERF_CTL, 0x199);
         assert_eq!(IA32_ENERGY_PERF_BIAS, 0x1B0);
     }
+
+    /// Every `pub const NAME: u32 = <address>;` line of this file, read
+    /// from its source so no constant can be left out of the check below.
+    fn named_addresses() -> Vec<(&'static str, u32)> {
+        include_str!("addresses.rs")
+            .lines()
+            .filter_map(|line| {
+                let (name, rest) = line.strip_prefix("pub const ")?.split_once(": u32 = ")?;
+                let value = rest.split_once(';')?.0.replace('_', "");
+                let addr = match value.strip_prefix("0x") {
+                    Some(hex) => u32::from_str_radix(hex, 16),
+                    None => value.parse(),
+                };
+                Some((
+                    name,
+                    addr.unwrap_or_else(|e| panic!("{name} = {value}: {e}")),
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn addresses_are_unique() {
+        let named = named_addresses();
+        assert!(
+            named.len() >= 20,
+            "address table unexpectedly small: {named:?}"
+        );
+        // Two names for one MSR number is a copy-paste bug.
+        let mut by_addr = std::collections::BTreeMap::new();
+        for &(name, addr) in &named {
+            if let Some(first) = by_addr.insert(addr, name) {
+                panic!("`{name}` duplicates MSR address {addr:#x} already named `{first}`");
+            }
+        }
+    }
 }

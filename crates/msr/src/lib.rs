@@ -20,8 +20,6 @@ pub mod addresses;
 pub mod device;
 pub mod energy;
 pub mod fields;
-pub mod gate;
 
 pub use device::{MsrBank, MsrError, MsrScope};
 pub use energy::EnergyCounter;
-pub use gate::{GateError, MsrGate, Permission};

@@ -33,12 +33,12 @@ pub struct Node {
 }
 
 /// Plain-data image of an entire [`Node`]'s mutable simulator state —
-/// sockets (PCU, MBVR, MSR bank, RAPL accumulators, c-state and counter
-/// planes, thermal, transition log), the per-socket tick outputs, the
-/// engine's step statistics, and the simulation clock itself. The event
-/// engine's replay cache is not captured: the first step after a restore
-/// is always a full one, which rebuilds it for the restoring node's own
-/// spec.
+/// sockets (PCU, MSR bank, RAPL accumulators, c-state and counter planes,
+/// thermal, transition log), the per-socket tick outputs and the
+/// simulation clock itself. The event engine's replay cache and step
+/// counts are not captured: the first step after a restore is always a
+/// full one, which rebuilds the cache for the restoring node's own spec,
+/// and a restored node counts its own steps.
 ///
 /// Restoring a snapshot into a freshly constructed node continues
 /// bit-identically to the uninterrupted run because every noise stream is
@@ -51,7 +51,6 @@ pub struct NodeSnapshot {
     time_ns: Ns,
     sockets: Vec<SocketState>,
     last: Vec<SocketTick>,
-    stats: EngineStats,
 }
 
 impl Node {
@@ -105,7 +104,9 @@ impl Node {
             // Seed-derived, samples are keyed by instant: rebuilt by Node::new.
             meter: _,
             last,
-            stats,
+            // Execution counters, not state: they differ between engine
+            // modes for one trajectory, and a restored node counts its own.
+            stats: _,
             // Host-side accounting handle, attached per node by the executor.
             time_ledger: _,
             // Per-step scratch, rebuilt from socket state every step.
@@ -115,20 +116,22 @@ impl Node {
             time_ns: *time_ns,
             sockets: sockets.iter().map(Socket::snapshot).collect(),
             last: last.clone(),
-            stats: *stats,
         }
     }
 
     /// Reinstate a previously captured state, including the simulation
-    /// clock. The node must share the snapshotted geometry, generation and
-    /// DRAM mode: the image carries the constants derived from them (MSR
-    /// geometry, p-state policy, RAPL mode). Every fork builds its node
-    /// from the `NodeConfig` the image was settled under, or from that
-    /// config with a varied spec of the same generation. Its config
-    /// (leakage, turbo bins and RAPL trim included), seed-derived noise
-    /// streams and meter are kept as constructed — this is what lets a
-    /// warm-start fork re-seed a restored node, and a varied fleet chip
-    /// keep its own calibration.
+    /// clock. Every fork builds its node from the `NodeConfig` the image
+    /// was settled under, or from that config with a varied spec of the
+    /// same generation. Its config (leakage, turbo bins and RAPL trim
+    /// included), seed-derived noise streams, meter and step counts are
+    /// kept as constructed — this is what lets a warm-start fork re-seed a
+    /// restored node, and a varied fleet chip keep its own calibration.
+    ///
+    /// # Panics
+    ///
+    /// If the node does not share the snapshotted geometry, generation and
+    /// DRAM RAPL mode: the image carries the constants derived from them
+    /// (MSR geometry, p-state policy, RAPL mode).
     pub fn restore(&mut self, snap: &NodeSnapshot) {
         assert_eq!(
             self.sockets.len(),
@@ -140,7 +143,6 @@ impl Node {
             socket.restore(s);
         }
         self.last.clone_from(&snap.last);
-        self.stats = snap.stats;
     }
 
     /// Re-key every noise stream (meter, per-socket p-state and RAPL
@@ -182,7 +184,8 @@ impl Node {
         &self.sockets
     }
 
-    /// Step counters of the time-advance engine.
+    /// Step counters of the time-advance engine since this node was built.
+    /// A restore leaves them as they are, so readers take deltas.
     pub fn engine_stats(&self) -> EngineStats {
         self.stats
     }
@@ -1184,6 +1187,38 @@ mod engine_tests {
     }
 
     #[test]
+    fn a_re_armed_node_rewrites_therm_status_on_its_first_step() {
+        // The integrators store the thermal readout only when it changes.
+        // Re-armed to the image from one step before a change, the bank
+        // holds the image's older readout while the node last stored the
+        // newer one: the first step must rewrite the register anyway.
+        let cfg = NodeConfig::paper_default();
+        let cpu = CpuId::new(0, 0, 0);
+        let readout = |n: &Node| n.rdmsr(cpu, msra::IA32_THERM_STATUS).unwrap() >> 16;
+        let mut node = Node::new(cfg.clone());
+        node.run_on_socket(0, &WorkloadProfile::firestarter(), 12, 2);
+        node.advance_s(0.05);
+        let (old, mut snap) = (readout(&node), node.snapshot());
+        while readout(&node) == old {
+            snap = node.snapshot();
+            node.advance_us(cfg.tick_us);
+        }
+        let new = readout(&node);
+        node.fork_from(&snap, cfg.seed);
+        assert_eq!(readout(&node), old, "the image's readout");
+        node.advance_us(cfg.tick_us);
+        assert_eq!(readout(&node), new, "rewritten on the first step");
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot generation or DRAM RAPL mode mismatch")]
+    fn restore_rejects_an_image_of_another_dram_mode() {
+        let mode0 = NodeConfig::paper_default().with_dram_mode(hsw_power::DramRaplMode::Mode0);
+        let image = Node::new(mode0).snapshot();
+        Node::new(NodeConfig::paper_default()).restore(&image);
+    }
+
+    #[test]
     fn time_ledger_credits_simulated_time_on_drop() {
         let ledger = Arc::new(AtomicU64::new(0));
         {
@@ -1199,7 +1234,7 @@ mod engine_tests {
         use proptest::prelude::*;
 
         /// One random software-visible MSR write, kept within the encodings
-        /// the tools themselves produce (the gate's writable surface).
+        /// the tools themselves produce (what `MsrBank::write` admits).
         fn apply_write(node: &mut Node, socket: usize, core: usize, which: u8, v: u16) {
             let cpu = CpuId::new(socket, core, 0);
             let r = match which % 4 {
@@ -1343,29 +1378,6 @@ mod engine_tests {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod mbvr_tests {
-    use super::*;
-    use hsw_power::MbvrPowerState;
-
-    #[test]
-    fn mbvr_sheds_phases_at_idle_and_restores_under_load() {
-        // Paper Section II-B: the MBVR's three power states are "activated
-        // by the processor according to the estimated power consumption".
-        let mut node = Node::new(NodeConfig::paper_default());
-        node.idle_all();
-        node.advance_s(0.3);
-        assert_eq!(node.sockets()[0].mbvr_state(), MbvrPowerState::Ps2);
-
-        let fs = hsw_exec::WorkloadProfile::firestarter();
-        node.run_on_socket(0, &fs, 12, 2);
-        node.advance_s(0.3);
-        assert_eq!(node.sockets()[0].mbvr_state(), MbvrPowerState::Ps0);
-        // The other socket stays idle and keeps its light-load state.
-        assert_ne!(node.sockets()[1].mbvr_state(), MbvrPowerState::Ps0);
     }
 }
 

@@ -9,8 +9,7 @@
 //! an explicit seed per sweep point (which the survey's sweep executor
 //! derives), a named [`Resolution`] class instead of magic tick numbers,
 //! and optional telemetry sinks such as the survey's simulated-time
-//! ledger. A [`Session`] dereferences to [`Node`], so the whole existing
-//! node surface works unchanged.
+//! ledger. [`SessionBuilder::build`] returns the configured [`Node`].
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -140,41 +139,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Materialize the session.
-    pub fn build(self) -> Session {
+    /// Materialize the session as its node.
+    pub fn build(self) -> Node {
         let mut node = Node::new(self.cfg);
         if let Some(ledger) = self.time_ledger {
             node.set_time_ledger(ledger);
         }
-        Session { node }
+        node
     }
 }
 
-/// A running simulation session. Dereferences to [`Node`], so the full
-/// node surface (workload assignment, MSRs, advance, metering) applies.
-pub struct Session {
-    node: Node,
-}
-
-impl Session {
-    pub fn into_node(self) -> Node {
-        self.node
-    }
-}
-
-impl std::ops::Deref for Session {
-    type Target = Node;
-
-    fn deref(&self) -> &Node {
-        &self.node
-    }
-}
-
-impl std::ops::DerefMut for Session {
-    fn deref_mut(&mut self) -> &mut Node {
-        &mut self.node
-    }
-}
+/// The former name of a built session, which is a [`Node`]. It survives
+/// only because the benchmark tracer names it, and goes with the next
+/// benchmark change, like [`PlaneMask`](crate::PlaneMask).
+pub type Session = Node;
 
 #[cfg(test)]
 mod tests {
@@ -224,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn session_derefs_to_a_working_node() {
+    fn a_built_session_is_a_working_node() {
         let mut s = NodeConfig::paper_default()
             .session()
             .resolution(Resolution::Coarse)

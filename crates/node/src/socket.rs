@@ -4,13 +4,14 @@
 //! stage — p-state engine, workload aggregation, AVX licenses, EET, the PCU
 //! equilibrium solve, c-states, DRAM, power, thermal, RAPL and the counter
 //! plane. The **light tick** is the event engine's fast path: it replays
-//! only the continuous integrators (RAPL, thermal, MBVR), the periodic
-//! controllers whose outcome cannot change (EET polls, AVX relax checks,
-//! the p-state opportunity clock, the PCU timer) and the cached outputs of
-//! the last full tick. It is valid up to the **wake horizon** that full
-//! tick recorded: the next p-state latch or switch completion, plus the
-//! next periodic PCU re-solve while the grant reads the limiter average
-//! (or was restored rather than solved here). The light tick performs the
+//! only the periodic controllers whose outcome cannot change (EET polls,
+//! AVX relax checks, the p-state opportunity clock, the PCU timer) and the
+//! continuous integrators (thermal, RAPL), fed the cached outputs of the
+//! last full tick. It is valid up to the **wake horizon** that full tick
+//! recorded: the next p-state latch or switch completion, plus the next
+//! periodic PCU re-solve while the grant reads the limiter average (or was
+//! restored rather than solved here). Both ticks end in one shared
+//! integrator tail, and the light tick's controller replay performs the
 //! *identical* floating-point operations in the identical order, so a span
 //! stepped lightly ends in bit-identical state to the same span stepped
 //! fully — the property the `--engine fixed|event` equivalence tests pin
@@ -23,14 +24,15 @@
 //! with `clone_from`: every restore is a full one, and a new tick field is
 //! captured by construction once it is a field of the state. Its
 //! components ([`MsrBank`], [`PStateEngine`], the per-core SoA plane
-//! [`CorePlanes`], RAPL, thermal, MBVR) are `Clone` and captured whole,
-//! with the generation constants they were built from. Configuration stays
-//! on the socket: the spec is read at each step, so a fleet chip that
-//! restores a golden image keeps its own leakage, turbo bins and RAPL trim
-//! (`RaplEngine::advance` takes the trim from the spec). The restore tests
-//! in `node.rs` anchor it: a restored or re-armed node's snapshot equals
-//! its source, the next step is a full one, and a restored chip meters
-//! with its own trim.
+//! [`CorePlanes`], RAPL, thermal) are `Clone` and captured whole, with the
+//! generation constants they were built from, so a restore asserts that
+//! the image shares the socket's generation and DRAM mode. Configuration
+//! stays on the socket: the spec is read at each step, so a fleet chip
+//! that restores a golden image keeps its own leakage, turbo bins and RAPL
+//! trim (`RaplEngine::advance` takes the trim from the spec). The restore
+//! tests in `node.rs` anchor it: a restored or re-armed node's snapshot
+//! equals its source, the next step is a full one and rewrites the thermal
+//! readout, and a restored chip meters with its own trim.
 
 use std::sync::Arc;
 
@@ -45,8 +47,8 @@ use hsw_pcu::{
     TransitionLog,
 };
 use hsw_power::{
-    dram_power_w, package_power_w, CoreElecState, DramRaplMode, Mbvr, MbvrPowerState, ModelBias,
-    RaplEngine, ThermalParams, ThermalState,
+    dram_power_w, package_power_w, CoreElecState, DramRaplMode, ModelBias, RaplEngine,
+    ThermalParams, ThermalState,
 };
 
 /// Nanoseconds.
@@ -55,7 +57,7 @@ const US: Ns = 1_000;
 
 /// The snapshot planes a fork copies, one bit each: the MSR bank, the
 /// p-state/PCU engine, RAPL, the core planes, the counter plane,
-/// thermal/VR, the transition log and the workload table. Every restore
+/// thermal, the transition log and the workload table. Every restore
 /// copies all eight, so [`PlaneMask::ALL`] is the only value. It exists for
 /// the benchmark tracer's `fork_path` probe, which counts the planes each
 /// fork copies, and goes when that probe does.
@@ -112,7 +114,8 @@ struct ThreadRates {
     instret_per_ns: Option<f64>,
 }
 
-/// Inputs and outputs of the last full tick, replayed by light ticks.
+/// Inputs and outputs of the last full tick, replayed by light ticks. It
+/// belongs to the socket, not to its state: a restore resets it.
 #[derive(Debug, Clone)]
 struct QuietCache {
     tick: SocketTick,
@@ -121,6 +124,8 @@ struct QuietCache {
     /// The limiter-average bucket of the last PCU key; a light phase must
     /// end (wake) on the step where the live average leaves it.
     avg_bucket: u64,
+    /// The digital thermal readout last stored to `IA32_THERM_STATUS`;
+    /// `u64::MAX` while the bank may hold another (a new or restored one).
     therm_readout: u64,
     /// The wake horizon: the earliest instant at which a discrete event
     /// can fire. A step ending at or after it runs the full tick. 0 (wake
@@ -136,7 +141,7 @@ impl QuietCache {
             eet_input: 0.0,
             bias: ModelBias::NONE,
             avg_bucket: 0,
-            therm_readout: 0,
+            therm_readout: u64::MAX,
             wake_at: 0,
         }
     }
@@ -313,7 +318,6 @@ pub struct SocketState {
     last_pcu_key: Option<PcuKey>,
     uncore_mhz: f64,
     thermal: ThermalState,
-    mbvr: Mbvr,
     transition_log: TransitionLog,
     rates: Option<CounterRates>,
     pending_ns: Ns,
@@ -374,7 +378,6 @@ impl Socket {
                 last_pcu_key: None,
                 uncore_mhz: spec.freq.uncore_min_mhz as f64,
                 thermal: ThermalState::new(ThermalParams::server_max_fans()),
-                mbvr: Mbvr::new(),
                 transition_log: TransitionLog::new(),
                 rates: None,
                 pending_ns: 0,
@@ -446,20 +449,29 @@ impl Socket {
         self.state.clone()
     }
 
-    /// Reinstate a previously captured state. The socket must have the
-    /// geometry it was snapshotted with, and the generation and DRAM mode
-    /// too: the state carries the MSR geometry, the p-state policy and the
-    /// RAPL mode derived from them. Its identity, spec (the RAPL trim
-    /// included) and noise streams are left untouched. The grant is now
-    /// `snap`'s, and the next step must be a full one.
+    /// Reinstate a previously captured state. Its identity, spec (the RAPL
+    /// trim included) and noise streams are left untouched. The grant is
+    /// now `snap`'s, and the next step must be a full one, which also
+    /// rewrites the thermal readout the image's bank holds.
+    ///
+    /// # Panics
+    ///
+    /// If `snap` was captured on a socket of another geometry, generation
+    /// or DRAM RAPL mode: the state carries the MSR geometry, the p-state
+    /// policy and the RAPL mode derived from them.
     pub fn restore(&mut self, snap: &SocketState) {
         assert_eq!(
             self.state.cores.len(),
             snap.cores.len(),
             "snapshot geometry mismatch"
         );
+        assert_eq!(
+            (self.state.msr.generation(), self.state.rapl.dram_mode()),
+            (snap.msr.generation(), snap.rapl.dram_mode()),
+            "snapshot generation or DRAM RAPL mode mismatch"
+        );
         self.state.clone_from(snap);
-        self.cached.wake_at = 0;
+        self.cached = QuietCache::new();
         self.grant_restored = true;
     }
 
@@ -860,34 +872,8 @@ impl Socket {
         }
         let dram_w = dram_power_w(spec, dram_bw);
 
-        // 10. MBVR power state follows the estimated package draw
-        //     (paper Section II-B) and thermal state integrates
-        //     (observability: the test node's maximum fans keep TDP, not
-        //     PROCHOT, the binding limit).
-        self.state.mbvr.update_estimated_power(pkg_w);
-        self.state.thermal.advance(dt_s, pkg_w);
-        debug_assert!(
-            !self.state.thermal.prochot(),
-            "max-fan node must not PROCHOT"
-        );
-        let readout = (96.0 - self.state.thermal.t_die_c).clamp(0.0, 127.0) as u64;
-        self.cached.therm_readout = readout;
-        for t in 0..spec.hw_threads() {
-            self.state
-                .msr
-                .store(t, msra::IA32_THERM_STATUS, readout << 16);
-        }
-
-        // 11. RAPL (modeled bias on pre-Haswell generations). The error
-        //     draw is keyed to the interval's end instant.
-        self.state.rapl.advance(
-            dt_s,
-            pkg_w,
-            dram_w,
-            bias,
-            self.noise_rapl.symmetric(now, 0),
-            spec.power.rapl_trim_gain,
-        );
+        // 10–11. Thermal and RAPL integrate this tick's power.
+        self.integrate(now, dt_s, pkg_w, dram_w, bias);
 
         // 12. Counter plane: refresh the rate set, flushing the pending
         //     span under the old rates first if anything changed. The next
@@ -991,11 +977,11 @@ impl Socket {
     }
 
     /// Light step, valid before the wake horizon: replays only the
-    /// continuous integrators (RAPL, thermal, MBVR) and the periodic
-    /// controllers whose outcome is provably unchanged (EET poll, AVX
-    /// relax, the p-state opportunity clock, PCU timer), using the inputs
-    /// cached by the last full tick. Floating-point operations and their
-    /// order match the full tick exactly, so the state after the span is
+    /// periodic controllers whose outcome is provably unchanged (EET poll,
+    /// AVX relax, the p-state opportunity clock, PCU timer) and the
+    /// continuous integrators (thermal and RAPL), using the inputs cached by
+    /// the last full tick. The integrators run through the same
+    /// `integrate` tail as the full tick, so the state after the span is
     /// bit-identical no matter which path stepped it.
     pub fn light_tick(&mut self, now: Ns, dt: Ns) -> SocketTick {
         debug_assert!(
@@ -1018,8 +1004,20 @@ impl Socket {
             self.state.next_pcu = now + self.pcu_period_ns();
         }
         let out = self.cached.tick;
-        self.state.mbvr.update_estimated_power(out.pkg_w);
-        self.state.thermal.advance(dt_s, out.pkg_w);
+        self.integrate(now, dt_s, out.pkg_w, out.dram_w, self.cached.bias);
+        self.state.pending_ns += dt;
+        out
+    }
+
+    /// The continuous integrators both step bodies end with, so a light
+    /// step advances them exactly as a full one does. Thermal state
+    /// integrates (observability: the test node's maximum fans keep TDP,
+    /// not PROCHOT, the binding limit), its digital readout is stored to
+    /// `IA32_THERM_STATUS` when it changes, and RAPL meters the interval
+    /// (modeled bias on pre-Haswell generations) with an error draw keyed
+    /// to the interval's end instant.
+    fn integrate(&mut self, now: Ns, dt_s: f64, pkg_w: f64, dram_w: f64, bias: ModelBias) {
+        self.state.thermal.advance(dt_s, pkg_w);
         debug_assert!(
             !self.state.thermal.prochot(),
             "max-fan node must not PROCHOT"
@@ -1035,14 +1033,12 @@ impl Socket {
         }
         self.state.rapl.advance(
             dt_s,
-            out.pkg_w,
-            out.dram_w,
-            self.cached.bias,
+            pkg_w,
+            dram_w,
+            bias,
             self.noise_rapl.symmetric(now, 0),
             self.spec.power.rapl_trim_gain,
         );
-        self.state.pending_ns += dt;
-        out
     }
 
     /// Apply the pending counter span under the current rates and refresh
@@ -1162,12 +1158,6 @@ impl Socket {
         self.state.transition_log.drain()
     }
 
-    /// Transition events currently retained (bounded; see
-    /// [`hsw_pcu::TRANSITION_LOG_CAP`]).
-    pub fn transition_log_len(&self) -> usize {
-        self.state.transition_log.len()
-    }
-
     pub fn rapl(&self) -> &RaplEngine {
         &self.state.rapl
     }
@@ -1176,10 +1166,5 @@ impl Socket {
     /// readout in `IA32_THERM_STATUS`).
     pub fn die_temperature_c(&self) -> f64 {
         self.state.thermal.t_die_c
-    }
-
-    /// The mainboard VR's current power state (paper Section II-B).
-    pub fn mbvr_state(&self) -> MbvrPowerState {
-        self.state.mbvr.state()
     }
 }

@@ -199,8 +199,7 @@ mod tests {
             .with_engine(EngineMode::Event)
             .session()
             .seed(21)
-            .build()
-            .into_node();
+            .build();
         node.idle_all(); // idle node: maximal coalescing opportunity
         let start = node.now_s();
         let trace = Trace::record(&mut node, 0.25, 0.1);
@@ -218,8 +217,7 @@ mod tests {
                 .with_engine(engine)
                 .session()
                 .seed(22)
-                .build()
-                .into_node();
+                .build();
             node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
             node.set_setting_all(FreqSetting::from_mhz(2000));
             node.advance_s(0.05);

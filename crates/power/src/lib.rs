@@ -10,10 +10,10 @@
 //!   node follows the paper's published quadratic AC-vs-RAPL relation.
 //! * [`meter`]: the ZES ZIMMER LMG450 reference meter model — 20 Sa/s with
 //!   0.07 % + 0.23 W accuracy (paper Section III / Table II).
-//! * [`temperature`]: a first-order thermal RC model (die temperature,
-//!   temperature-dependent leakage, PROCHOT) — the mechanism behind the
-//!   paper's "lower sustained turbo frequencies, possibly due to thermal
-//!   reasons" remark about socket 0.
+//! * [`temperature`]: a first-order thermal RC model (die temperature and
+//!   PROCHOT) behind the digital readout in `IA32_THERM_STATUS`. It feeds
+//!   nothing back into power: the socket-0-vs-socket-1 asymmetry the paper
+//!   remarks on (Section III) comes from `calib::SOCKET_POWER_EFFICIENCY`.
 //! * [`rapl`]: RAPL engines. Haswell-EP integrates *measured* energy
 //!   (paper Fig. 2b); Sandy Bridge-EP applies a per-workload-class model
 //!   bias (paper Fig. 2a). Includes the DRAM mode 0 / mode 1 distinction of
@@ -21,16 +21,16 @@
 //!
 //! ## Snapshot coverage
 //!
-//! Every stateful type here ([`RaplEngine`], [`ThermalState`], [`Mbvr`])
-//! is plain data and `Clone`, so `hsw-node`'s warm-start snapshots capture
-//! them wholesale — no per-field snapshot companion is needed. The [`Lmg450`] meter is the exception by design: it holds no
-//! mutable state (samples are keyed by seed and instant), so forks rebuild
-//! it from the fork seed instead of restoring it.
+//! Every stateful type here ([`RaplEngine`], [`ThermalState`]) is plain
+//! data and `Clone`, so `hsw-node`'s warm-start snapshots capture them
+//! wholesale — no per-field snapshot companion is needed. The [`Lmg450`]
+//! meter is the exception by design: it holds no mutable state (samples
+//! are keyed by seed and instant), so forks rebuild it from the fork seed
+//! instead of restoring it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod components;
-pub mod mbvr;
 pub mod meter;
 pub mod psu;
 pub mod rapl;
@@ -39,7 +39,6 @@ pub mod temperature;
 pub use components::{
     dram_power_w, package_power_of_runs, package_power_w, CoreElecState, PackagePower,
 };
-pub use mbvr::{Mbvr, MbvrPowerState, SupplyLane};
 pub use meter::Lmg450;
 pub use psu::NodePowerModel;
 pub use rapl::{DramRaplMode, ModelBias, RaplEngine};

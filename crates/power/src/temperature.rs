@@ -1,12 +1,13 @@
 //! First-order thermal model of a package.
 //!
-//! The paper attributes the sustained-turbo difference between the two test
-//! processors partly to thermal effects ("The first processor also appears
-//! to use lower sustained turbo frequencies, possibly due to thermal
-//! reasons"). This RC model provides the substrate: die temperature follows
-//! `dT/dt = (P·R_th − (T − T_amb)) / τ`, and leakage grows with
-//! temperature, closing the loop that separates otherwise identical parts
-//! with different heat-sink seating.
+//! Die temperature follows `dT/dt = (P·R_th − (T − T_amb)) / τ`. The
+//! socket reads it out through `IA32_THERM_STATUS` and checks that the
+//! test node, fans at maximum, never reaches PROCHOT. Temperature feeds
+//! nothing back into power: the paper's "lower sustained turbo
+//! frequencies, possibly due to thermal reasons" remark about its first
+//! processor is modeled as a power-efficiency difference
+//! (`calib::SOCKET_POWER_EFFICIENCY`), not as temperature-dependent
+//! leakage.
 
 /// Package thermal parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,12 +62,6 @@ impl ThermalState {
         self.params.t_ambient_c + p_w * self.params.r_th_k_per_w
     }
 
-    /// Leakage multiplier relative to the calibration temperature (55 °C):
-    /// leakage roughly doubles per ~25 K.
-    pub fn leakage_factor(&self) -> f64 {
-        2f64.powf((self.t_die_c - 55.0) / 25.0)
-    }
-
     /// Whether the package is at its PROCHOT throttle point.
     pub fn prochot(&self) -> bool {
         self.t_die_c >= self.params.t_prochot_c
@@ -106,17 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn hotter_die_leaks_more() {
-        let mut cool = ThermalState::new(ThermalParams::server_max_fans());
-        let mut hot = cool;
-        cool.advance(100.0, 30.0);
-        hot.advance(100.0, 120.0);
-        assert!(hot.leakage_factor() > cool.leakage_factor() * 1.1);
-    }
-
-    #[test]
     fn worse_heatsink_seating_raises_steady_temperature() {
-        // The socket-0-vs-socket-1 asymmetry mechanism.
+        // A worse heat-sink seating runs hotter at equal power (no
+        // power feedback: see the module doc).
         let good = ThermalState::new(ThermalParams::server_max_fans());
         let worse = ThermalState::new(ThermalParams {
             r_th_k_per_w: 0.34,

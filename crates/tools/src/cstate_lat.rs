@@ -122,7 +122,7 @@ mod tests {
     const HSW: CpuGeneration = CpuGeneration::HaswellEp;
 
     fn node() -> Node {
-        NodeConfig::paper_default().session().build().into_node()
+        NodeConfig::paper_default().session().build()
     }
 
     #[test]

@@ -194,8 +194,7 @@ mod tests {
         let mut node = NodeConfig::paper_default()
             .session()
             .resolution(Resolution::Latency)
-            .build()
-            .into_node();
+            .build();
         // The FTaLaT busy loop keeps the measured core in C0.
         node.run_on_socket(0, &WorkloadProfile::busy_wait(), 1, 1);
         node.advance_s(0.01);

@@ -147,7 +147,7 @@ mod tests {
     fn derive_reads_rapl_power_across_a_32_bit_wrap() {
         // Both RAPL registers straddle 2^32 within one 1 s window: PKG by
         // 2000 counts, DRAM by 200.
-        let node = NodeConfig::paper_default().session().build().into_node();
+        let node = NodeConfig::paper_default().session().build();
         let pc = PerfCtr::new(&node, CpuId::new(0, 0, 0));
         let a = CounterSample {
             t_ns: 0,
@@ -181,7 +181,7 @@ mod tests {
     }
 
     fn loaded_node() -> Node {
-        let mut node = NodeConfig::paper_default().session().build().into_node();
+        let mut node = NodeConfig::paper_default().session().build();
         let fs = WorkloadProfile::firestarter();
         for s in 0..2 {
             node.run_on_socket(s, &fs, 12, 2);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn rapl_power_tracks_truth_on_both_platforms() {
         for kind in PlatformKind::ALL {
-            let mut node = kind.config().session().build().into_node();
+            let mut node = kind.config().session().build();
             node.run_on_socket(0, &WorkloadProfile::memory_bound(), 8, 1);
             node.advance_s(0.5);
             let cpu = CpuId::new(0, 0, 0);

@@ -127,7 +127,6 @@ mod tests {
             .session()
             .resolution(Resolution::Coarse)
             .build()
-            .into_node()
     }
 
     #[test]
